@@ -24,8 +24,8 @@ from .errors import ConfigError
 from .flcore import make_synthetic_problem, run_afl, run_sfl
 from .participation import DETERMINISTIC, coverage_radius, expected_participants
 from .phy import (afl_gap_bracket, high_snr_constants, lambda_star,
-                  remainder_envelope, spectral_efficiency)
-from .spatial import UNIFORM, sample_positions
+                  remainder_envelope, upload_latency)
+from .spatial import CONV, PA, UNIFORM, sample_positions
 
 
 class _UsageError(Exception):
@@ -67,7 +67,7 @@ def _write_csv(path: str, fieldnames: Sequence[str], rows: List[dict]):
         writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
                              for k, v in row.items()})
 
 
@@ -78,25 +78,23 @@ def _write_json(path: str, cfg: RunConfig, metrics: dict):
         "metrics": metrics,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _max_offset2(cfg: RunConfig) -> float:
-    """Squared link distance of the farthest position worth gridding."""
+def _reach(cfg: RunConfig) -> float:
+    """Offset of the farthest position worth gridding."""
     if cfg.dist == UNIFORM:
-        reach = cfg.corridor / 2.0
-    else:
-        reach = cfg.mu + 5.0 * cfg.sigma_x
-    return cfg.height**2 + reach**2
+        return cfg.corridor / 2.0
+    return cfg.mu + 5.0 * cfg.sigma_x
 
 
 def _latency_grid(cfg: RunConfig) -> np.ndarray:
     phy = cfg.phy()
     scale = cfg.m if cfg.mode == "sfl" else 1
     c_eff = scale * phy.B_t / phy.W
-    t_min = c_eff / math.log2(1.0 + phy.S / phy.d**2)
-    t_max = c_eff / math.log2(1.0 + phy.S / _max_offset2(cfg))
+    t_min = upload_latency(c_eff, 0.0, 0.0, phy.S, phy.d)
+    t_max = upload_latency(c_eff, _reach(cfg), 0.0, phy.S, phy.d)
     return np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
 
 
@@ -104,7 +102,7 @@ def _cmd_ccdf(cfg: RunConfig, out: str) -> dict:
     phy, spec = cfg.phy(), cfg.dist_spec()
     grid = _latency_grid(cfg)
     mode = montecarlo.SFL if cfg.mode == "sfl" else montecarlo.AFL
-    archs = ["CONV", "PA"] if cfg.arch == "both" else [cfg.arch]
+    archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
     series = {
         arch: montecarlo.estimate_ccdf(mode, arch, phy, spec, cfg.k, cfg.m,
                                        cfg.trials, grid, cfg.seed)
@@ -122,7 +120,7 @@ def _cmd_ccdf(cfg: RunConfig, out: str) -> dict:
     for arch in archs:
         metrics[f"mean_exceedance_{arch.lower()}"] = float(series[arch].ccdf.mean())
     if len(archs) == 2:
-        gap = series["CONV"].ccdf - series["PA"].ccdf
+        gap = series[CONV].ccdf - series[PA].ccdf
         metrics["min_ccdf_gap_conv_minus_pa"] = float(gap.min())
         metrics["pa_dominates"] = bool(gap.min() >= -3.0 / math.sqrt(cfg.trials))
     _write_json(os.path.join(out, "ccdf.json"), cfg, metrics)
@@ -143,8 +141,8 @@ def _cmd_straggler(cfg: RunConfig, out: str) -> dict:
 
 def _cmd_participation(cfg: RunConfig, out: str) -> dict:
     phy, spec, model = cfg.phy(), cfg.dist_spec(), cfg.deadline_model()
-    t_lo = cfg.t0 + 0.98 * phy.c / math.log2(1.0 + phy.S / phy.d**2)
-    t_hi = cfg.t0 + 1.10 * phy.c / math.log2(1.0 + phy.S / _max_offset2(cfg))
+    t_lo = cfg.t0 + upload_latency(0.98 * phy.c, 0.0, 0.0, phy.S, phy.d)
+    t_hi = cfg.t0 + upload_latency(1.10 * phy.c, _reach(cfg), 0.0, phy.S, phy.d)
     if cfg.fc_kind != DETERMINISTIC and cfg.rate > 0:
         t_hi += 3.0 / cfg.rate
     grid = np.linspace(t_lo, t_hi, cfg.grid_points)
@@ -192,7 +190,7 @@ def _cmd_train(cfg: RunConfig, out: str) -> dict:
                                      cfg.sigma_grad, cfg.seed)
     sample = sample_positions(cfg.dist_spec(), cfg.k, cfg.seed)
     phy, spec, model = cfg.phy(), cfg.quantizer(), cfg.deadline_model()
-    archs = ["CONV", "PA"] if cfg.arch == "both" else [cfg.arch]
+    archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
     rows, metrics = [], {}
     for arch in archs:
         if cfg.mode == "sfl":
@@ -207,11 +205,14 @@ def _cmd_train(cfg: RunConfig, out: str) -> dict:
             row = dataclasses.asdict(rec)
             row["scheduled"] = " ".join(str(i) for i in rec.scheduled)
             rows.append(row)
-        final = log.records[-1].loss if log.records else math.nan
+        # strict JSON has no NaN or Infinity: no events or an unreached
+        # target are null
+        final = log.records[-1].loss if log.records else None
+        reached = log.time_to_loss(cfg.target)
         metrics[arch] = {
             "total_time": log.total_time,
             "final_loss": final,
-            "time_to_target": log.time_to_loss(cfg.target),
+            "time_to_target": reached if math.isfinite(reached) else None,
             "max_staleness": log.max_staleness,
             "events": len(log.records),
         }

@@ -16,12 +16,9 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InfeasibleLinkError, ParameterError
-from .participation import DeadlineModel
-from .phy import PhyParams, spectral_efficiency
-from .spatial import PositionSample, pa_bottleneck
-
-CONV = "CONV"
-PA = "PA"
+from .participation import DETERMINISTIC, DeadlineModel
+from .phy import PhyParams, upload_latency
+from .spatial import CONV, PA, PositionSample, pa_bottleneck
 
 _ALPHA_CAP = 1.0 - 1e-6
 
@@ -48,16 +45,6 @@ class QuantizerSpec:
         return 1.0 - min(self.c_q * 2.0 ** (-2 * self.b), _ALPHA_CAP)
 
 
-@dataclass(frozen=True)
-class GateDraw:
-    """One user's two-stage gate: compute feasibility E, trigger Z, I = E*Z."""
-
-    E: int
-    Z: int
-    I: int
-    pi: float
-
-
 def inclusion_probability(tau: float, model: DeadlineModel) -> float:
     """Unconditional inclusion probability p_s * F_c(T_d - tau)."""
     if tau < 0:
@@ -74,43 +61,46 @@ def xi_safe(K: int, pi_min: float) -> float:
     return (K - 1 + 1.0 / pi_min) / K
 
 
-def draw_gates(pis, p_s: float, seed: int) -> List[GateDraw]:
-    """Independent gate draws for each inclusion probability in ``pis``.
+def draw_gates(taus, model: DeadlineModel, rng):
+    """Two-stage gate for users with upload times ``taus``.
 
-    The compute-feasibility probability is recovered as pi / p_s.
+    Each user triggers with probability p_s (Z); a triggered user draws its
+    compute time T_c (untriggered users keep t0) and is included (I) when
+    T_c + tau meets the deadline, so P(I) = inclusion_probability(tau).
+    Returns boolean Z and I and the float T_c, shaped like ``taus``.
     """
-    if not 0 < p_s <= 1:
-        raise ParameterError("p_s must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    out = []
-    for pi in pis:
-        if not 0 <= pi <= p_s + 1e-12:
-            raise ParameterError(f"pi={pi} inconsistent with p_s={p_s}")
-        p_c = min(pi / p_s, 1.0)
-        E = int(rng.random() < p_c)
-        Z = int(rng.random() < p_s)
-        out.append(GateDraw(E=E, Z=Z, I=E * Z, pi=pi))
-    return out
+    taus = np.asarray(taus, dtype=float)
+    Z = rng.random(taus.shape) < model.p_s
+    T_c = np.full(taus.shape, float(model.t0))
+    if model.fc_kind != DETERMINISTIC:
+        T_c[Z] += rng.exponential(1.0 / model.rate, size=int(Z.sum()))
+    return Z, T_c, Z & (T_c + taus <= model.T_d)
 
 
 def quantize(v: np.ndarray, b: int) -> np.ndarray:
-    """Symmetric uniform quantizer: 2^b levels evenly spaced on [-s, s]
-    with per-vector scale s = max|v|, rounding half away from zero."""
+    """Symmetric uniform quantizer on the last axis: 2^b levels evenly spaced
+    on [-s, s] with per-row scale s = max|v|, rounding half away from zero.
+
+    A row whose grid step is zero (all zeros, or so small that the step
+    underflows) is returned as is, with zeros as +0.
+    """
     v = np.asarray(v, dtype=float)
-    s = np.max(np.abs(v)) if v.size else 0.0
-    if s == 0.0:
-        return np.zeros_like(v)
+    s = np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0)
     n = 2**b
     step = 2.0 * s / (n - 1)
+    exact = step == 0.0
+    step = np.where(exact, 1.0, step)
     # quantize |v| on the symmetric grid, then restore signs; rounding up on
     # the magnitude axis is round-half-away-from-zero on the original axis
     j = np.floor((np.abs(v) + s) / step + 0.5)
     j = np.clip(j, 0, n - 1)
-    return np.where(v < 0, -1.0, 1.0) * (-s + j * step)
+    return np.where(exact, v + 0.0, np.where(v < 0, -1.0, 1.0) * (-s + j * step))
 
 
 def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
-    """One error-feedback step: Y = Q(g + e), next residual is (g + e) - Y."""
+    """One error-feedback step: Y = Q(g + e), next residual is (g + e) - Y.
+
+    Rows of a (K, d) array are independent users."""
     g = np.asarray(g, dtype=float)
     e = np.asarray(e, dtype=float)
     if g.shape != e.shape:
@@ -123,19 +113,21 @@ def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
 
 
 def ht_aggregate(entries, K: int) -> np.ndarray:
-    """Inverse-probability aggregate (1/K) sum_i (I_i / pi_i) Y_i."""
+    """Inverse-probability aggregate (1/K) sum_i I_i Y_i / pi_i over
+    (I, pi, Y) entries, summed in entry order."""
     if K < 1:
         raise ParameterError("K must be at least 1")
-    total = None
-    for I, pi, Y in entries:
-        if I:
-            if pi <= 0:
-                raise ParameterError("included entry with zero inclusion probability")
-            term = (I / pi) * np.asarray(Y, dtype=float)
-            total = term if total is None else total + term
-    if total is None:
-        return np.zeros(np.asarray(entries[0][2]).shape) if entries else np.zeros(0)
-    return total / K
+    if not entries:
+        return np.zeros(0)
+    I, pi, Y = (np.asarray(a, dtype=float) for a in zip(*entries))
+    inc = I != 0
+    if np.any(pi[inc] <= 0):
+        raise ParameterError("included entry with zero inclusion probability")
+    if not inc.any():
+        return np.zeros(Y.shape[1:])
+    terms = (I[inc] * Y[inc].T / pi[inc]).T
+    # cumsum adds row by row; sum(axis=0) may pair rows up and round differently
+    return np.cumsum(terms, axis=0)[-1] / K
 
 
 def ht_second_moment_exact(Ys, pis, K: int) -> float:
@@ -374,12 +366,12 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     if rounds < 1 or eta <= 0:
         raise ParameterError("rounds must be >= 1 and eta positive")
     sched, z = schedule_round(sample, M, arch)
-    c_eff = M * phy.B_t / phy.W  # delta = 1/M
-    R = spectral_efficiency(sample.xs[sched], z, phy.S, phy.d)
-    if np.any(R <= 0):
+    # delta = 1/M
+    taus = upload_latency(M * phy.B_t / phy.W, sample.xs[sched], z, phy.S, phy.d)
+    if np.any(np.isinf(taus)):
         raise InfeasibleLinkError("a scheduled link has zero rate")
-    taus = c_eff / R
     round_time = float(np.max(taus))
+    scheduled = tuple(int(i) for i in sched)
     bottleneck = float(np.max(np.abs(sample.xs[sched] - z)))
 
     rng = np.random.default_rng(seed)
@@ -392,15 +384,11 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     t = 0.0
     for rnd in range(rounds):
         grad_norm2 = problem.grad_norm2(w)
-        g = problem.stochastic_grads(w, rng)
-        Ys = np.empty_like(g)
-        for i in range(problem.K):
-            Ys[i], e[i] = quantize_ef(g[i], e[i], spec)
-        g_hat = Ys[sched].mean(axis=0)
-        w = w - eta * g_hat
+        Ys, e = quantize_ef(problem.stochastic_grads(w, rng), e, spec)
+        w = w - eta * Ys[sched].mean(axis=0)
         t += round_time
         log.records.append(TrainRecord(
-            time=t, index=rnd, arch=arch, scheduled=tuple(int(i) for i in sched),
+            time=t, index=rnd, arch=arch, scheduled=scheduled,
             z=float(z), bottleneck=bottleneck, latency=round_time,
             participants=M, staleness=0, loss=problem.loss_gap(w),
             grad_norm2=grad_norm2,
@@ -433,15 +421,14 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
         raise ParameterError("tick period must be positive")
 
     K = problem.K
-    c_eff = phy.B_t / phy.W  # delta = 1
+    c = phy.B_t / phy.W  # delta = 1
     if arch == CONV:
-        R = spectral_efficiency(sample.xs, 0.0, phy.S, phy.d)
+        taus = upload_latency(c, sample.xs, 0.0, phy.S, phy.d)
     elif arch == PA:
         # radiator pins to each uploader, so every link distance is d
-        R = np.full(K, float(spectral_efficiency(0.0, 0.0, phy.S, phy.d)))
+        taus = np.full(K, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
     else:
         raise ParameterError(f"unknown architecture {arch!r}")
-    taus = c_eff / R
     pis = np.array([inclusion_probability(t, model) for t in taus])
 
     rng = np.random.default_rng(seed)
@@ -451,7 +438,9 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     cache_ver = np.zeros(K, dtype=int)
     busy_until = np.zeros(K)
     version = 0
-    pending: list = []  # (apply_time, batch latency, entries, fetch versions)
+    # (apply time, batch latency, updates, their pis, their fetch versions),
+    # uploads in arrival order
+    pending: list = []
     log = TrainLog(seed=seed, meta={
         "mode": "afl", "arch": arch, "eta": eta, "b": spec.b,
         "weighting": weighting, "tick_period": T_p, "T_d": model.T_d,
@@ -461,19 +450,19 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
         nonlocal w, version
         pending.sort(key=lambda item: item[0])
         while pending and pending[0][0] <= up_to:
-            apply_time, lat, entries, fetch_vers = pending.pop(0)
-            stalenesses = [version - v for v in fetch_vers]
+            apply_time, lat, Ys, up_pis, fetch_vers = pending.pop(0)
             if weighting == "HT":
-                update = sum((Y / pi) for Y, pi in entries) / K
+                update = ht_aggregate([(1, pi, Y) for pi, Y in zip(up_pis, Ys)], K)
             else:
-                update = sum(Y for Y, _ in entries) / len(entries)
+                update = ht_aggregate([(1, 1.0, Y) for Y in Ys], len(Ys))
             w = w - eta * update
+            staleness = version - int(fetch_vers.min())
             version += 1
             log.records.append(TrainRecord(
                 time=apply_time, index=version, arch=arch,
                 scheduled=(), z=0.0 if arch == CONV else math.nan,
                 bottleneck=math.nan, latency=lat,
-                participants=len(entries), staleness=max(stalenesses),
+                participants=len(Ys), staleness=staleness,
                 loss=problem.loss_gap(w), grad_norm2=problem.grad_norm2(w),
             ))
 
@@ -481,38 +470,19 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     for n in range(n_ticks):
         t_tick = n * T_p
         apply_batches(t_tick)
-        idle = busy_until <= t_tick + 1e-12
+        idle = np.flatnonzero(busy_until <= t_tick + 1e-12)
         caches[idle] = w
         cache_ver[idle] = version
-        g = problem.stochastic_grads(caches, rng)
-        Ys = np.empty_like(g)
-        for i in range(K):
-            Ys[i], e[i] = quantize_ef(g[i], e[i], spec)
-        entries = []
-        fetch_vers = []
-        arrivals = []
-        for i in np.flatnonzero(idle):
-            if rng.random() >= model.p_s:
-                continue
-            if model.fc_kind == "deterministic":
-                T_c = model.t0
-            else:
-                T_c = model.t0 + rng.exponential(1.0 / model.rate)
-            finish = T_c + taus[i]
-            if finish <= model.T_d:
-                if pis[i] <= 0:
-                    raise ParameterError("upload from a zero-probability user")
-                entries.append((Ys[i], pis[i]))
-                fetch_vers.append(int(cache_ver[i]))
-                arrivals.append(finish)
-                busy_until[i] = t_tick + finish
-            else:
-                busy_until[i] = t_tick + T_c
-        if entries:
-            order = np.argsort(arrivals, kind="stable")
-            entries = [entries[k] for k in order]
-            fetch_vers = [fetch_vers[k] for k in order]
-            pending.append((t_tick + max(arrivals), max(arrivals),
-                            entries, fetch_vers))
+        Ys, e = quantize_ef(problem.stochastic_grads(caches, rng), e, spec)
+        Z, T_c, I = draw_gates(taus[idle], model, rng)
+        finish = T_c + taus[idle]
+        # uploaders stay busy until their upload lands, the rest while computing
+        busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
+        if I.any():
+            up = idle[I][np.argsort(finish[I], kind="stable")]
+            if np.any(pis[up] <= 0):
+                raise ParameterError("upload from a zero-probability user")
+            lat = finish[I].max()
+            pending.append((t_tick + lat, lat, Ys[up], pis[up], cache_ver[up]))
     apply_batches(horizon_s)
     return log

@@ -17,15 +17,14 @@ import numpy as np
 from . import analytics
 from .errors import ParameterError
 from .participation import DETERMINISTIC, DeadlineModel, expected_participants
-from .phy import PhyParams, spectral_efficiency
-from .spatial import DistributionSpec, sample_positions
+from .phy import PhyParams, upload_latency
+from .spatial import (CONV, PA, DistributionSpec, conv_offsets, draw_positions,
+                      pa_offsets)
 
 CHUNK = 100_000
 
 SFL = "SFL"
 AFL = "AFL"
-CONV = "CONV"
-PA = "PA"
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -41,13 +40,6 @@ def _chunks(trials: int):
         yield index, n
         done += n
         index += 1
-
-
-def _draw_positions(rng, spec: DistributionSpec, n: int, K: int) -> np.ndarray:
-    if spec.kind == "uniform":
-        return rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=(n, K))
-    centers = np.where(rng.random((n, K)) < 0.5, -spec.mu, spec.mu)
-    return centers + rng.normal(0.0, spec.sigma, size=(n, K))
 
 
 class _Moment:
@@ -103,27 +95,21 @@ class BoundVerdict:
 def sfl_round_latencies(rng, spec: DistributionSpec, K: int, M: int,
                         phy: PhyParams, arch: str, n: int) -> np.ndarray:
     """Per-trial synchronous round times (slowest of M scheduled uploads)."""
-    xs = np.sort(_draw_positions(rng, spec, n, K), axis=1)
+    xs = draw_positions(rng, spec, (n, K))
     if arch == CONV:
-        bottleneck = np.partition(np.abs(xs), M - 1, axis=1)[:, M - 1]
+        bottleneck = conv_offsets(xs, M)
     else:
-        spans = xs[:, M - 1:] - xs[:, : K - M + 1]
-        bottleneck = spans.min(axis=1) / 2.0
-    c_eff = M * phy.B_t / phy.W
-    R = np.log2(1.0 + phy.S / (bottleneck**2 + phy.d**2))
-    return c_eff / R
+        _, bottleneck = pa_offsets(np.sort(xs, axis=1), M)
+    return upload_latency(M * phy.B_t / phy.W, bottleneck, 0.0, phy.S, phy.d)
 
 
 def afl_upload_latencies(rng, spec: DistributionSpec, phy: PhyParams,
                         arch: str, n: int) -> np.ndarray:
     """Per-trial single-user upload times (radiator pinned under PA)."""
-    c_eff = phy.B_t / phy.W
+    c = phy.B_t / phy.W
     if arch == PA:
-        R = float(spectral_efficiency(0.0, 0.0, phy.S, phy.d))
-        return np.full(n, c_eff / R)
-    x = _draw_positions(rng, spec, n, 1)[:, 0]
-    R = np.log2(1.0 + phy.S / (x**2 + phy.d**2))
-    return c_eff / R
+        return np.full(n, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
+    return upload_latency(c, draw_positions(rng, spec, n), 0.0, phy.S, phy.d)
 
 
 def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
@@ -170,24 +156,23 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
             rng = _chunk_rng(seed, chunk)
             u = rng.random((n, K))
             xs = np.sort(D * (u - 0.5), axis=1)
-            abs_sorted = np.sort(np.abs(xs), axis=1)
+            conv = conv_offsets(xs, list(conv_m))
             spacings = np.diff((xs + D / 2.0) / D, axis=1)
             edge_lo = (xs[:, 0] + D / 2.0) / D
             edge_hi = 1.0 - (xs[:, -1] + D / 2.0) / D
             all_sp = np.column_stack([edge_lo, spacings, edge_hi])
             minspace.add(all_sp.min(axis=1) ** 2)
-            for M in conv_m:
-                y = abs_sorted[:, M - 1]
+            for j, M in enumerate(conv_m):
+                y = conv[:, j]
                 conv_m[M].add(y**2)
-                spans = xs[:, M - 1:] - xs[:, : K - M + 1]
-                half = spans.min(axis=1) / 2.0
+                _, half = pa_offsets(xs, M)
                 pa_m[M].add(half**2)
                 violations += int(np.sum(half > y + 1e-12))
                 tail_hits[M].add(
                     (np.abs(y / (D / 2.0) - M / (K + 1)) >= eps).astype(float)
                 )
                 if M >= 2:
-                    span_mean[M].add(spans[:, 0] / D)
+                    span_mean[M].add((xs[:, M - 1] - xs[:, 0]) / D)
         verdicts.append(BoundVerdict(
             name=f"K={K} ordering pa<=conv", analytic=0.0,
             empirical=float(violations), std_error=0.0,
@@ -244,7 +229,7 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
                         seed: int) -> List[dict]:
     """Analytic vs simulated participant counts over a deadline sweep."""
     rows = []
-    tau_pa = phy.c / float(spectral_efficiency(0.0, 0.0, phy.S, phy.d))
+    tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     for j, T_d in enumerate(np.asarray(T_grid, dtype=float)):
         model_T = DeadlineModel(T_d=float(T_d), fc_kind=model.fc_kind,
                                 t0=model.t0, rate=model.rate, p_s=model.p_s)
@@ -252,9 +237,8 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
         conv_stat, pa_stat = _Moment(), _Moment()
         for chunk, n in _chunks(trials):
             rng = _chunk_rng(seed, (j << 20) + chunk)
-            xs = _draw_positions(rng, spec, n, K)
-            R = np.log2(1.0 + phy.S / (xs**2 + phy.d**2))
-            tau_conv = phy.c / R
+            tau_conv = upload_latency(phy.c, draw_positions(rng, spec, (n, K)),
+                                      0.0, phy.S, phy.d)
             if model.fc_kind == DETERMINISTIC:
                 T_c = np.full((n, K), model.t0)
             else:

@@ -16,7 +16,7 @@ from typing import Optional
 from scipy.integrate import quad
 
 from .errors import ParameterError, UnsupportedDistributionError
-from .phy import PhyParams
+from .phy import PhyParams, spectral_efficiency, upload_latency
 from .spatial import GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec
 
 DETERMINISTIC = "deterministic"
@@ -79,11 +79,6 @@ class ParticipationReport:
     kappa: Optional[float]
 
 
-def _tau_of_r2(r2: float, phy: PhyParams) -> float:
-    """Upload time for squared link distance r2."""
-    return phy.c / math.log2(1.0 + phy.S / r2)
-
-
 def _rho_raw(T_d: float, t0: float, phy: PhyParams) -> float:
     """Uncapped root of the coverage equation; zero when nothing completes."""
     if T_d <= t0:
@@ -109,8 +104,8 @@ def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> Coverag
         )
     t0 = model.t0
     S, d, D, c = phy.S, phy.d, phy.D, phy.c
-    T_min = t0 + _tau_of_r2(d**2, phy)
-    T_max = t0 + _tau_of_r2(d**2 + (D / 2.0) ** 2, phy)
+    T_min = t0 + upload_latency(c, 0.0, 0.0, S, d)
+    T_max = t0 + upload_latency(c, D / 2.0, 0.0, S, d)
     rho_raw = _rho_raw(T_d, t0, phy)
     if T_d < T_min:
         rho, drho = 0.0, 0.0
@@ -122,7 +117,7 @@ def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> Coverag
         drho = (S * q * math.log(2.0) * c) / (
             2.0 * rho * (q - 1.0) ** 2 * (T_d - t0) ** 2
         ) if rho > 0 else math.inf
-    lam_d = math.log2(1.0 + S / d**2)
+    lam_d = spectral_efficiency(0.0, 0.0, S, d)
     kappa = (d**2 / math.sqrt(S)) * math.sqrt(1.0 + S / d**2) * lam_d * math.sqrt(
         math.log(2.0) / c
     )
@@ -151,7 +146,7 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
     """
     if K < 1:
         raise ParameterError("K must be at least 1")
-    tau_pa = _tau_of_r2(phy.d**2, phy)
+    tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     n_pa = K * model.F_c(T_d - tau_pa)
 
     rho = T_min = T_max = kappa = None
@@ -167,7 +162,7 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
             n_conv = K * gm_abs_cdf(rho_raw, spec.mu, spec.sigma)
     else:
         def eligible(x):
-            return model.F_c(T_d - _tau_of_r2(x**2 + phy.d**2, phy))
+            return model.F_c(T_d - upload_latency(phy.c, x, 0.0, phy.S, phy.d))
 
         if spec.kind == UNIFORM:
             val, _ = quad(eligible, 0.0, spec.D / 2.0, epsabs=1e-9, limit=200)

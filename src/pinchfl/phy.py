@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLinkError, OutOfRegimeError, ParameterError
+from .errors import OutOfRegimeError, ParameterError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
-
-
-def snr_scale(P: float, sigma_n2: float, f_c: float) -> float:
-    """SNR scale S = P * eta_f / sigma_n^2 with eta_f = c0^2/(16 pi^2 f_c^2)."""
-    if P <= 0 or sigma_n2 <= 0 or f_c <= 0:
-        raise ParameterError("P, sigma_n2 and f_c must all be positive")
-    eta_f = SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * f_c**2)
-    return P * eta_f / sigma_n2
 
 
 @dataclass(frozen=True)
@@ -74,23 +66,35 @@ class PhyParams:
                          d=d, D=D, W=W, B_t=B_t, delta=delta)
 
 
-def spectral_efficiency(x: float, z: float, S: float, d: float):
+def spectral_efficiency(x, z: float, S: float, d: float):
     """Achievable rate R = log2(1 + S / ((x-z)^2 + d^2)) in bit/s/Hz.
 
-    Accepts scalars or numpy arrays for x and z.
+    ``x`` is a scalar or a numpy array, ``z`` a scalar.  An array is worked
+    on in one buffer.  A scalar goes through ``math.log2``: numpy's
+    vectorised log2 differs from libm in the last bit for a few inputs, and
+    the scalar closed forms stay libm-exact.
     """
     if S <= 0 or d <= 0:
         raise ParameterError("S and d must be positive")
-    return np.log2(1.0 + S / ((np.asarray(x) - z) ** 2 + d**2))
+    if not isinstance(x, np.ndarray):
+        return math.log2(1.0 + S / ((x - z) ** 2 + d**2))
+    r = np.subtract(x, z, dtype=float)
+    np.square(r, out=r)
+    r += d**2
+    np.divide(S, r, out=r)
+    r += 1.0
+    return np.log2(r, out=r)
 
 
-def upload_latency(R: float, B_t: float, W: float, delta: float):
-    """Upload time tau = B_t / (delta * W * R) seconds."""
-    R = np.asarray(R, dtype=float)
-    if np.any(R <= 0):
-        raise InfeasibleLinkError("spectral efficiency must be positive")
-    out = B_t / (delta * W * R)
-    return float(out) if out.ndim == 0 else out
+def upload_latency(c: float, x, z: float, S: float, d: float):
+    """Upload time tau = c / R(x, z) for a user at x and the radiator at z.
+
+    ``c`` is the link-budget constant B_t / (delta * W), already scaled by
+    the caller (e.g. M * B_t / W for a round of M users), so every product
+    keeps its rounding order.  A zero rate gives an infinite time for an
+    array and ZeroDivisionError for a scalar.
+    """
+    return c / spectral_efficiency(x, z, S, d)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ from .errors import ParameterError, UnsupportedDistributionError
 UNIFORM = "uniform"
 GAUSSIAN_MIXTURE = "gaussian_mixture"
 
+CONV = "CONV"  # fixed radiator at the origin
+PA = "PA"      # pinched radiator, movable along the waveguide
+
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -78,17 +81,39 @@ class StragglerOffsets:
     window: tuple = field(default=(0, 0))
 
 
+def draw_positions(rng, spec: DistributionSpec, size) -> np.ndarray:
+    """Array of i.i.d. user positions from ``spec`` with shape ``size``."""
+    if spec.kind == UNIFORM:
+        return rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=size)
+    centers = np.where(rng.random(size) < 0.5, -spec.mu, spec.mu)
+    return centers + rng.normal(0.0, spec.sigma, size=size)
+
+
 def sample_positions(spec: DistributionSpec, K: int, seed: int) -> PositionSample:
     """Draw K i.i.d. user positions from ``spec`` with a fixed seed."""
     if K < 1:
         raise ParameterError("K must be at least 1")
-    rng = np.random.default_rng(seed)
-    if spec.kind == UNIFORM:
-        xs = rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=K)
-    else:
-        centers = np.where(rng.random(K) < 0.5, -spec.mu, spec.mu)
-        xs = centers + rng.normal(0.0, spec.sigma, size=K)
+    xs = draw_positions(np.random.default_rng(seed), spec, K)
     return PositionSample(xs=xs, spec=spec, seed=seed)
+
+
+def conv_offsets(xs: np.ndarray, M) -> np.ndarray:
+    """M-th smallest absolute offset on the last axis of ``xs``.
+
+    ``M`` may be a sequence, which adds a trailing axis with one entry per M
+    and sorts each row once for all of them.
+    """
+    return np.sort(np.abs(xs), axis=-1)[..., np.asarray(M, dtype=int) - 1]
+
+
+def pa_offsets(sorted_xs: np.ndarray, M: int):
+    """Tightest M-window of each sorted row (last axis): its start index and
+    half its span.  Ties go to the lowest start index."""
+    K = sorted_xs.shape[-1]
+    spans = sorted_xs[..., M - 1:] - sorted_xs[..., : K - M + 1]
+    start = spans.argmin(axis=-1)
+    half = np.take_along_axis(spans, start[..., None], axis=-1)[..., 0] / 2.0
+    return start, half
 
 
 def _check_M(K: int, M: int) -> None:
@@ -99,7 +124,7 @@ def _check_M(K: int, M: int) -> None:
 def conv_bottleneck(sample: PositionSample, M: int) -> float:
     """M-th smallest absolute offset (fixed radiator at the origin)."""
     _check_M(sample.K, M)
-    return float(np.partition(np.abs(sample.xs), M - 1)[M - 1])
+    return float(conv_offsets(sample.xs, M))
 
 
 def pa_bottleneck(sample: PositionSample, M: int) -> StragglerOffsets:
@@ -110,23 +135,14 @@ def pa_bottleneck(sample: PositionSample, M: int) -> StragglerOffsets:
     """
     _check_M(sample.K, M)
     xs = sample.sorted_xs()
-    spans = xs[M - 1:] - xs[: sample.K - M + 1]
-    i = int(np.argmin(spans))  # argmin takes the first minimizer
-    z_star = 0.5 * (xs[i] + xs[i + M - 1])
+    start, half = pa_offsets(xs, M)
+    i = int(start)
     return StragglerOffsets(
         conv_offset=conv_bottleneck(sample, M),
-        pa_offset=float(spans[i]) / 2.0,
-        z_star=float(z_star),
+        pa_offset=float(half),
+        z_star=float(0.5 * (xs[i] + xs[i + M - 1])),
         window=(i, i + M - 1),
     )
-
-
-def m_spans(sample: PositionSample, m: int) -> np.ndarray:
-    """All K-m spans X_(i+m) - X_(i) of the sorted sample."""
-    if not 1 <= m <= sample.K - 1:
-        raise ParameterError(f"m={m} out of range for K={sample.K}")
-    xs = sample.sorted_xs()
-    return xs[m:] - xs[: sample.K - m]
 
 
 def min_simple_spacing(sample: PositionSample) -> float:

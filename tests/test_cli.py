@@ -95,6 +95,30 @@ class TestArtifacts:
         assert main(args + ["--out", str(d2)]) == 0
         assert (d1 / "train.csv").read_bytes() == (d2 / "train.csv").read_bytes()
 
+    def test_afl_train_csv_cells_are_numbers(self, tmp_path, capsys):
+        assert main(["train", "--mode", "afl", "--arch", "both", "--k", "10",
+                     "--rounds", "20", "--seed", "3", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "train.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            for key, cell in row.items():
+                if key not in ("arch", "scheduled"):
+                    float(cell)  # raises on cells such as "np.float64(...)"
+
+    def test_train_json_is_strict_with_null_target(self, tmp_path, capsys):
+        # five rounds never reach the default loss target
+        assert main(["train", "--mode", "sfl", "--arch", "both", "--k", "10",
+                     "--m", "3", "--rounds", "5", "--out", str(tmp_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        text = (tmp_path / "train.json").read_text()
+        payload = json.loads(text, parse_constant=reject)
+        for arch in ("CONV", "PA"):
+            assert payload["metrics"][arch]["time_to_target"] is None
+
     def test_ccdf_csv_matches_summary_keys(self, tmp_path, capsys):
         main(["ccdf", "--k", "10", "--m", "3", "--trials", "2000",
               "--grid-points", "12", "--out", str(tmp_path)])

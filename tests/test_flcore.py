@@ -6,22 +6,36 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchfl import flcore
-from pinchfl.errors import ParameterError
+from pinchfl.errors import InfeasibleLinkError, ParameterError
 from pinchfl.flcore import (CONV, PA, QuantizerSpec, SyntheticProblem,
                             convergence_constants, draw_gates, ht_aggregate,
                             ht_second_moment_exact, inclusion_probability,
                             make_synthetic_problem, quantize, quantize_ef,
                             run_afl, run_sfl, schedule_round, xi_safe)
-from pinchfl.participation import DETERMINISTIC, DeadlineModel
+from pinchfl.participation import DETERMINISTIC, SHIFTED_EXPONENTIAL, DeadlineModel
 from pinchfl.phy import PhyParams
 from pinchfl.spatial import UNIFORM, DistributionSpec, PositionSample, sample_positions
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
+
+
+def _quantize_row(v, b):
+    """Scalar reference quantizer for one row."""
+    s = max(abs(x) for x in v)
+    n = 2**b
+    step = 2.0 * s / (n - 1)
+    if step == 0.0:  # nothing to grid: the row comes back as is, zeros as +0
+        return [x + 0.0 for x in v]
+    out = []
+    for x in v:
+        j = min(max(math.floor((abs(x) + s) / step + 0.5), 0), n - 1)
+        out.append((-1.0 if x < 0 else 1.0) * (-s + j * step))
+    return out
 
 
 class TestQuantizer:
@@ -49,6 +63,7 @@ class TestQuantizer:
     @given(b=st.integers(1, 8),
            v=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
                       max_size=50))
+    @example(b=3, v=[5e-324])  # the grid step underflows to zero
     def test_error_bounded_by_half_step(self, b, v):
         v = np.asarray(v)
         s = np.max(np.abs(v))
@@ -58,6 +73,31 @@ class TestQuantizer:
         else:
             step = 2 * s / (2**b - 1)
             assert np.max(np.abs(v - y)) <= step / 2 + 1e-9 * s
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(1, 8), d=st.integers(1, 8),
+           rows=st.lists(st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                                   st.just(0.0), st.just(5e-324)),
+                         min_size=1, max_size=64),
+           zero_row=st.booleans())
+    def test_rows_match_scalar_reference(self, b, d, rows, zero_row):
+        K = max(len(rows) // d, 1)
+        v = np.resize(np.asarray(rows), (K, d))
+        if zero_row:
+            v[0] = 0.0
+        y = quantize(v, b)
+        ref = np.array([_quantize_row(row, b) for row in v.tolist()])
+        assert y.tobytes() == ref.tobytes()
+        # a 1-D vector is one row
+        assert quantize(v[0], b).tobytes() == ref[0].tobytes()
+
+    def test_ef_rows_are_independent_users(self):
+        rng = np.random.default_rng(7)
+        g, e = rng.normal(size=(5, 3)), rng.normal(scale=0.1, size=(5, 3))
+        Y, e_next = quantize_ef(g, e, QuantizerSpec(b=3))
+        for i in range(5):
+            Yi, ei = quantize_ef(g[i], e[i], QuantizerSpec(b=3))
+            assert np.array_equal(Y[i], Yi) and np.array_equal(e_next[i], ei)
 
     def test_contraction_with_calibrated_constant(self):
         # batch-mean MSE ratio stays below 1 - alpha(b) = c_q 2^(-2b) with
@@ -136,13 +176,26 @@ class TestGatesAndWeights:
             xi_safe(10, 0.0)
 
     def test_draw_gates_frequency(self):
-        pis = [0.3] * 4000
-        draws = draw_gates(pis, p_s=0.6, seed=5)
-        inc = np.mean([d.I for d in draws])
-        # 3-sigma binomial interval around 0.3
-        assert abs(inc - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / 4000)
-        for d in draws[:100]:
-            assert d.I == d.E * d.Z
+        # inclusion frequency per upload time matches p_s F_c(T_d - tau)
+        # under both compute-time models
+        n = 4000
+        taus = np.repeat([0.3, 0.7, 0.85, 0.95], n)
+        for model in (DeadlineModel(T_d=1.0, t0=0.2, p_s=0.6),
+                      DeadlineModel(T_d=1.0, fc_kind=SHIFTED_EXPONENTIAL,
+                                    t0=0.1, rate=3.0, p_s=0.6)):
+            Z, T_c, I = draw_gates(taus, model, np.random.default_rng(5))
+            assert Z.shape == T_c.shape == I.shape == taus.shape
+            assert np.all(I <= Z) and np.all(T_c >= model.t0)
+            for tau, inc in zip(taus[::n], I.reshape(-1, n).mean(axis=1)):
+                p = inclusion_probability(tau, model)
+                # 3-sigma binomial interval
+                assert abs(inc - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_draw_gates_consumes_one_uniform_per_user(self):
+        model = DeadlineModel(T_d=1.0, p_s=0.5)
+        Z, _, _ = draw_gates(np.zeros(50), model, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        assert list(Z) == [rng.random() < 0.5 for _ in range(50)]
 
     def test_ht_aggregate_unbiased_mc(self):
         rng = np.random.default_rng(0)
@@ -172,6 +225,17 @@ class TestGatesAndWeights:
             agg = ht_aggregate([(m, p, Y) for m, p, Y in zip(mask, pis, Ys)], K)
             total += prob * float(np.dot(agg, agg))
         assert exact == pytest.approx(total, abs=1e-12)
+
+    def test_ht_aggregate_sums_in_entry_order(self):
+        # bit-equal to a left-to-right sum of Y/pi, also for 1-D updates
+        rng = np.random.default_rng(4)
+        for d in (1, 3):
+            Ys = rng.normal(size=(30, d)) * 10.0 ** rng.integers(-8, 8, (30, 1))
+            pis = rng.uniform(0.1, 1.0, 30)
+            Is = (rng.random(30) < 0.7).astype(int)
+            ref = sum(Y / pi for I, pi, Y in zip(Is, pis, Ys) if I) / 30
+            agg = ht_aggregate(list(zip(Is, pis, Ys)), 30)
+            assert agg.tobytes() == ref.tobytes()
 
     def test_included_zero_probability_rejected(self):
         with pytest.raises(ParameterError):
@@ -267,6 +331,14 @@ class TestRunSfl:
         assert len({r.latency for r in log_c.records}) == 1
         assert log_p.total_time <= log_c.total_time
         assert log_p.records[0].bottleneck <= log_c.records[0].bottleneck + 1e-12
+
+    def test_zero_rate_link_is_infeasible(self):
+        # S / d^2 vanishes next to 1, so every scheduled rate rounds to zero
+        p = make_synthetic_problem(4, 2, 0.0, 0.0, seed=0)
+        sample = sample_positions(UNI, 4, seed=0)
+        dead = PhyParams.from_snr_scale(1e-300, d=3.0, D=10.0, W=1e6, B_t=1e5)
+        with pytest.raises(InfeasibleLinkError), np.errstate(divide="ignore"):
+            run_sfl(p, sample, dead, 2, 0.1, QuantizerSpec(6), 1, CONV, 0)
 
     def test_same_seed_same_trajectory(self):
         K = 8

@@ -12,14 +12,20 @@ from pinchfl import phy
 from pinchfl.errors import OutOfRegimeError, ParameterError
 
 
+def _params(**kw):
+    base = dict(P=1.0, sigma_n2=1.0, f_c=1.0, d=1.0, D=1.0, W=1.0, B_t=1.0)
+    return phy.PhyParams(**{**base, **kw})
+
+
 class TestSnrScale:
     def test_free_space_constant(self):
-        S = phy.snr_scale(P=1.0, sigma_n2=1.0, f_c=phy.SPEED_OF_LIGHT)
+        S = _params(f_c=phy.SPEED_OF_LIGHT).S
         assert S == pytest.approx(1.0 / (16.0 * math.pi**2))
 
     def test_positivity_enforced(self):
-        with pytest.raises(ParameterError):
-            phy.snr_scale(0.0, 1.0, 1.0)
+        for name in ("P", "sigma_n2", "f_c"):
+            with pytest.raises(ParameterError):
+                _params(**{name: 0.0})
 
 
 class TestPhyParams:
@@ -52,10 +58,25 @@ class TestSpectralEfficiency:
         assert R.shape == (3,)
         assert R[0] == pytest.approx(R[2])
         assert R[1] > R[0]
+        ints = phy.spectral_efficiency(np.array([-2, 0, 2]), 0, 36.0, 3.0)
+        assert np.array_equal(ints, R)
 
     def test_latency_inverse_rate(self):
-        tau = phy.upload_latency(2.0, B_t=1e6, W=1e6, delta=0.5)
-        assert tau == pytest.approx(1.0)
+        # c = B_t / (delta W) = 0.5 s per bit/s/Hz, user under the radiator
+        tau = phy.upload_latency(0.5, 0.0, 0.0, 36.0, 3.0)
+        assert tau == 0.5 / math.log2(5.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), x=st.floats(-50, 50), z=st.floats(-50, 50),
+           S=st.floats(1e-2, 1e8), d=st.floats(0.1, 10))
+    def test_latency_matches_math_formula(self, c, x, z, S, d):
+        ref = c / math.log2(1.0 + S / ((x - z) ** 2 + d**2))
+        # scalars use libm and match bit for bit
+        assert phy.upload_latency(c, x, z, S, d) == ref
+        # arrays use numpy's log2, which may differ in the last bit
+        taus = phy.upload_latency(c, np.array([x, x]), z, S, d)
+        assert taus.shape == (2,)
+        assert taus[0] == taus[1] == pytest.approx(ref, rel=1e-14)
 
 
 class TestHighSnrConstants:

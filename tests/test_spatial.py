@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError, UnsupportedDistributionError
 from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
-                             PositionSample, conv_bottleneck,
-                             min_simple_spacing, pa_bottleneck,
-                             sample_positions)
+                             PositionSample, conv_bottleneck, conv_offsets,
+                             draw_positions, min_simple_spacing,
+                             pa_bottleneck, pa_offsets, sample_positions)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 
@@ -49,6 +49,14 @@ class TestSamplePositions:
         assert np.max(np.abs(s.xs)) > 5.0
         frac_pos = np.mean(s.xs > 0)
         assert 0.4 < frac_pos < 0.6
+
+    def test_sample_is_a_batch_of_one(self):
+        gm = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
+        for spec in (UNI, gm):
+            for seed in range(5):
+                batch = draw_positions(np.random.default_rng(seed), spec, (1, 17))
+                assert batch.shape == (1, 17)
+                assert np.array_equal(batch[0], sample_positions(spec, 17, seed).xs)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -106,6 +114,38 @@ class TestPaBottleneck:
         xs = s.sorted_xs()
         brute = min(xs[i + M - 1] - xs[i] for i in range(K - M + 1)) / 2.0
         assert off.pa_offset == pytest.approx(brute, abs=1e-12)
+
+
+class TestBatchedBottlenecks:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), K=st.integers(1, 12), seed=st.integers(0, 10_000),
+           data=st.data())
+    def test_rows_match_scalar_reference(self, n, K, seed, data):
+        M = data.draw(st.integers(1, K))
+        rng = np.random.default_rng(seed)
+        # rounding to a coarse grid makes ties between windows common
+        xs = np.round(rng.uniform(-5, 5, (n, K)), 1)
+        conv = conv_offsets(xs, M)
+        start, half = pa_offsets(np.sort(xs, axis=1), M)
+        assert conv.shape == start.shape == half.shape == (n,)
+        for i, row in enumerate(xs.tolist()):
+            srt = sorted(row)
+            spans = [srt[j + M - 1] - srt[j] for j in range(K - M + 1)]
+            assert conv[i] == sorted(abs(x) for x in row)[M - 1]
+            assert start[i] == spans.index(min(spans))
+            assert half[i] == min(spans) / 2.0
+            assert half[i] <= conv[i]
+            s = make_sample(row)
+            assert conv[i] == conv_bottleneck(s, M)
+            assert half[i] == pa_bottleneck(s, M).pa_offset
+            assert pa_bottleneck(s, M).window == (start[i], start[i] + M - 1)
+
+    def test_conv_takes_several_m_at_once(self):
+        xs = np.random.default_rng(1).uniform(-5, 5, (4, 9))
+        both = conv_offsets(xs, [2, 7])
+        assert both.shape == (4, 2)
+        assert np.array_equal(both[:, 0], conv_offsets(xs, 2))
+        assert np.array_equal(both[:, 1], conv_offsets(xs, 7))
 
 
 class TestMinSimpleSpacing:
