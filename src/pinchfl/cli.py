@@ -268,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.makedirs(out, exist_ok=True)
         metrics = _COMMANDS[args.command](cfg, out)
     except Exception as exc:  # runtime failures map to a distinct exit code
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(json.dumps({"command": args.command, "metrics": metrics},
                      indent=2, sort_keys=True, default=str))

@@ -9,6 +9,7 @@ point used throughout: K=40 users on a 10 m corridor, 3 m waveguide height,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
@@ -121,6 +122,10 @@ def _require(ok: bool, key: str, why: str):
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Full precondition check; raises ConfigError naming the offending key."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float):
+            _require(math.isfinite(value), f.name, "must be finite")
     _require(cfg.k >= 1, "k", "must be at least 1")
     _require(1 <= cfg.m <= cfg.k, "m", f"must lie in [1, k={cfg.k}]")
     for key in ("corridor", "height", "power", "noise", "f_c", "bandwidth",

@@ -42,13 +42,42 @@ def _chunks(trials: int):
         index += 1
 
 
-class _Moment:
-    """Streaming mean and standard error of a scalar statistic."""
+def _ascending(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.diff(grid) >= 0):
+        raise ParameterError("grid must be one-dimensional and ascending")
+    return grid
 
-    def __init__(self):
-        self.n = 0
-        self.total = 0.0
-        self.total_sq = 0.0
+
+def _met_counts(grid: np.ndarray, finish: np.ndarray) -> np.ndarray:
+    """Per row of ``finish`` (n, w), how many entries are <= each point of
+    the ascending ``grid`` (G,): an (n, G) integer array.
+
+    ``searchsorted`` gives each entry the first grid point it meets, exactly
+    as ``finish <= grid[g]`` would: an ``inf`` meets no finite point and a
+    ``nan`` meets none.  One ``bincount`` over row-offset indices and a
+    cumulative sum along each row turn those into counts for every grid
+    point at once.
+    """
+    n, G = finish.shape[0], grid.size
+    idx = np.searchsorted(grid, finish, side="left")
+    idx += (np.arange(n) * (G + 1))[:, None]
+    counts = np.bincount(idx.ravel(), minlength=n * (G + 1)).reshape(n, G + 1)
+    np.cumsum(counts, axis=1, out=counts)
+    return counts[:, :G]
+
+
+class _Moment:
+    """Streaming mean and standard error of a scalar statistic.
+
+    It may start from the count, sum and sum of squares of values already
+    accumulated elsewhere.
+    """
+
+    def __init__(self, n: int = 0, total: float = 0.0, total_sq: float = 0.0):
+        self.n = n
+        self.total = total
+        self.total_sq = total_sq
 
     def add(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -115,23 +144,21 @@ def afl_upload_latencies(rng, spec: DistributionSpec, phy: PhyParams,
 def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
                   K: int, M_or_model, trials: int, grid, seed: int) -> CcdfSeries:
     """Empirical CCDF of the per-round (SFL) or per-upload (AFL) latency."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _ascending(grid)
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    if grid.size and np.any(np.diff(grid) < 0):
-        raise ParameterError("latency grid must be ascending")
     if mode not in (SFL, AFL):
         raise ParameterError(f"unknown mode {mode!r}")
     if arch not in (CONV, PA):
         raise ParameterError(f"unknown architecture {arch!r}")
-    exceed = np.zeros(grid.size)
+    exceed = np.zeros(grid.size, dtype=np.int64)
     for chunk, n in _chunks(trials):
         rng = _chunk_rng(seed, chunk)
         if mode == SFL:
             lat = sfl_round_latencies(rng, spec, K, int(M_or_model), phy, arch, n)
         else:
             lat = afl_upload_latencies(rng, spec, phy, arch, n)
-        exceed += (lat[:, None] > grid[None, :]).sum(axis=0)
+        exceed += n - _met_counts(grid, lat[None, :])[0]
     return CcdfSeries(grid=grid, ccdf=exceed / trials, trials=trials, seed=seed)
 
 
@@ -227,24 +254,40 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
 def participation_sweep(K: int, T_grid, model: DeadlineModel,
                         spec: DistributionSpec, phy: PhyParams, trials: int,
                         seed: int) -> List[dict]:
-    """Analytic vs simulated participant counts over a deadline sweep."""
-    rows = []
+    """Analytic vs simulated participant counts over a deadline sweep.
+
+    Common random numbers: each chunk draws positions and compute times once
+    and scores every deadline from that one draw, so the simulated gap
+    between deadlines carries no fresh sampling noise.
+    """
+    T_grid = _ascending(T_grid)
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
-    for j, T_d in enumerate(np.asarray(T_grid, dtype=float)):
+    # per deadline, CONV then PA: integer sums of participants and of squares
+    sums = np.zeros((2, T_grid.size), dtype=np.int64)
+    sums_sq = np.zeros((2, T_grid.size), dtype=np.int64)
+    for chunk, n in _chunks(trials):
+        rng = _chunk_rng(seed, chunk)
+        tau_conv = upload_latency(phy.c, draw_positions(rng, spec, (n, K)),
+                                  0.0, phy.S, phy.d)
+        if model.fc_kind == DETERMINISTIC:
+            T_c = model.t0
+        else:
+            T_c = model.t0 + rng.exponential(1.0 / model.rate, size=(n, K))
+        # the finishing times T_c + tau of both architectures take turns in
+        # the tau_conv buffer, which keeps the peak memory low
+        for i, tau in enumerate((tau_conv, tau_pa)):
+            counts = _met_counts(T_grid, np.add(T_c, tau, out=tau_conv))
+            sums[i] += counts.sum(axis=0)
+            sums_sq[i] += np.square(counts, out=counts).sum(axis=0)
+    rows = []
+    for j, T_d in enumerate(T_grid):
         model_T = DeadlineModel(T_d=float(T_d), fc_kind=model.fc_kind,
                                 t0=model.t0, rate=model.rate, p_s=model.p_s)
         report = expected_participants(K, float(T_d), model_T, spec, phy)
-        conv_stat, pa_stat = _Moment(), _Moment()
-        for chunk, n in _chunks(trials):
-            rng = _chunk_rng(seed, (j << 20) + chunk)
-            tau_conv = upload_latency(phy.c, draw_positions(rng, spec, (n, K)),
-                                      0.0, phy.S, phy.d)
-            if model.fc_kind == DETERMINISTIC:
-                T_c = np.full((n, K), model.t0)
-            else:
-                T_c = model.t0 + rng.exponential(1.0 / model.rate, size=(n, K))
-            conv_stat.add((T_c + tau_conv <= T_d).sum(axis=1))
-            pa_stat.add((T_c + tau_pa <= T_d).sum(axis=1))
+        conv_stat, pa_stat = (_Moment(trials, float(sums[i, j]),
+                                      float(sums_sq[i, j])) for i in (0, 1))
         rows.append({
             "T_d": float(T_d),
             "n_conv": report.n_conv,

@@ -63,6 +63,25 @@ class TestExitCodes:
         assert rc == 2
         assert "k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("corridor", "inf"),
+                                           ("deadline", "inf"),
+                                           ("power", "nan")])
+    def test_non_finite_value_rejected_before_artifacts(self, tmp_path, capsys,
+                                                        key, value):
+        out = tmp_path / "out"
+        rc = main(["highsnr", f"--{key}", value, "--out", str(out)])
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_runtime_error_names_its_type(self, tmp_path, capsys):
+        # an SNR scale this small rounds every rate to zero
+        rc = main(["train", "--mode", "sfl", "--snr", "1e-30", "--k", "5",
+                   "--m", "2", "--rounds", "2", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "runtime error: InfeasibleLinkError:" in capsys.readouterr().err
+
     def test_success_writes_artifacts(self, tmp_path, capsys):
         rc = main(["verify", "--k", "8", "--m", "2", "--trials", "2000",
                    "--seed", "1", "--out", str(tmp_path)])

@@ -5,12 +5,15 @@ import pytest
 
 from pinchfl import montecarlo
 from pinchfl.errors import ParameterError
-from pinchfl.participation import DETERMINISTIC, DeadlineModel
-from pinchfl.phy import PhyParams
-from pinchfl.spatial import UNIFORM, DistributionSpec
+from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
+                                   DeadlineModel)
+from pinchfl.phy import PhyParams, upload_latency
+from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
+                             draw_positions)
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
+GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
 GRID = np.linspace(0.0, 0.2, 30)
 
 
@@ -54,6 +57,26 @@ class TestEstimateCcdf:
             montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 10,
                                      GRID[::-1], seed=0)
 
+    @pytest.mark.parametrize("mode", ["SFL", "AFL"])
+    @pytest.mark.parametrize("arch", ["CONV", "PA"])
+    def test_counts_match_pairwise_reference(self, monkeypatch, mode, arch):
+        # several chunks, the last one partial
+        monkeypatch.setattr(montecarlo, "CHUNK", 1000)
+        trials, seed, K, M = 2500, 6, 12, 4
+        afl_pa = upload_latency(PHY.B_t / PHY.W, 0.0, 0.0, PHY.S, PHY.d)
+        grid = np.sort(np.concatenate([GRID, [afl_pa, afl_pa]]))
+        s = montecarlo.estimate_ccdf(mode, arch, PHY, UNI, K, M, trials, grid,
+                                     seed=seed)
+        exceed = np.zeros(grid.size)
+        for chunk, n in montecarlo._chunks(trials):
+            rng = montecarlo._chunk_rng(seed, chunk)
+            if mode == "SFL":
+                lat = montecarlo.sfl_round_latencies(rng, UNI, K, M, PHY, arch, n)
+            else:
+                lat = montecarlo.afl_upload_latencies(rng, UNI, PHY, arch, n)
+            exceed += (lat[:, None] > grid[None, :]).sum(axis=0)
+        assert np.array_equal(s.ccdf, exceed / trials)
+
 
 class TestVerifyBounds:
     def test_small_grid_all_pass(self):
@@ -85,3 +108,51 @@ class TestParticipationSweep:
             assert abs(row["n_conv_mc"] - row["n_conv"]) <= tol
             assert row["n_pa_mc"] == pytest.approx(row["n_pa"], abs=1e-9)
             assert row["gap"] >= -1e-9
+
+    def test_rejects_bad_inputs(self):
+        model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
+        with pytest.raises(ParameterError):
+            montecarlo.participation_sweep(5, [0.01, 0.02], model, UNI, PHY,
+                                           trials=0, seed=0)
+        with pytest.raises(ParameterError):
+            montecarlo.participation_sweep(5, [0.02, 0.01], model, UNI, PHY,
+                                           trials=10, seed=0)
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("model", [
+        DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC, t0=0.002),
+        DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, t0=0.001,
+                      rate=300.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_common_draws_match_per_deadline_reference(self, monkeypatch,
+                                                       spec, model):
+        # several chunks, the last one partial
+        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        K, trials, seed = 9, 1600, 3
+        tau_pa = upload_latency(PHY.c, 0.0, 0.0, PHY.S, PHY.d)
+        pinned = model.t0 + tau_pa
+        grid = np.sort(np.concatenate([
+            np.linspace(0.9 * pinned, pinned + 0.02, 7), [pinned, pinned],
+        ]))
+        rows = montecarlo.participation_sweep(K, grid, model, spec, PHY,
+                                              trials, seed)
+        conv = [montecarlo._Moment() for _ in grid]
+        pa = [montecarlo._Moment() for _ in grid]
+        for chunk, n in montecarlo._chunks(trials):
+            rng = montecarlo._chunk_rng(seed, chunk)
+            tau_conv = upload_latency(PHY.c, draw_positions(rng, spec, (n, K)),
+                                      0.0, PHY.S, PHY.d)
+            if model.fc_kind == DETERMINISTIC:
+                T_c = np.full((n, K), model.t0)
+            else:
+                T_c = model.t0 + rng.exponential(1.0 / model.rate, size=(n, K))
+            for j, T_d in enumerate(grid):
+                conv[j].add((T_c + tau_conv <= T_d).sum(axis=1))
+                pa[j].add((T_c + tau_pa <= T_d).sum(axis=1))
+        got = [(r["n_conv_mc"], r["n_pa_mc"], r["conv_stderr"], r["pa_stderr"])
+               for r in rows]
+        want = [(c.mean, p.mean, c.std_error, p.std_error)
+                for c, p in zip(conv, pa)]
+        assert got == want
+        # the grid straddles the earliest PA finishing time
+        assert rows[0]["n_pa_mc"] == 0 < rows[-1]["n_pa_mc"]
