@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegimeError, ParameterError
+from .errors import InfeasibleLinkError, OutOfRegimeError, ParameterError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -91,10 +91,16 @@ def upload_latency(c: float, x, z: float, S: float, d: float):
 
     ``c`` is the link-budget constant B_t / (delta * W), already scaled by
     the caller (e.g. M * B_t / W for a round of M users), so every product
-    keeps its rounding order.  A zero rate gives an infinite time for an
-    array and ZeroDivisionError for a scalar.
+    keeps its rounding order.  An array is divided into the rate buffer.  A
+    zero rate gives an infinite time for an array and raises
+    InfeasibleLinkError for a scalar.
     """
-    return c / spectral_efficiency(x, z, S, d)
+    rate = spectral_efficiency(x, z, S, d)
+    if isinstance(rate, np.ndarray):
+        return np.divide(c, rate, out=rate)
+    if rate == 0.0:
+        raise InfeasibleLinkError(f"zero rate at offset {x - z}")
+    return c / rate
 
 
 @dataclass(frozen=True)

@@ -106,14 +106,21 @@ def conv_offsets(xs: np.ndarray, M) -> np.ndarray:
     return np.sort(np.abs(xs), axis=-1)[..., np.asarray(M, dtype=int) - 1]
 
 
-def pa_offsets(sorted_xs: np.ndarray, M: int):
-    """Tightest M-window of each sorted row (last axis): its start index and
-    half its span.  Ties go to the lowest start index."""
+def _spans(sorted_xs: np.ndarray, M: int) -> np.ndarray:
+    """Span of every M-window of consecutive sorted positions (last axis),
+    one entry per start index.  The result keeps the input's memory layout."""
     K = sorted_xs.shape[-1]
-    spans = sorted_xs[..., M - 1:] - sorted_xs[..., : K - M + 1]
-    start = spans.argmin(axis=-1)
-    half = np.take_along_axis(spans, start[..., None], axis=-1)[..., 0] / 2.0
-    return start, half
+    return sorted_xs[..., M - 1:] - sorted_xs[..., : K - M + 1]
+
+
+def pa_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
+    """Half the span of the tightest M-window of each sorted row (last axis).
+
+    On a Fortran-ordered batch the spans of one start index form a
+    contiguous column, so the minimum runs over n-long columns; the result
+    does not depend on the layout, bit for bit.
+    """
+    return _spans(sorted_xs, M).min(axis=-1) / 2.0
 
 
 def _check_M(K: int, M: int) -> None:
@@ -135,11 +142,10 @@ def pa_bottleneck(sample: PositionSample, M: int) -> StragglerOffsets:
     """
     _check_M(sample.K, M)
     xs = sample.sorted_xs()
-    start, half = pa_offsets(xs, M)
-    i = int(start)
+    i = int(_spans(xs, M).argmin())
     return StragglerOffsets(
         conv_offset=conv_bottleneck(sample, M),
-        pa_offset=float(half),
+        pa_offset=float(pa_offsets(xs, M)),
         z_star=float(0.5 * (xs[i] + xs[i + M - 1])),
         window=(i, i + M - 1),
     )

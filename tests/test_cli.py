@@ -77,10 +77,14 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_runtime_error_names_its_type(self, tmp_path, capsys):
         # an SNR scale this small rounds every rate to zero
-        rc = main(["train", "--mode", "sfl", "--snr", "1e-30", "--k", "5",
-                   "--m", "2", "--rounds", "2", "--out", str(tmp_path)])
-        assert rc == 3
-        assert "runtime error: InfeasibleLinkError:" in capsys.readouterr().err
+        for argv in (["train", "--mode", "sfl", "--k", "5", "--m", "2",
+                      "--rounds", "2"],
+                     ["ccdf", "--k", "5", "--m", "2", "--trials", "100"],
+                     ["participation", "--k", "5", "--m", "2", "--trials", "100"]):
+            rc = main(argv + ["--snr", "1e-30", "--out", str(tmp_path)])
+            assert rc == 3, argv
+            err = capsys.readouterr().err
+            assert "runtime error: InfeasibleLinkError:" in err, argv
 
     def test_success_writes_artifacts(self, tmp_path, capsys):
         rc = main(["verify", "--k", "8", "--m", "2", "--trials", "2000",

@@ -94,6 +94,69 @@ class TestVerifyBounds:
                                             seed=0)
         assert not any("M=7" in v.name for v in verdicts)
 
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ParameterError):
+            montecarlo.verify_bounds([5], [2], 10.0, trials=0, seed=0)
+        with pytest.raises(ParameterError):
+            montecarlo.verify_bounds([5, 0], [1], 10.0, trials=10, seed=0)
+        with pytest.raises(ParameterError):
+            montecarlo.verify_bounds([5], [2, -1], 10.0, trials=10, seed=0)
+
+    def test_matches_row_major_reference(self, monkeypatch):
+        # several chunks, the last one partial
+        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        K_grid, M_grid = [1, 2, 3, 10], [1, 2, 5, 7]
+        D, trials, seed = 10.0, 1600, 5
+        verdicts = montecarlo.verify_bounds(K_grid, M_grid, D, trials, seed)
+        ref = _row_major_reference(K_grid, M_grid, D, trials, seed, eps=0.1)
+        got = {v.name: (v.empirical, v.std_error) for v in verdicts}
+        assert len(got) == len(verdicts)
+        assert {n for n in ref if "hoeffding" not in n} <= set(got) <= set(ref)
+        for name, value in got.items():
+            assert value == ref[name], name
+
+
+def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
+    """Empirical value and standard error of every verdict, from a per-trial
+    row-major loop: |x| re-sorted, all K+1 spacings stacked as columns, and
+    each PA window found by argmin before its span is read."""
+    ref = {}
+    for K in K_grid:
+        Ms = [M for M in M_grid if M <= K]
+        conv, pa, tail, span = ({M: montecarlo._Moment() for M in Ms}
+                                for _ in range(4))
+        minspace = montecarlo._Moment()
+        violations = 0
+        for chunk, n in montecarlo._chunks(trials):
+            u = montecarlo._chunk_rng(seed, chunk).random((n, K))
+            xs = np.sort(D * (u - 0.5), axis=1)
+            abs_sorted = np.sort(np.abs(xs), axis=1)
+            unit = (xs + D / 2.0) / D
+            all_sp = np.column_stack([unit[:, 0], np.diff(unit, axis=1),
+                                      1.0 - unit[:, -1]])
+            minspace.add(all_sp.min(axis=1) ** 2)
+            for M in Ms:
+                y = abs_sorted[:, M - 1]
+                spans = xs[:, M - 1:] - xs[:, : K - M + 1]
+                half = spans[np.arange(n), spans.argmin(axis=1)] / 2.0
+                conv[M].add(y**2)
+                pa[M].add(half**2)
+                violations += int(np.sum(half > y + 1e-12))
+                tail[M].add((np.abs(y / (D / 2.0) - M / (K + 1)) >= eps)
+                            .astype(float))
+                span[M].add((xs[:, M - 1] - xs[:, 0]) / D)
+        ref[f"K={K} ordering pa<=conv"] = (float(violations), 0.0)
+        ref[f"K={K} min-spacing E[M*^2]"] = (minspace.mean, minspace.std_error)
+        for M in Ms:
+            key = f"K={K} M={M}"
+            ref[f"{key} conv E[Y^2]"] = (conv[M].mean, conv[M].std_error)
+            ref[f"{key} pa upper"] = ref[f"{key} pa lower"] = (pa[M].mean,
+                                                              pa[M].std_error)
+            ref[f"{key} hoeffding tail"] = (tail[M].mean, tail[M].std_error)
+            if M >= 2:
+                ref[f"{key} span mean"] = (span[M].mean, span[M].std_error)
+    return ref
+
 
 class TestParticipationSweep:
     def test_mc_matches_closed_form(self):

@@ -78,6 +78,13 @@ class TestSpectralEfficiency:
         assert taus.shape == (2,)
         assert taus[0] == taus[1] == pytest.approx(ref, rel=1e-14)
 
+    def test_array_latency_divides_into_rate_buffer(self):
+        xs = np.random.default_rng(5).uniform(-40, 40, (50, 7))
+        taus = phy.upload_latency(0.3, xs, 1.5, 1e4, 3.0)
+        ref = 0.3 / phy.spectral_efficiency(xs, 1.5, 1e4, 3.0)
+        assert taus.shape == xs.shape
+        assert taus.tobytes() == ref.tobytes()
+
 
 class TestHighSnrConstants:
     def test_operating_point_values(self):

@@ -126,19 +126,32 @@ class TestBatchedBottlenecks:
         # rounding to a coarse grid makes ties between windows common
         xs = np.round(rng.uniform(-5, 5, (n, K)), 1)
         conv = conv_offsets(xs, M)
-        start, half = pa_offsets(np.sort(xs, axis=1), M)
-        assert conv.shape == start.shape == half.shape == (n,)
+        half = pa_offsets(np.sort(xs, axis=1), M)
+        assert conv.shape == half.shape == (n,)
         for i, row in enumerate(xs.tolist()):
             srt = sorted(row)
             spans = [srt[j + M - 1] - srt[j] for j in range(K - M + 1)]
+            start = spans.index(min(spans))
             assert conv[i] == sorted(abs(x) for x in row)[M - 1]
-            assert start[i] == spans.index(min(spans))
             assert half[i] == min(spans) / 2.0
             assert half[i] <= conv[i]
             s = make_sample(row)
+            off = pa_bottleneck(s, M)
             assert conv[i] == conv_bottleneck(s, M)
-            assert half[i] == pa_bottleneck(s, M).pa_offset
-            assert pa_bottleneck(s, M).window == (start[i], start[i] + M - 1)
+            assert half[i] == off.pa_offset
+            assert off.window == (start, start + M - 1)
+            assert off.z_star == 0.5 * (srt[start] + srt[start + M - 1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 40), K=st.integers(1, 12), seed=st.integers(0, 10_000),
+           data=st.data())
+    def test_pa_offsets_ignore_memory_layout(self, n, K, seed, data):
+        M = data.draw(st.integers(1, K))
+        rng = np.random.default_rng(seed)
+        xs = np.sort(np.round(rng.uniform(-5, 5, (n, K)), 1), axis=1)
+        c_half = pa_offsets(np.ascontiguousarray(xs), M)
+        f_half = pa_offsets(np.asfortranarray(xs), M)
+        assert c_half.tobytes() == f_half.tobytes()
 
     def test_conv_takes_several_m_at_once(self):
         xs = np.random.default_rng(1).uniform(-5, 5, (4, 9))
