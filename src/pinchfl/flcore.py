@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from .errors import InfeasibleLinkError, ParameterError
 from .participation import DETERMINISTIC, DeadlineModel

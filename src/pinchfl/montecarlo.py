@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from . import analytics
 from .errors import ParameterError

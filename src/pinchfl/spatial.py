@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from .errors import ParameterError, UnsupportedDistributionError
 

@@ -4,9 +4,12 @@ byte-identical reruns."""
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pinchfl
 from pinchfl.cli import main
 from pinchfl.config import RunConfig, load_config
 from pinchfl.errors import ConfigError
@@ -150,3 +153,35 @@ class TestArtifacts:
         assert header == ["t", "ccdf_conv", "ccdf_pa"]
         payload = json.loads((tmp_path / "ccdf.json").read_text())
         assert payload["metrics"]["pa_dominates"] in (True, False)
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this pinchfl."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pinchfl.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestRuntimeWithoutScipy:
+    def test_cli_import_loads_no_scipy(self):
+        proc = _python("import sys, pinchfl.cli\n"
+                       "print([m for m in sys.modules if m.startswith('scipy')])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("dist", [
+        [], ["--dist", "gaussian_mixture", "--mu", "3", "--sigma-x", "0.5"]])
+    def test_participation_runs_with_scipy_blocked(self, tmp_path, dist):
+        argv = ["participation", "--fc-kind", "shifted_exponential",
+                "--rate", "200", "--trials", "2000", *dist,
+                "--out", str(tmp_path)]
+        # a None entry in sys.modules makes every scipy import fail
+        proc = _python("import sys\n"
+                       "sys.modules['scipy'] = None\n"
+                       "from pinchfl.cli import main\n"
+                       f"sys.exit(main({argv!r}))")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "participation.csv").exists()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from pinchfl.config import load_config
 from pinchfl.errors import ParameterError, UnsupportedDistributionError
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
                                    DeadlineModel, coverage_radius,
@@ -35,6 +36,22 @@ class TestDeadlineModel:
         m = DeadlineModel(T_d=1.0, fc_kind=SHIFTED_EXPONENTIAL, t0=0.5, rate=2.0)
         assert m.F_c(0.4) == 0.0
         assert m.F_c(1.5) == pytest.approx(1.0 - math.exp(-2.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=40),
+           t0=st.floats(0.0, 1.0), rate=st.floats(1e-3, 1e4),
+           kind=st.sampled_from([DETERMINISTIC, SHIFTED_EXPONENTIAL]))
+    def test_array_branch_matches_scalar(self, u, t0, rate, kind):
+        m = DeadlineModel(T_d=1.0, fc_kind=kind, t0=t0, rate=rate)
+        u = [*u, t0, math.nextafter(t0, -math.inf)]
+        got = m.F_c(np.array(u))
+        ref = np.array([m.F_c(v) for v in u])
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        if kind == DETERMINISTIC:
+            assert np.array_equal(got, ref)
+        else:  # numpy's exp may differ from math.exp in the last bit
+            np.testing.assert_allclose(got, ref, rtol=0.0,
+                                       atol=np.finfo(float).eps)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ParameterError):
@@ -150,10 +167,68 @@ class TestExpectedParticipants:
         assert 0.0 <= rep.n_conv <= K + 1e-9
         assert 0.0 <= rep.n_pa <= K + 1e-9
 
+    @pytest.mark.parametrize("phy, spec, T_d, t0, rate", [
+        # a narrow cluster far from the origin: adaptive quadrature over the
+        # whole line without breakpoints returned 6.6e-13 per user here
+        (PhyParams.from_snr_scale(1000.0, d=3.5, D=10.0, W=1e6, B_t=1e5),
+         DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=5.0, sigma=0.1),
+         0.25, 0.0, 0.15),
+        (load_config(None, {}).phy(), DistributionSpec(kind=UNIFORM, D=10.0),
+         0.05, 0.0, 200.0),
+        (load_config(None, {}).phy(), GM, 0.05, 0.001, 300.0),
+        (PHY, UNI, 0.058, 0.0, 1e6),
+        (PHY, GM, 0.07, 0.01, 1e6),
+    ])
+    def test_quadrature_matches_split_reference(self, phy, spec, T_d, t0, rate):
+        model = DeadlineModel(T_d=T_d, fc_kind=SHIFTED_EXPONENTIAL, t0=t0,
+                              rate=rate)
+        rep = expected_participants(40, T_d, model, spec, phy)
+        ref = _split_quad_reference(T_d, t0, rate, spec, phy)
+        assert ref > 1e-3
+        assert rep.n_conv / 40 == pytest.approx(ref, rel=0.0, abs=1e-9)
+
     def test_monotone_in_deadline(self):
         counts = [expected_participants(20, T, det_model(T), UNI, PHY).n_conv
                   for T in np.linspace(0.0, 0.2, 40)]
         assert all(b >= a - 1e-12 for a, b in zip(counts, counts[1:]))
+
+
+def _split_quad_reference(T_d, t0, rate, spec, phy):
+    """Per-user CONV participation by adaptive quadrature over x >= 0, split
+    at the coverage kink, where the slack is 1, 10 and 100 over the rate,
+    and at the cluster: the places where the integrand turns."""
+    from scipy.integrate import quad
+
+    S, d, c = phy.S, phy.d, phy.c
+
+    def radius(slack):  # offset whose upload leaves this much slack
+        if T_d - t0 - slack <= 0:
+            return 0.0
+        return math.sqrt(max(S / (2.0 ** (c / (T_d - t0 - slack)) - 1.0)
+                             - d**2, 0.0))
+
+    kink = radius(0.0)
+
+    def eligible(x):
+        slack = T_d - t0 - c / math.log2(1.0 + S / (x**2 + d**2))
+        return 1.0 - math.exp(-rate * slack) if slack > 0 else 0.0
+
+    points = [radius(k / rate) for k in (1, 10, 100)]
+    if spec.kind == UNIFORM:
+        hi, scale, integrand = min(kink, spec.D / 2.0), 2.0 / spec.D, eligible
+    else:
+        hi = kink
+        points += [spec.mu + k * spec.sigma for k in (-4, 0, 4)]
+        scale = 1.0 / (math.sqrt(2.0 * math.pi) * spec.sigma)
+
+        def integrand(x):
+            return eligible(x) * (
+                math.exp(-((x - spec.mu) ** 2) / (2.0 * spec.sigma**2))
+                + math.exp(-((x + spec.mu) ** 2) / (2.0 * spec.sigma**2)))
+
+    edges = sorted({min(max(p, 0.0), hi) for p in points} | {0.0, hi})
+    return scale * sum(quad(integrand, a, b, epsabs=1e-14, limit=200)[0]
+                       for a, b in zip(edges, edges[1:]))
 
 
 class TestMillsCheck:
