@@ -47,11 +47,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     commands = {
         "ccdf": "empirical latency CCDF for both architectures",
-        "straggler": "straggler moment formulas vs Monte Carlo",
         "participation": "deadline sweep of expected participant counts",
         "highsnr": "high-SNR expansion constants, envelope, and gap bracket",
         "train": "synthetic-objective training run (SFL or AFL)",
-        "verify": "confront all closed-form bounds with Monte Carlo",
+        "verify": "closed-form straggler moments; every bound vs Monte Carlo",
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
@@ -91,8 +90,7 @@ def _reach(cfg: RunConfig) -> float:
 
 def _latency_grid(cfg: RunConfig) -> np.ndarray:
     phy = cfg.phy()
-    scale = cfg.m if cfg.mode == "sfl" else 1
-    c_eff = scale * phy.B_t / phy.W
+    c_eff = phy.c_round(cfg.m if cfg.mode == "sfl" else 1)
     t_min = upload_latency(c_eff, 0.0, 0.0, phy.S, phy.d)
     t_max = upload_latency(c_eff, _reach(cfg), 0.0, phy.S, phy.d)
     return np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
@@ -124,18 +122,6 @@ def _cmd_ccdf(cfg: RunConfig, out: str) -> dict:
         metrics["min_ccdf_gap_conv_minus_pa"] = float(gap.min())
         metrics["pa_dominates"] = bool(gap.min() >= -3.0 / math.sqrt(cfg.trials))
     _write_json(os.path.join(out, "ccdf.json"), cfg, metrics)
-    return metrics
-
-
-def _cmd_straggler(cfg: RunConfig, out: str) -> dict:
-    verdicts = montecarlo.verify_bounds([cfg.k], [cfg.m], cfg.corridor,
-                                        cfg.trials, cfg.seed)
-    rows = [dataclasses.asdict(v) for v in verdicts]
-    _write_csv(os.path.join(out, "straggler.csv"), list(rows[0]), rows)
-    report = analytics.straggler_moments(cfg.k, cfg.m, cfg.corridor)
-    metrics = dict(dataclasses.asdict(report))
-    metrics["all_passed"] = bool(all(v.passed for v in verdicts))
-    _write_json(os.path.join(out, "straggler.json"), cfg, metrics)
     return metrics
 
 
@@ -230,6 +216,8 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
     metrics = {
         "all_passed": bool(all(v.passed for v in verdicts)),
         "checks": {v.name: v.passed for v in verdicts},
+        "moments": dataclasses.asdict(
+            analytics.straggler_moments(cfg.k, cfg.m, cfg.corridor)),
     }
     _write_json(os.path.join(out, "verify.json"), cfg, metrics)
     return metrics
@@ -237,7 +225,6 @@ def _cmd_verify(cfg: RunConfig, out: str) -> dict:
 
 _COMMANDS = {
     "ccdf": _cmd_ccdf,
-    "straggler": _cmd_straggler,
     "participation": _cmd_participation,
     "highsnr": _cmd_highsnr,
     "train": _cmd_train,

@@ -69,15 +69,14 @@ class RunConfig:
 
     # ---- derived module objects -------------------------------------------
 
-    def phy(self, delta: float = 1.0) -> PhyParams:
+    def phy(self) -> PhyParams:
         if self.snr > 0:
             return PhyParams.from_snr_scale(self.snr, d=self.height,
                                             D=self.corridor, W=self.bandwidth,
-                                            B_t=self.payload, delta=delta,
-                                            f_c=self.f_c)
+                                            B_t=self.payload, f_c=self.f_c)
         return PhyParams(P=self.power, sigma_n2=self.noise, f_c=self.f_c,
                          d=self.height, D=self.corridor, W=self.bandwidth,
-                         B_t=self.payload, delta=delta)
+                         B_t=self.payload)
 
     def dist_spec(self) -> DistributionSpec:
         if self.dist == UNIFORM:

@@ -256,11 +256,6 @@ class SyntheticProblem:
         diff = np.asarray(w) - self.w_star
         return float(np.dot(diff, diff))
 
-    def local_grad_mean2(self, w: np.ndarray) -> float:
-        """Mean squared local-gradient norm (the G^2 proxy measured at w)."""
-        diff = np.asarray(w)[None, :] - self.centers
-        return float(np.mean(np.sum(diff**2, axis=1)))
-
     def stochastic_grads(self, ws: np.ndarray, rng) -> np.ndarray:
         """Per-user noisy gradients; ``ws`` is (K, d_w) or a single point."""
         ws = np.asarray(ws, dtype=float)
@@ -331,11 +326,9 @@ class TrainRecord:
 
 @dataclass
 class TrainLog:
-    """Event records plus run metadata; times are strictly nondecreasing."""
+    """Event records; times are nondecreasing."""
 
     records: List[TrainRecord] = field(default_factory=list)
-    seed: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
@@ -367,8 +360,7 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     if rounds < 1 or eta <= 0:
         raise ParameterError("rounds must be >= 1 and eta positive")
     sched, z = schedule_round(sample, M, arch)
-    # delta = 1/M
-    taus = upload_latency(M * phy.B_t / phy.W, sample.xs[sched], z, phy.S, phy.d)
+    taus = upload_latency(phy.c_round(M), sample.xs[sched], z, phy.S, phy.d)
     if np.any(np.isinf(taus)):
         raise InfeasibleLinkError("a scheduled link has zero rate")
     round_time = float(np.max(taus))
@@ -378,10 +370,7 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     rng = np.random.default_rng(seed)
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
     e = np.zeros_like(problem.centers)
-    log = TrainLog(seed=seed, meta={
-        "mode": "sfl", "arch": arch, "M": M, "eta": eta, "b": spec.b,
-        "rounds": rounds,
-    })
+    log = TrainLog()
     t = 0.0
     for rnd in range(rounds):
         grad_norm2 = problem.grad_norm2(w)
@@ -422,7 +411,7 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
         raise ParameterError("tick period must be positive")
 
     K = problem.K
-    c = phy.B_t / phy.W  # delta = 1
+    c = phy.c
     if arch == CONV:
         taus = upload_latency(c, sample.xs, 0.0, phy.S, phy.d)
     elif arch == PA:
@@ -442,10 +431,7 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     # (apply time, batch latency, updates, their pis, their fetch versions),
     # uploads in arrival order
     pending: list = []
-    log = TrainLog(seed=seed, meta={
-        "mode": "afl", "arch": arch, "eta": eta, "b": spec.b,
-        "weighting": weighting, "tick_period": T_p, "T_d": model.T_d,
-    })
+    log = TrainLog()
 
     def apply_batches(up_to: float):
         nonlocal w, version

@@ -20,7 +20,7 @@ from .errors import ParameterError
 from .participation import DETERMINISTIC, DeadlineModel, expected_participants
 from .phy import PhyParams, upload_latency
 from .spatial import (CONV, PA, DistributionSpec, conv_offsets, draw_positions,
-                      pa_offsets)
+                      min_spacings, pa_offsets)
 
 CHUNK = 100_000
 
@@ -130,13 +130,13 @@ def sfl_round_latencies(rng, spec: DistributionSpec, K: int, M: int,
         bottleneck = conv_offsets(xs, M)
     else:
         bottleneck = pa_offsets(np.sort(xs, axis=1), M)
-    return upload_latency(M * phy.B_t / phy.W, bottleneck, 0.0, phy.S, phy.d)
+    return upload_latency(phy.c_round(M), bottleneck, 0.0, phy.S, phy.d)
 
 
 def afl_upload_latencies(rng, spec: DistributionSpec, phy: PhyParams,
                         arch: str, n: int) -> np.ndarray:
     """Per-trial single-user upload times (radiator pinned under PA)."""
-    c = phy.B_t / phy.W
+    c = phy.c
     if arch == PA:
         return np.full(n, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
     return upload_latency(c, draw_positions(rng, spec, n), 0.0, phy.S, phy.d)
@@ -152,6 +152,10 @@ def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
         raise ParameterError(f"unknown mode {mode!r}")
     if arch not in (CONV, PA):
         raise ParameterError(f"unknown architecture {arch!r}")
+    if K < 1:
+        raise ParameterError("K must be at least 1")
+    if mode == SFL and not 1 <= M_or_model <= K:
+        raise ParameterError(f"M={M_or_model} out of range for K={K}")
     exceed = np.zeros(grid.size, dtype=np.int64)
     for chunk, n in _chunks(trials):
         rng = _chunk_rng(seed, chunk)
@@ -204,14 +208,11 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
                 )
                 if M >= 2:
                     span_mean[M].add((xs[:, M - 1] - xs[:, 0]) / D)
-            u = xs  # normalised in place: u = (x + D/2) / D
-            u += D / 2.0
-            u /= D
-            # K=1 has no interior gap, only the two edge gaps
-            gap = np.diff(u, axis=1).min(axis=1, initial=np.inf)
-            np.minimum(gap, u[:, 0], out=gap)
-            np.minimum(gap, 1.0 - u[:, -1], out=gap)
-            minspace.add(gap**2)
+            # normalised in place to u = (x + D/2) / D; no second name
+            # keeps this chunk's buffer alive into the next draw
+            xs += D / 2.0
+            xs /= D
+            minspace.add(min_spacings(xs) ** 2)
         verdicts.append(BoundVerdict(
             name=f"K={K} ordering pa<=conv", analytic=0.0,
             empirical=float(violations), std_error=0.0,
@@ -275,6 +276,8 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     T_grid = _ascending(T_grid)
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    if K < 1:
+        raise ParameterError("K must be at least 1")
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     # per deadline, CONV then PA: integer sums of participants and of squares
     sums = np.zeros((2, T_grid.size), dtype=np.int64)

@@ -22,8 +22,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 class PhyParams:
     """Link-budget parameters: geometry, SNR scale, payload and bandwidth.
 
-    ``delta`` is the bandwidth scaling: 1/M for a synchronous FDMA round of M
-    users, 1 for single-user asynchronous uploads.
+    A synchronous FDMA round of M users gives each of them the bandwidth W/M;
+    a single asynchronous upload has all of W.  ``c_round(M)`` is the link
+    constant for either case and ``c`` the single-user one.
     """
 
     P: float
@@ -33,14 +34,11 @@ class PhyParams:
     D: float
     W: float
     B_t: float
-    delta: float = 1.0
 
     def __post_init__(self):
         for name in ("P", "sigma_n2", "f_c", "d", "D", "W", "B_t"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
-        if not 0 < self.delta <= 1:
-            raise ParameterError("delta must lie in (0, 1]")
 
     @property
     def eta_f(self) -> float:
@@ -50,20 +48,25 @@ class PhyParams:
     def S(self) -> float:
         return self.P * self.eta_f / self.sigma_n2
 
+    def c_round(self, M: int) -> float:
+        """Link constant M * B_t / W of a round of M users sharing W, in
+        seconds per bit/s/Hz of rate."""
+        return M * self.B_t / self.W
+
     @property
     def c(self) -> float:
-        """Link-budget constant B_t / (delta * W), in seconds per (bit/s/Hz)^-1."""
-        return self.B_t / (self.delta * self.W)
+        """Single-user link constant B_t / W."""
+        return self.c_round(1)
 
     @staticmethod
     def from_snr_scale(S: float, d: float, D: float, W: float, B_t: float,
-                       delta: float = 1.0, f_c: float = 28e9) -> "PhyParams":
+                       f_c: float = 28e9) -> "PhyParams":
         """Build params achieving a target SNR scale S with unit transmit power."""
         if S <= 0:
             raise ParameterError("S must be positive")
         eta_f = SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * f_c**2)
         return PhyParams(P=1.0, sigma_n2=eta_f / S, f_c=f_c,
-                         d=d, D=D, W=W, B_t=B_t, delta=delta)
+                         d=d, D=D, W=W, B_t=B_t)
 
 
 def spectral_efficiency(x, z: float, S: float, d: float):
@@ -89,11 +92,10 @@ def spectral_efficiency(x, z: float, S: float, d: float):
 def upload_latency(c: float, x, z: float, S: float, d: float):
     """Upload time tau = c / R(x, z) for a user at x and the radiator at z.
 
-    ``c`` is the link-budget constant B_t / (delta * W), already scaled by
-    the caller (e.g. M * B_t / W for a round of M users), so every product
-    keeps its rounding order.  An array is divided into the rate buffer.  A
-    zero rate gives an infinite time for an array and raises
-    InfeasibleLinkError for a scalar.
+    ``c`` is the link constant ``PhyParams.c_round(M)`` of the caller's
+    round (``PhyParams.c`` for a single upload).  An array is divided into
+    the rate buffer.  A zero rate gives an infinite time for an array and
+    raises InfeasibleLinkError for a scalar.
     """
     rate = spectral_efficiency(x, z, S, d)
     if isinstance(rate, np.ndarray):
@@ -186,4 +188,5 @@ def afl_time_gain_lb(K: int, phy: PhyParams, Lambda: float) -> float:
     if K < 1:
         raise ParameterError("K must be at least 1")
     consts = high_snr_constants(phy.D, phy.d)
-    return K * phy.B_t / (phy.delta * phy.W) * afl_gap_bracket(Lambda, consts)
+    # K uploads at the single-user constant: K * B_t / W in one product
+    return phy.c_round(K) * afl_gap_bracket(Lambda, consts)

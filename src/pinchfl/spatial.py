@@ -3,16 +3,18 @@
 Positions live on a 1-D corridor.  The fixed-antenna bottleneck for a round of
 M scheduled users is the M-th smallest absolute offset; the movable-radiator
 bottleneck is half the tightest window covering M consecutive sorted positions.
+The minimum spacing of sorted unit-interval points is the smallest of their
+K+1 gaps, the two edge gaps included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
-from .errors import ParameterError, UnsupportedDistributionError
+from .errors import ParameterError
 
 UNIFORM = "uniform"
 GAUSSIAN_MIXTURE = "gaussian_mixture"
@@ -70,16 +72,15 @@ class PositionSample:
 
 @dataclass(frozen=True)
 class StragglerOffsets:
-    """Per-round bottleneck offsets for both architectures on one sample.
+    """Pinched-radiator bottleneck of one round on one sample.
 
-    ``pa_offset <= conv_offset`` holds deterministically; ``window`` is the
-    (lo, hi) index pair of the tightest M-window in the sorted sample.
+    ``window`` is the (lo, hi) index pair of the tightest M-window in the
+    sorted sample and ``z_star`` its midpoint, where the radiator sits.
     """
 
-    conv_offset: float
     pa_offset: float
     z_star: float
-    window: tuple = field(default=(0, 0))
+    window: tuple
 
 
 def draw_positions(rng, spec: DistributionSpec, size) -> np.ndarray:
@@ -124,44 +125,34 @@ def pa_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
     return _spans(sorted_xs, M).min(axis=-1) / 2.0
 
 
-def _check_M(K: int, M: int) -> None:
-    if not 1 <= M <= K:
-        raise ParameterError(f"M={M} out of range for K={K}")
-
-
-def conv_bottleneck(sample: PositionSample, M: int) -> float:
-    """M-th smallest absolute offset (fixed radiator at the origin)."""
-    _check_M(sample.K, M)
-    return float(conv_offsets(sample.xs, M))
-
-
 def pa_bottleneck(sample: PositionSample, M: int) -> StragglerOffsets:
     """Tightest-window offset: half the shortest span of M sorted positions.
 
     Ties between windows are broken toward the lowest starting index.  For
     M=1 the window is degenerate and the radiator sits on the selected user.
     """
-    _check_M(sample.K, M)
+    if not 1 <= M <= sample.K:
+        raise ParameterError(f"M={M} out of range for K={sample.K}")
     xs = sample.sorted_xs()
     i = int(_spans(xs, M).argmin())
     return StragglerOffsets(
-        conv_offset=conv_bottleneck(sample, M),
         pa_offset=float(pa_offsets(xs, M)),
         z_star=float(0.5 * (xs[i] + xs[i + M - 1])),
         window=(i, i + M - 1),
     )
 
 
-def min_simple_spacing(sample: PositionSample) -> float:
-    """Minimum of the K+1 normalized spacings of a uniform-corridor sample.
+def min_spacings(sorted_u: np.ndarray) -> np.ndarray:
+    """Minimum of the K+1 spacings of each sorted row of points in [0, 1]
+    (last axis): the K-1 interior gaps and the two edge gaps to 0 and 1.
 
-    Positions are mapped to u = (x + D/2)/D; the spacings include the two
-    boundary gaps, so the result lies in [0, 1/(K+1)].
+    The batch is not copied; on a Fortran-ordered batch each gap is the
+    difference of two contiguous columns.  The result does not depend on
+    the layout, bit for bit.
     """
-    if sample.spec.kind != UNIFORM:
-        raise UnsupportedDistributionError(
-            "normalized spacings are only defined for the uniform corridor"
-        )
-    u = np.sort((sample.xs + sample.spec.D / 2.0) / sample.spec.D)
-    gaps = np.diff(u, prepend=0.0, append=1.0)
-    return float(gaps.min())
+    # K=1 has no interior gap, only the two edge gaps; a single row gives a
+    # 0-d array
+    gap = np.asarray(np.diff(sorted_u, axis=-1).min(axis=-1, initial=np.inf))
+    np.minimum(gap, sorted_u[..., 0], out=gap)
+    np.minimum(gap, 1.0 - sorted_u[..., -1], out=gap)
+    return gap

@@ -2,6 +2,7 @@
 byte-identical reruns."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import pinchfl
+from pinchfl.analytics import straggler_moments
 from pinchfl.cli import main
 from pinchfl.config import RunConfig, load_config
 from pinchfl.errors import ConfigError
@@ -99,12 +101,15 @@ class TestExitCodes:
 
 class TestArtifacts:
     def test_json_echoes_config_and_seed(self, tmp_path, capsys):
-        main(["straggler", "--k", "8", "--m", "3", "--trials", "2000",
+        main(["verify", "--k", "8", "--m", "3", "--trials", "2000",
               "--seed", "77", "--out", str(tmp_path)])
-        payload = json.loads((tmp_path / "straggler.json").read_text())
+        payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["seed"] == 77
         assert payload["config"]["k"] == 8
-        assert "metrics" in payload
+        assert payload["metrics"]["moments"] == dataclasses.asdict(
+            straggler_moments(8, 3, 10.0))
+        # the moments live in verify.json; there is no separate command
+        assert main(["straggler"]) == 1
 
     def test_csv_has_header(self, tmp_path, capsys):
         main(["highsnr", "--out", str(tmp_path)])

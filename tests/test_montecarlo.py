@@ -56,6 +56,14 @@ class TestEstimateCcdf:
         with pytest.raises(ParameterError):
             montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 10,
                                      GRID[::-1], seed=0)
+        # K < 1, and M outside [1, K] under SFL, fail before any draw
+        for mode, arch, K, M in [("SFL", "CONV", 20, 0), ("SFL", "PA", 20, 0),
+                                 ("SFL", "CONV", 20, -1), ("SFL", "CONV", 20, 21),
+                                 ("SFL", "PA", 20, 21), ("SFL", "CONV", 0, 1),
+                                 ("AFL", "CONV", 0, None)]:
+            with pytest.raises(ParameterError):
+                montecarlo.estimate_ccdf(mode, arch, PHY, UNI, K, M, 10, GRID,
+                                         seed=0)
 
     @pytest.mark.parametrize("mode", ["SFL", "AFL"])
     @pytest.mark.parametrize("arch", ["CONV", "PA"])
@@ -179,6 +187,9 @@ class TestParticipationSweep:
                                            trials=0, seed=0)
         with pytest.raises(ParameterError):
             montecarlo.participation_sweep(5, [0.02, 0.01], model, UNI, PHY,
+                                           trials=10, seed=0)
+        with pytest.raises(ParameterError):
+            montecarlo.participation_sweep(0, [0.01, 0.02], model, UNI, PHY,
                                            trials=10, seed=0)
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])

@@ -34,15 +34,12 @@ class TestPhyParams:
         assert p.S == pytest.approx(36.0)
         assert p.c == pytest.approx(0.1)
 
-    def test_delta_scales_budget(self):
-        p = phy.PhyParams.from_snr_scale(36.0, d=3.0, D=10.0, W=1e6, B_t=1e5,
-                                         delta=0.25)
-        assert p.c == pytest.approx(0.4)
-
-    def test_invalid_delta(self):
-        with pytest.raises(ParameterError):
-            phy.PhyParams.from_snr_scale(36.0, d=3.0, D=10.0, W=1e6, B_t=1e5,
-                                         delta=0.0)
+    def test_round_constant_splits_bandwidth(self):
+        p = phy.PhyParams.from_snr_scale(36.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
+        assert p.c_round(1) == p.c == p.B_t / p.W
+        assert p.c_round(4) == 4 * p.B_t / p.W
+        # M * B_t / W in that order: M * c rounds differently here
+        assert p.c_round(7) == 7 * p.B_t / p.W == 0.7 != 7 * p.c
 
 
 class TestSpectralEfficiency:
@@ -62,7 +59,7 @@ class TestSpectralEfficiency:
         assert np.array_equal(ints, R)
 
     def test_latency_inverse_rate(self):
-        # c = B_t / (delta W) = 0.5 s per bit/s/Hz, user under the radiator
+        # c = B_t / W = 0.5 s per bit/s/Hz, user under the radiator
         tau = phy.upload_latency(0.5, 0.0, 0.0, 36.0, 3.0)
         assert tau == 0.5 / math.log2(5.0)
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchfl.errors import ParameterError, UnsupportedDistributionError
+from pinchfl.errors import ParameterError
 from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
-                             PositionSample, conv_bottleneck, conv_offsets,
-                             draw_positions, min_simple_spacing,
-                             pa_bottleneck, pa_offsets, sample_positions)
+                             PositionSample, conv_offsets, draw_positions,
+                             min_spacings, pa_bottleneck, pa_offsets,
+                             sample_positions)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 
@@ -66,14 +66,9 @@ class TestSamplePositions:
 class TestConvBottleneck:
     def test_hand_case(self):
         s = make_sample([-4.0, -1.0, 0.5, 2.0])
-        assert conv_bottleneck(s, 1) == 0.5
-        assert conv_bottleneck(s, 2) == 1.0
-        assert conv_bottleneck(s, 4) == 4.0
-
-    def test_m_out_of_range(self):
-        s = make_sample([0.0, 1.0])
-        with pytest.raises(ParameterError):
-            conv_bottleneck(s, 3)
+        assert conv_offsets(s.xs, 1) == 0.5
+        assert conv_offsets(s.xs, 2) == 1.0
+        assert conv_offsets(s.xs, 4) == 4.0
 
 
 class TestPaBottleneck:
@@ -91,6 +86,11 @@ class TestPaBottleneck:
         assert off.pa_offset == 0.0
         assert off.z_star in (-3.0, 1.0, 2.0)
 
+    def test_m_out_of_range(self):
+        s = make_sample([0.0, 1.0])
+        with pytest.raises(ParameterError):
+            pa_bottleneck(s, 3)
+
     def test_tie_break_lowest_start(self):
         s = make_sample([0.0, 1.0, 2.0, 3.0])
         off = pa_bottleneck(s, 2)
@@ -103,7 +103,7 @@ class TestPaBottleneck:
     def test_ordering_pa_le_conv(self, xs, data):
         M = data.draw(st.integers(1, len(xs)))
         s = make_sample(xs)
-        assert pa_bottleneck(s, M).pa_offset <= conv_bottleneck(s, M) + 1e-12
+        assert pa_bottleneck(s, M).pa_offset <= conv_offsets(s.xs, M) + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), K=st.integers(2, 40), data=st.data())
@@ -137,7 +137,7 @@ class TestBatchedBottlenecks:
             assert half[i] <= conv[i]
             s = make_sample(row)
             off = pa_bottleneck(s, M)
-            assert conv[i] == conv_bottleneck(s, M)
+            assert conv[i] == conv_offsets(s.xs, M)
             assert half[i] == off.pa_offset
             assert off.window == (start, start + M - 1)
             assert off.z_star == 0.5 * (srt[start] + srt[start + M - 1])
@@ -164,17 +164,32 @@ class TestBatchedBottlenecks:
 class TestMinSimpleSpacing:
     def test_range_bound(self):
         for seed in range(20):
-            s = sample_positions(UNI, 10, seed=seed)
-            v = min_simple_spacing(s)
-            assert 0.0 <= v <= 1.0 / (10 + 1)
+            u = np.sort(sample_positions(UNI, 10, seed=seed).xs) / 10.0 + 0.5
+            v = min_spacings(u[None, :])
+            assert v.shape == (1,)
+            assert 0.0 <= v[0] <= 1.0 / (10 + 1)
 
     def test_hand_case(self):
-        # positions at u = 0.25, 0.5 leave gaps 0.25, 0.25, 0.5
-        s = make_sample([-2.5, 0.0])
-        assert min_simple_spacing(s) == pytest.approx(0.25)
+        # points at u = 0.25, 0.5 leave gaps 0.25, 0.25, 0.5
+        assert min_spacings(np.array([[0.25, 0.5]]))[0] == 0.25
 
-    def test_rejects_gaussian_mixture(self):
-        spec = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
-        s = sample_positions(spec, 5, seed=0)
-        with pytest.raises(UnsupportedDistributionError):
-            min_simple_spacing(s)
+    def test_single_row_is_a_batch_of_one(self):
+        u = np.sort(np.random.default_rng(2).random((1, 9)), axis=1)
+        one = min_spacings(u[0])
+        assert one.shape == ()
+        assert one == min_spacings(u)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), K=st.sampled_from([1, 2, 10]),
+           seed=st.integers(0, 10_000))
+    def test_rows_match_scalar_reference(self, n, K, seed):
+        rng = np.random.default_rng(seed)
+        # a coarse grid makes equal points and zero gaps common
+        u = np.sort(np.round(rng.random((n, K)), 1), axis=1)
+        c_gap = min_spacings(np.ascontiguousarray(u))
+        f_gap = min_spacings(np.asfortranarray(u))
+        assert c_gap.shape == (n,)
+        assert c_gap.tobytes() == f_gap.tobytes()
+        for i, row in enumerate(u):
+            ref = np.diff(np.sort(row), prepend=0.0, append=1.0).min()
+            assert c_gap[i] == ref
