@@ -188,7 +188,7 @@ def _cmd_train(cfg: RunConfig, out: str) -> dict:
                           weighting=cfg.weighting,
                           tick_period=cfg.tick_period())
         for rec in log.records:
-            row = dataclasses.asdict(rec)
+            row = dict(vars(rec))
             row["scheduled"] = " ".join(str(i) for i in rec.scheduled)
             rows.append(row)
         # strict JSON has no NaN or Infinity: no events or an unreached

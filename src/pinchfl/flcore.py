@@ -9,8 +9,10 @@ the uploads that meet the deadline (full bandwidth per upload).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -86,16 +88,24 @@ def quantize(v: np.ndarray, b: int) -> np.ndarray:
     underflows) is returned as is, with zeros as +0.
     """
     v = np.asarray(v, dtype=float)
-    s = np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0)
+    q = np.abs(v)
+    s = np.maximum.reduce(q, axis=-1, keepdims=True, initial=0.0)
     n = 2**b
     step = 2.0 * s / (n - 1)
     exact = step == 0.0
-    step = np.where(exact, 1.0, step)
-    # quantize |v| on the symmetric grid, then restore signs; rounding up on
-    # the magnitude axis is round-half-away-from-zero on the original axis
-    j = np.floor((np.abs(v) + s) / step + 0.5)
-    j = np.clip(j, 0, n - 1)
-    return np.where(exact, v + 0.0, np.where(v < 0, -1.0, 1.0) * (-s + j * step))
+    step[exact] = 1.0
+    # quantize |v| on the symmetric grid in place, then restore signs; rounding
+    # up on the magnitude axis is round-half-away-from-zero on the original axis
+    q += s
+    q /= step
+    q += 0.5
+    np.floor(q, out=q)  # at least 0, so only the top level needs a clip
+    np.minimum(q, n - 1, out=q)
+    q *= step
+    q -= s
+    # negate where v < 0 rather than copysign, which would also flip -0.0 inputs
+    np.negative(q, out=q, where=v < 0)
+    return np.where(exact, v + 0.0, q) if exact.any() else q
 
 
 def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
@@ -120,7 +130,11 @@ def ht_aggregate(entries, K: int) -> np.ndarray:
         raise ParameterError("K must be at least 1")
     if not entries:
         return np.zeros(0)
-    I, pi, Y = (np.asarray(a, dtype=float) for a in zip(*entries))
+    return _ht_kernel(*(np.asarray(a, dtype=float) for a in zip(*entries)), K)
+
+
+def _ht_kernel(I: np.ndarray, pi: np.ndarray, Y: np.ndarray, K: int) -> np.ndarray:
+    """``ht_aggregate`` over float arrays: I and pi of shape (n,), Y (n, ...)."""
     inc = I != 0
     if np.any(pi[inc] <= 0):
         raise ParameterError("included entry with zero inclusion probability")
@@ -224,7 +238,10 @@ class SyntheticProblem:
     mu: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
+        # a private read-only copy, so the cached w_star cannot go stale
+        centers = np.array(self.centers, dtype=float)
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
         if self.centers.ndim != 2:
             raise ParameterError("centers must be a (K, d_w) array")
         if self.noise_sigma < 0:
@@ -238,9 +255,11 @@ class SyntheticProblem:
     def d_w(self) -> int:
         return self.centers.shape[1]
 
-    @property
+    @cached_property
     def w_star(self) -> np.ndarray:
-        return self.centers.mean(axis=0)
+        w_star = self.centers.mean(axis=0)
+        w_star.flags.writeable = False
+        return w_star
 
     @property
     def delta2(self) -> float:
@@ -249,8 +268,7 @@ class SyntheticProblem:
 
     def loss_gap(self, w: np.ndarray) -> float:
         """F(w) - F*, which is half the squared distance to the center mean."""
-        diff = np.asarray(w) - self.w_star
-        return 0.5 * float(np.dot(diff, diff))
+        return 0.5 * self.grad_norm2(w)
 
     def grad_norm2(self, w: np.ndarray) -> float:
         diff = np.asarray(w) - self.w_star
@@ -372,16 +390,18 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     e = np.zeros_like(problem.centers)
     log = TrainLog()
     t = 0.0
+    grad_norm2 = problem.grad_norm2(w)
     for rnd in range(rounds):
-        grad_norm2 = problem.grad_norm2(w)
         Ys, e = quantize_ef(problem.stochastic_grads(w, rng), e, spec)
         w = w - eta * Ys[sched].mean(axis=0)
         t += round_time
+        # this round's post-update norm is the next round's pre-update norm
+        pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
         log.records.append(TrainRecord(
             time=t, index=rnd, arch=arch, scheduled=scheduled,
             z=float(z), bottleneck=bottleneck, latency=round_time,
-            participants=M, staleness=0, loss=problem.loss_gap(w),
-            grad_norm2=grad_norm2,
+            participants=M, staleness=0, loss=0.5 * grad_norm2,
+            grad_norm2=pre,
         ))
     return log
 
@@ -428,29 +448,30 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     cache_ver = np.zeros(K, dtype=int)
     busy_until = np.zeros(K)
     version = 0
-    # (apply time, batch latency, updates, their pis, their fetch versions),
-    # uploads in arrival order
+    # heap of (apply time, tick, batch latency, updates, their pis, their
+    # fetch versions), uploads in arrival order; the tick breaks ties
     pending: list = []
     log = TrainLog()
 
     def apply_batches(up_to: float):
         nonlocal w, version
-        pending.sort(key=lambda item: item[0])
         while pending and pending[0][0] <= up_to:
-            apply_time, lat, Ys, up_pis, fetch_vers = pending.pop(0)
+            apply_time, _, lat, Ys, up_pis, fetch_vers = heapq.heappop(pending)
+            ones = np.ones(len(Ys))
             if weighting == "HT":
-                update = ht_aggregate([(1, pi, Y) for pi, Y in zip(up_pis, Ys)], K)
+                update = _ht_kernel(ones, up_pis, Ys, K)
             else:
-                update = ht_aggregate([(1, 1.0, Y) for Y in Ys], len(Ys))
+                update = _ht_kernel(ones, ones, Ys, len(Ys))
             w = w - eta * update
             staleness = version - int(fetch_vers.min())
             version += 1
+            grad_norm2 = problem.grad_norm2(w)
             log.records.append(TrainRecord(
                 time=apply_time, index=version, arch=arch,
                 scheduled=(), z=0.0 if arch == CONV else math.nan,
                 bottleneck=math.nan, latency=lat,
                 participants=len(Ys), staleness=staleness,
-                loss=problem.loss_gap(w), grad_norm2=problem.grad_norm2(w),
+                loss=0.5 * grad_norm2, grad_norm2=grad_norm2,
             ))
 
     n_ticks = int(math.ceil(horizon_s / T_p))
@@ -470,6 +491,7 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
             if np.any(pis[up] <= 0):
                 raise ParameterError("upload from a zero-probability user")
             lat = finish[I].max()
-            pending.append((t_tick + lat, lat, Ys[up], pis[up], cache_ver[up]))
+            heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], pis[up],
+                                     cache_ver[up]))
     apply_batches(horizon_s)
     return log

@@ -154,8 +154,8 @@ def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
         raise ParameterError(f"unknown architecture {arch!r}")
     if K < 1:
         raise ParameterError("K must be at least 1")
-    if mode == SFL and not 1 <= M_or_model <= K:
-        raise ParameterError(f"M={M_or_model} out of range for K={K}")
+    if mode == SFL and not (1 <= M_or_model <= K and M_or_model == int(M_or_model)):
+        raise ParameterError(f"M={M_or_model} is not an integer in [1, K={K}]")
     exceed = np.zeros(grid.size, dtype=np.int64)
     for chunk, n in _chunks(trials):
         rng = _chunk_rng(seed, chunk)

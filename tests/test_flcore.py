@@ -1,6 +1,7 @@
 """Gates, quantization with error feedback, aggregation, convergence
 constants, and the two training loops."""
 
+import dataclasses
 import itertools
 import math
 
@@ -77,19 +78,33 @@ class TestQuantizer:
     @settings(max_examples=200, deadline=None)
     @given(b=st.integers(1, 8), d=st.integers(1, 8),
            rows=st.lists(st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
-                                   st.just(0.0), st.just(5e-324)),
+                                   st.just(0.0), st.just(-0.0),
+                                   st.just(5e-324)),
                          min_size=1, max_size=64),
            zero_row=st.booleans())
+    # -0.0 is not negative: it takes the +0.0 grid value, and +0.0 in an
+    # all-zero row
+    @example(b=3, d=2, rows=[-0.0, 1.0, -0.0, -0.0], zero_row=False)
     def test_rows_match_scalar_reference(self, b, d, rows, zero_row):
         K = max(len(rows) // d, 1)
         v = np.resize(np.asarray(rows), (K, d))
         if zero_row:
             v[0] = 0.0
+        before = v.tobytes()
         y = quantize(v, b)
+        assert v.tobytes() == before, "the input must not be written"
         ref = np.array([_quantize_row(row, b) for row in v.tolist()])
         assert y.tobytes() == ref.tobytes()
         # a 1-D vector is one row
         assert quantize(v[0], b).tobytes() == ref[0].tobytes()
+        # memory layout does not matter: Fortran order, a strided 2-D view,
+        # and a row read as a non-contiguous column of the transpose
+        assert quantize(np.asfortranarray(v), b).tobytes() == ref.tobytes()
+        wide = np.zeros((K, 2 * d))
+        wide[:, ::2] = v
+        assert quantize(wide[:, ::2], b).tobytes() == ref.tobytes()
+        column = np.ascontiguousarray(v.T)[:, 0]
+        assert quantize(column, b).tobytes() == ref[0].tobytes()
 
     def test_ef_rows_are_independent_users(self):
         rng = np.random.default_rng(7)
@@ -241,6 +256,43 @@ class TestGatesAndWeights:
         with pytest.raises(ParameterError):
             ht_aggregate([(1, 0.0, np.ones(2))], 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 4), K=st.integers(1, 60),
+           entries=st.lists(st.tuples(
+               st.sampled_from([0, 1]),
+               st.one_of(st.floats(1e-6, 1.0), st.just(0.0)),
+               st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                        min_size=4, max_size=4),
+               st.integers(-8, 8)),
+               min_size=1, max_size=12))
+    # 0.1 is absorbed into 1e14 when added first, and exact when added last
+    @example(d=1, K=1, entries=[(1, 1.0, [0.1] * 4, 0), (1, 1.0, [1e6] * 4, 8),
+                                (1, 1.0, [-1e6] * 4, 8)])
+    def test_ht_kernel_matches_scalar_reference(self, d, K, entries):
+        # rows of mixed magnitude, so a change of summation order shows
+        entries = [(i, p, [y * 10.0**k for y in ys[:d]]) for i, p, ys, k in entries]
+        I = np.array([e[0] for e in entries], dtype=float)
+        pi = np.array([e[1] for e in entries])
+        Y = np.array([e[2] for e in entries])
+        wrapped = lambda: ht_aggregate(list(zip(I, pi, Y)), K)
+        kernel = lambda: flcore._ht_kernel(I, pi, Y, K)
+        if any(i and p == 0.0 for i, p, _ in entries):
+            # an included entry must have a positive inclusion probability
+            for call in (wrapped, kernel):
+                with pytest.raises(ParameterError):
+                    call()
+            return
+        # left-to-right scalar sum over the included entries; excluded ones,
+        # zero probability allowed, add nothing
+        acc = None
+        for i, p, y in entries:
+            if i:
+                terms = [i * yj / p for yj in y]
+                acc = terms if acc is None else [a + t for a, t in zip(acc, terms)]
+        ref = np.array([a / K for a in acc] if acc else [0.0] * d)
+        assert wrapped().tobytes() == ref.tobytes()
+        assert kernel().tobytes() == ref.tobytes()
+
 
 class TestConvergenceConstants:
     def test_eta_max_shape(self):
@@ -286,6 +338,19 @@ class TestSyntheticProblem:
         p = make_synthetic_problem(4, 6, 0.1, 0.0, seed=0)
         w0 = p.initial_point(gap=2.5)
         assert p.loss_gap(w0) == pytest.approx(2.5, abs=1e-12)
+
+    def test_centers_are_a_private_read_only_copy(self):
+        centers = np.random.default_rng(0).normal(size=(5, 3))
+        mean = centers.mean(axis=0)
+        p = SyntheticProblem(centers=centers, noise_sigma=0.0)
+        # the cached optimum cannot drift from the centers it was computed on
+        for frozen in (p.centers, p.w_star):
+            with pytest.raises(ValueError):
+                frozen[0] += 1.0
+        # the caller's array is neither frozen nor shared
+        centers[0] = 99.0
+        assert p.w_star.tobytes() == p.centers.mean(axis=0).tobytes() == mean.tobytes()
+        assert p.loss_gap(p.w_star) == 0.0 and p.w_star is p.w_star
 
     def test_noise_statistics(self):
         p = make_synthetic_problem(3, 4, 0.0, noise_sigma=0.5, seed=0)
@@ -384,6 +449,26 @@ class TestRunAfl:
         with pytest.raises(ParameterError):
             run_afl(p, sample, PHY, model, 0.05, QuantizerSpec(6),
                     horizon_s=1.0, arch=PA, seed=1, weighting="median")
+
+    def test_out_of_order_arrivals_apply_in_time_order(self):
+        # random compute times and a trigger period well below the deadline:
+        # a later tick's batch can land before an earlier tick's
+        p, sample, det = self._setup()
+        model = DeadlineModel(T_d=2.0 * det.T_d, fc_kind=SHIFTED_EXPONENTIAL,
+                              rate=4.0 / det.T_d)
+        T_p = model.T_d / 10
+        kw = dict(eta=0.05, spec=QuantizerSpec(6), horizon_s=30 * model.T_d,
+                  arch=CONV, seed=0, tick_period=T_p)
+        log = run_afl(p, sample, PHY, model, **kw)
+        ticks = [round((r.time - r.latency) / T_p) for r in log.records]
+        assert any(a > b for a, b in zip(ticks, ticks[1:]))
+        times = [r.time for r in log.records]
+        assert times == sorted(times)
+        assert [r.index for r in log.records] == list(range(1, len(times) + 1))
+        # repr is exact for floats and compares NaN fields by value
+        rerun = run_afl(p, sample, PHY, model, **kw)
+        assert ([repr(dataclasses.astuple(r)) for r in rerun.records]
+                == [repr(dataclasses.astuple(r)) for r in log.records])
 
     def test_deterministic_rerun(self):
         p, sample, model = self._setup()

@@ -56,11 +56,12 @@ class TestEstimateCcdf:
         with pytest.raises(ParameterError):
             montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 10,
                                      GRID[::-1], seed=0)
-        # K < 1, and M outside [1, K] under SFL, fail before any draw
+        # K < 1, and M outside [1, K] or not integral under SFL, fail before
+        # any draw
         for mode, arch, K, M in [("SFL", "CONV", 20, 0), ("SFL", "PA", 20, 0),
                                  ("SFL", "CONV", 20, -1), ("SFL", "CONV", 20, 21),
                                  ("SFL", "PA", 20, 21), ("SFL", "CONV", 0, 1),
-                                 ("AFL", "CONV", 0, None)]:
+                                 ("SFL", "CONV", 20, 2.9), ("AFL", "CONV", 0, None)]:
             with pytest.raises(ParameterError):
                 montecarlo.estimate_ccdf(mode, arch, PHY, UNI, K, M, 10, GRID,
                                          seed=0)
