@@ -31,10 +31,20 @@ class StragglerMomentReport:
     ratio_limit: float
 
 
+def check_order(K, M=1) -> tuple:
+    """``(int(K), int(M))`` for K users and their M-th order statistic.
+
+    Both must be integers (an integral float counts) with 1 <= M <= K;
+    anything else raises ParameterError.
+    """
+    if not (1 <= M <= K and float(K).is_integer() and float(M).is_integer()):
+        raise ParameterError(f"M={M}, K={K}: need integers with 1 <= M <= K")
+    return int(K), int(M)
+
+
 def order_stat_moments(K: int, M: int) -> tuple:
     """Mean and second moment of the M-th order statistic of K uniforms on [0,1]."""
-    if not 1 <= M <= K:
-        raise ParameterError(f"M={M} out of range for K={K}")
+    K, M = check_order(K, M)
     mean = M / (K + 1)
     second = M * (M + 1) / ((K + 1) * (K + 2))
     return mean, second
@@ -42,15 +52,13 @@ def order_stat_moments(K: int, M: int) -> tuple:
 
 def min_spacing_second_moment(K: int) -> float:
     """Second moment of the minimum of the K+1 simple spacings."""
-    if K < 1:
-        raise ParameterError("K must be at least 1")
+    K, _ = check_order(K)
     return 2.0 / ((K + 1) ** 3 * (K + 2))
 
 
 def straggler_moments(K: int, M: int, D: float) -> StragglerMomentReport:
     """Exact CONV second moment and the PA moment sandwich at (K, M, D)."""
-    if not 1 <= M <= K:
-        raise ParameterError(f"M={M} out of range for K={K}")
+    K, M = check_order(K, M)
     if D <= 0:
         raise ParameterError("corridor length D must be positive")
     m = M - 1
@@ -87,8 +95,7 @@ def concentration_bounds(K: int, M: int, eps: float) -> tuple:
     Returns (kl_lower_tail, kl_upper_tail, hoeffding_two_sided) via the
     binomial counting identity plus Chernoff/Hoeffding.
     """
-    if not 1 <= M <= K:
-        raise ParameterError(f"M={M} out of range for K={K}")
+    K, M = check_order(K, M)
     p_dag = M / (K + 1)
     if not 0 < eps < min(p_dag, 1.0 - p_dag):
         raise ParameterError(f"eps={eps} outside (0, min(p, 1-p)) for p={p_dag}")

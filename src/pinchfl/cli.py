@@ -174,16 +174,16 @@ def _cmd_highsnr(cfg: RunConfig, out: str) -> dict:
 def _cmd_train(cfg: RunConfig, out: str) -> dict:
     problem = make_synthetic_problem(cfg.k, cfg.dim, cfg.delta2,
                                      cfg.sigma_grad, cfg.seed)
-    sample = sample_positions(cfg.dist_spec(), cfg.k, cfg.seed)
+    xs = sample_positions(cfg.dist_spec(), cfg.k, cfg.seed)
     phy, spec, model = cfg.phy(), cfg.quantizer(), cfg.deadline_model()
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
     rows, metrics = [], {}
     for arch in archs:
         if cfg.mode == "sfl":
-            log = run_sfl(problem, sample, phy, cfg.m, cfg.eta, spec,
+            log = run_sfl(problem, xs, phy, cfg.m, cfg.eta, spec,
                           cfg.rounds, arch, cfg.seed)
         else:
-            log = run_afl(problem, sample, phy, model, cfg.eta, spec,
+            log = run_afl(problem, xs, phy, model, cfg.eta, spec,
                           cfg.afl_horizon(), arch, cfg.seed,
                           weighting=cfg.weighting,
                           tick_period=cfg.tick_period())

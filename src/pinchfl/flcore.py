@@ -2,9 +2,11 @@
 inverse-probability aggregation, convergence-constant calculators, and the
 synchronous/asynchronous training loops on synthetic quadratic objectives.
 
-Wall-clock accounting follows the link budget: a synchronous round costs the
-slowest scheduled upload (bandwidth split 1/M), an asynchronous tick batches
-the uploads that meet the deadline (full bandwidth per upload).
+User positions are a plain (K,) array; ``spatial.schedule_round`` picks the
+users of a synchronous round and where the radiator sits.  Wall-clock
+accounting follows the link budget: a synchronous round costs the slowest
+scheduled upload (bandwidth split 1/M), an asynchronous tick batches the
+uploads that meet the deadline (full bandwidth per upload).
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 from .errors import InfeasibleLinkError, ParameterError
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
-from .spatial import CONV, PA, PositionSample, pa_bottleneck
+from .spatial import CONV, PA, schedule_round
 
 _ALPHA_CAP = 1.0 - 1e-6
+_S_MAX = np.finfo(float).max / 2.0  # largest row scale whose 2 s is finite
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,17 @@ def quantize(v: np.ndarray, b: int) -> np.ndarray:
     on [-s, s] with per-row scale s = max|v|, rounding half away from zero.
 
     A row whose grid step is zero (all zeros, or so small that the step
-    underflows) is returned as is, with zeros as +0.
+    underflows) is returned as is, with zeros as +0.  A row holding a NaN, an
+    infinity or a scale above half the largest float, where 2 s overflows,
+    raises ParameterError.
     """
     v = np.asarray(v, dtype=float)
     q = np.abs(v)
     s = np.maximum.reduce(q, axis=-1, keepdims=True, initial=0.0)
+    # the largest scale decides, and a NaN fails the comparison too
+    if not np.maximum.reduce(s, axis=None, initial=0.0) <= _S_MAX:
+        raise ParameterError("quantizer input must be finite, with max|v| "
+                             "at most half the largest float")
     n = 2**b
     step = 2.0 * s / (n - 1)
     exact = step == 0.0
@@ -306,25 +315,6 @@ def make_synthetic_problem(K: int, d_w: int, delta2_target: float,
     return SyntheticProblem(centers=centers, noise_sigma=noise_sigma)
 
 
-def schedule_round(sample: PositionSample, M: int, arch: str):
-    """Scheduled user indices and radiator position for one round.
-
-    Fixed antenna: the M smallest absolute offsets, radiator at the origin.
-    Pinched antenna: the tightest M-window, radiator at its midpoint.
-    """
-    if arch not in (CONV, PA):
-        raise ParameterError(f"unknown architecture {arch!r}")
-    if not 1 <= M <= sample.K:
-        raise ParameterError(f"M={M} out of range for K={sample.K}")
-    if arch == CONV:
-        idx = np.argsort(np.abs(sample.xs), kind="stable")[:M]
-        return np.sort(idx), 0.0
-    off = pa_bottleneck(sample, M)
-    order = np.argsort(sample.xs, kind="stable")
-    lo, hi = off.window
-    return np.sort(order[lo:hi + 1]), off.z_star
-
-
 @dataclass
 class TrainRecord:
     """One logged round (synchronous) or tick batch (asynchronous)."""
@@ -364,7 +354,7 @@ class TrainLog:
         return math.inf
 
 
-def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
+def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             M: int, eta: float, spec: QuantizerSpec, rounds: int, arch: str,
             seed: int, w0: Optional[np.ndarray] = None) -> TrainLog:
     """Synchronous training: M scheduled users, bandwidth split 1/M.
@@ -373,17 +363,18 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     set is aggregated, with uniform 1/M weights.  The round time is the
     slowest scheduled upload.
     """
-    if problem.K != sample.K:
-        raise ParameterError("problem and sample disagree on K")
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (problem.K,):
+        raise ParameterError(f"xs must be a ({problem.K},) array of positions")
     if rounds < 1 or eta <= 0:
         raise ParameterError("rounds must be >= 1 and eta positive")
-    sched, z = schedule_round(sample, M, arch)
-    taus = upload_latency(phy.c_round(M), sample.xs[sched], z, phy.S, phy.d)
+    sched, z = schedule_round(xs, M, arch)
+    taus = upload_latency(phy.c_round(M), xs[sched], z, phy.S, phy.d)
     if np.any(np.isinf(taus)):
         raise InfeasibleLinkError("a scheduled link has zero rate")
     round_time = float(np.max(taus))
     scheduled = tuple(int(i) for i in sched)
-    bottleneck = float(np.max(np.abs(sample.xs[sched] - z)))
+    bottleneck = float(np.max(np.abs(xs[sched] - z)))
 
     rng = np.random.default_rng(seed)
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
@@ -406,7 +397,7 @@ def run_sfl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     return log
 
 
-def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
+def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             model: DeadlineModel, eta: float, spec: QuantizerSpec,
             horizon_s: float, arch: str, seed: int, weighting: str = "HT",
             tick_period: Optional[float] = None,
@@ -420,8 +411,9 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     applied when the last of them arrives; users stay busy until their upload
     lands, so slow links carry stale caches.
     """
-    if problem.K != sample.K:
-        raise ParameterError("problem and sample disagree on K")
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (problem.K,):
+        raise ParameterError(f"xs must be a ({problem.K},) array of positions")
     if weighting not in ("HT", "uniform"):
         raise ParameterError(f"unknown weighting {weighting!r}")
     if horizon_s <= 0 or eta <= 0:
@@ -433,7 +425,7 @@ def run_afl(problem: SyntheticProblem, sample: PositionSample, phy: PhyParams,
     K = problem.K
     c = phy.c
     if arch == CONV:
-        taus = upload_latency(c, sample.xs, 0.0, phy.S, phy.d)
+        taus = upload_latency(c, xs, 0.0, phy.S, phy.d)
     elif arch == PA:
         # radiator pins to each uploader, so every link distance is d
         taus = np.full(K, upload_latency(c, 0.0, 0.0, phy.S, phy.d))

@@ -152,15 +152,12 @@ def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
         raise ParameterError(f"unknown mode {mode!r}")
     if arch not in (CONV, PA):
         raise ParameterError(f"unknown architecture {arch!r}")
-    if K < 1:
-        raise ParameterError("K must be at least 1")
-    if mode == SFL and not (1 <= M_or_model <= K and M_or_model == int(M_or_model)):
-        raise ParameterError(f"M={M_or_model} is not an integer in [1, K={K}]")
+    K, M = analytics.check_order(K, M_or_model if mode == SFL else 1)
     exceed = np.zeros(grid.size, dtype=np.int64)
     for chunk, n in _chunks(trials):
         rng = _chunk_rng(seed, chunk)
         if mode == SFL:
-            lat = sfl_round_latencies(rng, spec, K, int(M_or_model), phy, arch, n)
+            lat = sfl_round_latencies(rng, spec, K, M, phy, arch, n)
         else:
             lat = afl_upload_latencies(rng, spec, phy, arch, n)
         exceed += n - _met_counts(grid, lat[None, :])[0]
@@ -178,8 +175,9 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    if any(K < 1 for K in K_grid) or any(M < 1 for M in M_grid):
-        raise ParameterError("every K and every M must be at least 1")
+    # an M is an integer >= 1; it is skipped for every K below it
+    K_grid = [analytics.check_order(K)[0] for K in K_grid]
+    M_grid = [analytics.check_order(M)[0] for M in M_grid]
     verdicts: List[BoundVerdict] = []
     for K in K_grid:
         conv_m = {M: _Moment() for M in M_grid if M <= K}
@@ -276,8 +274,7 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     T_grid = _ascending(T_grid)
     if trials < 1:
         raise ParameterError("trials must be at least 1")
-    if K < 1:
-        raise ParameterError("K must be at least 1")
+    K, _ = analytics.check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     # per deadline, CONV then PA: integer sums of participants and of squares
     sums = np.zeros((2, T_grid.size), dtype=np.int64)

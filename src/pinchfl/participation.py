@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .analytics import check_order
 from .errors import ParameterError, UnsupportedDistributionError
 from .phy import PhyParams, spectral_efficiency, upload_latency
 from .spatial import GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec
@@ -173,8 +174,7 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
     D/2 on the uniform corridor) by a composite 64-point Gauss-Legendre rule
     whose panels end where the integrand turns.
     """
-    if K < 1:
-        raise ParameterError("K must be at least 1")
+    K, _ = check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     n_pa = K * model.F_c(T_d - tau_pa)
 

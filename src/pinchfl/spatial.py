@@ -1,10 +1,11 @@
-"""User-position sampling and the order-statistic geometry of straggler offsets.
+"""User positions, the round schedule, and straggler-offset geometry.
 
-Positions live on a 1-D corridor.  The fixed-antenna bottleneck for a round of
-M scheduled users is the M-th smallest absolute offset; the movable-radiator
-bottleneck is half the tightest window covering M consecutive sorted positions.
-The minimum spacing of sorted unit-interval points is the smallest of their
-K+1 gaps, the two edge gaps included.
+A position sample is a plain (K,) array on a 1-D corridor, a batch (n, K).
+This module decides where the radiator sits: the fixed antenna stays at the
+origin, the pinched one moves to the midpoint of the tightest window of M
+consecutive sorted users.  Their bottlenecks are the M-th smallest absolute
+offset and half that window's span.  The minimum spacing of sorted
+unit-interval points is the smallest of their K+1 gaps, edge gaps included.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
+from .analytics import check_order
 from .errors import ParameterError
 
 UNIFORM = "uniform"
@@ -49,40 +51,6 @@ class DistributionSpec:
                 raise ParameterError("cluster offset mu must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PositionSample:
-    """K user x-coordinates plus the spec and seed that generated them."""
-
-    xs: np.ndarray
-    spec: DistributionSpec
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        if self.xs.ndim != 1 or self.xs.size < 1:
-            raise ParameterError("xs must be a non-empty 1-D array")
-
-    @property
-    def K(self) -> int:
-        return self.xs.size
-
-    def sorted_xs(self) -> np.ndarray:
-        return np.sort(self.xs, kind="stable")
-
-
-@dataclass(frozen=True)
-class StragglerOffsets:
-    """Pinched-radiator bottleneck of one round on one sample.
-
-    ``window`` is the (lo, hi) index pair of the tightest M-window in the
-    sorted sample and ``z_star`` its midpoint, where the radiator sits.
-    """
-
-    pa_offset: float
-    z_star: float
-    window: tuple
-
-
 def draw_positions(rng, spec: DistributionSpec, size) -> np.ndarray:
     """Array of i.i.d. user positions from ``spec`` with shape ``size``."""
     if spec.kind == UNIFORM:
@@ -91,12 +59,11 @@ def draw_positions(rng, spec: DistributionSpec, size) -> np.ndarray:
     return centers + rng.normal(0.0, spec.sigma, size=size)
 
 
-def sample_positions(spec: DistributionSpec, K: int, seed: int) -> PositionSample:
-    """Draw K i.i.d. user positions from ``spec`` with a fixed seed."""
+def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:
+    """Draw K i.i.d. user positions from ``spec`` with a fixed seed: a (K,) array."""
     if K < 1:
         raise ParameterError("K must be at least 1")
-    xs = draw_positions(np.random.default_rng(seed), spec, K)
-    return PositionSample(xs=xs, spec=spec, seed=seed)
+    return draw_positions(np.random.default_rng(seed), spec, K)
 
 
 def conv_offsets(xs: np.ndarray, M) -> np.ndarray:
@@ -125,21 +92,26 @@ def pa_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
     return _spans(sorted_xs, M).min(axis=-1) / 2.0
 
 
-def pa_bottleneck(sample: PositionSample, M: int) -> StragglerOffsets:
-    """Tightest-window offset: half the shortest span of M sorted positions.
+def schedule_round(xs: np.ndarray, M: int, arch: str):
+    """Scheduled user indices (ascending) and radiator position for one round.
 
-    Ties between windows are broken toward the lowest starting index.  For
-    M=1 the window is degenerate and the radiator sits on the selected user.
+    Fixed antenna: the M smallest absolute offsets, radiator at the origin.
+    Pinched antenna: the tightest window of M consecutive sorted positions,
+    radiator at its midpoint; ties between windows go to the lowest start.
+    For M=1 the window is degenerate and the radiator sits on the user.
     """
-    if not 1 <= M <= sample.K:
-        raise ParameterError(f"M={M} out of range for K={sample.K}")
-    xs = sample.sorted_xs()
-    i = int(_spans(xs, M).argmin())
-    return StragglerOffsets(
-        pa_offset=float(pa_offsets(xs, M)),
-        z_star=float(0.5 * (xs[i] + xs[i + M - 1])),
-        window=(i, i + M - 1),
-    )
+    if arch not in (CONV, PA):
+        raise ParameterError(f"unknown architecture {arch!r}")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ParameterError("xs must be a 1-D array")
+    _, M = check_order(xs.size, M)
+    if arch == CONV:
+        return np.sort(np.argsort(np.abs(xs), kind="stable")[:M]), 0.0
+    order = np.argsort(xs, kind="stable")
+    srt = xs[order]
+    i = int(_spans(srt, M).argmin())
+    return np.sort(order[i:i + M]), float(0.5 * (srt[i] + srt[i + M - 1]))
 
 
 def min_spacings(sorted_u: np.ndarray) -> np.ndarray:

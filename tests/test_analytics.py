@@ -41,6 +41,16 @@ class TestOrderStatMoments:
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
             analytics.order_stat_moments(3, 4)
+        # a non-integral M or K is rejected; an integral float is an integer
+        for call in (lambda: analytics.order_stat_moments(20, 2.9),
+                     lambda: analytics.order_stat_moments(4.5, 2),
+                     lambda: analytics.straggler_moments(20, 2.9, 10.0),
+                     lambda: analytics.concentration_bounds(20, 2.9, 0.05),
+                     lambda: analytics.min_spacing_second_moment(4.5)):
+            with pytest.raises(ParameterError):
+                call()
+        assert analytics.order_stat_moments(20.0, 3.0) == \
+            analytics.order_stat_moments(20, 3)
 
 
 class TestStragglerMoments:

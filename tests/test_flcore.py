@@ -4,6 +4,7 @@ constants, and the two training loops."""
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from pinchfl.flcore import (CONV, PA, QuantizerSpec, SyntheticProblem,
                             convergence_constants, draw_gates, ht_aggregate,
                             ht_second_moment_exact, inclusion_probability,
                             make_synthetic_problem, quantize, quantize_ef,
-                            run_afl, run_sfl, schedule_round, xi_safe)
+                            run_afl, run_sfl, xi_safe)
 from pinchfl.participation import DETERMINISTIC, SHIFTED_EXPONENTIAL, DeadlineModel
 from pinchfl.phy import PhyParams
-from pinchfl.spatial import UNIFORM, DistributionSpec, PositionSample, sample_positions
+from pinchfl.spatial import UNIFORM, DistributionSpec, sample_positions
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
@@ -105,6 +106,28 @@ class TestQuantizer:
         assert quantize(wide[:, ::2], b).tobytes() == ref.tobytes()
         column = np.ascontiguousarray(v.T)[:, 0]
         assert quantize(column, b).tobytes() == ref[0].tobytes()
+
+    def test_rejects_rows_that_would_overflow(self):
+        # a NaN, an infinity or a scale whose 2 s overflows used to come back
+        # as an all-NaN row
+        for row in ([np.inf, 1.0, -2.0], [1.0, np.nan], [-np.inf, 0.0],
+                    [1e308, -1e308], [1e308, 0.0]):
+            with pytest.raises(ParameterError):
+                quantize(np.array(row), 3)
+            with pytest.raises(ParameterError):
+                quantize(np.array([[0.5, -0.5], row[:2]]), 3)  # one bad row
+        # g + e overflows to inf before the quantizer sees it
+        with pytest.raises(ParameterError), np.errstate(over="ignore"):
+            quantize_ef(np.array([1e308, 1e308]), np.array([1e308, 0.0]),
+                        QuantizerSpec(b=3))
+        # just under the limit, every intermediate stays finite
+        v = np.array([8.9e307, -8.9e307, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = quantize(v, 3)
+        step = 2 * 8.9e307 / 7
+        assert np.all(np.isfinite(y))
+        assert np.max(np.abs(v - y)) <= step / 2 * (1 + 1e-12)
 
     def test_ef_rows_are_independent_users(self):
         rng = np.random.default_rng(7)
@@ -360,20 +383,6 @@ class TestSyntheticProblem:
         assert var == pytest.approx(0.25, rel=0.1)
 
 
-class TestScheduleRound:
-    def test_conv_picks_closest(self):
-        s = PositionSample(xs=np.array([-4.0, -1.0, 0.5, 2.0]), spec=UNI, seed=0)
-        sched, z = schedule_round(s, 2, CONV)
-        assert list(sched) == [1, 2]
-        assert z == 0.0
-
-    def test_pa_picks_tightest_window(self):
-        s = PositionSample(xs=np.array([-4.0, -1.0, 0.0, 3.0]), spec=UNI, seed=0)
-        sched, z = schedule_round(s, 2, PA)
-        assert list(sched) == [1, 2]
-        assert z == pytest.approx(-0.5)
-
-
 class TestRunSfl:
     def test_pl_contraction_noiseless(self):
         # full participation, identity quantizer: exact (1 - eta mu)^t decay
@@ -404,6 +413,13 @@ class TestRunSfl:
         dead = PhyParams.from_snr_scale(1e-300, d=3.0, D=10.0, W=1e6, B_t=1e5)
         with pytest.raises(InfeasibleLinkError), np.errstate(divide="ignore"):
             run_sfl(p, sample, dead, 2, 0.1, QuantizerSpec(6), 1, CONV, 0)
+
+    def test_rejects_positions_of_wrong_shape(self):
+        p = make_synthetic_problem(4, 2, 0.0, 0.0, seed=0)
+        xs = sample_positions(UNI, 4, seed=0)
+        for bad in (xs[None, :], xs[:3], np.tile(xs, 2).reshape(2, 4)):
+            with pytest.raises(ParameterError):
+                run_sfl(p, bad, PHY, 2, 0.1, QuantizerSpec(6), 1, CONV, 0)
 
     def test_same_seed_same_trajectory(self):
         K = 8
@@ -469,6 +485,14 @@ class TestRunAfl:
         rerun = run_afl(p, sample, PHY, model, **kw)
         assert ([repr(dataclasses.astuple(r)) for r in rerun.records]
                 == [repr(dataclasses.astuple(r)) for r in log.records])
+
+    def test_rejects_positions_of_wrong_shape(self):
+        p, xs, model = self._setup()
+        for bad in (xs[None, :], xs[:-1], np.append(xs, 0.0)):
+            for arch in (CONV, PA):
+                with pytest.raises(ParameterError):
+                    run_afl(p, bad, PHY, model, 0.05, QuantizerSpec(6),
+                            horizon_s=model.T_d, arch=arch, seed=0)
 
     def test_deterministic_rerun(self):
         p, sample, model = self._setup()

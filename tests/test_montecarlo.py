@@ -17,6 +17,14 @@ GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
 GRID = np.linspace(0.0, 0.2, 30)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any test that reaches a Monte Carlo draw."""
+    def _chunk_rng(seed, chunk_index):
+        raise AssertionError("drew trials before rejecting the input")
+    monkeypatch.setattr(montecarlo, "_chunk_rng", _chunk_rng)
+
+
 class TestEstimateCcdf:
     def test_deterministic_rerun(self):
         a = montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 5000,
@@ -46,7 +54,7 @@ class TestEstimateCcdf:
                                      grid, seed=0)
         assert s.ccdf[0] == 1.0 and s.ccdf[1] == 0.0
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, no_draws):
         with pytest.raises(ParameterError):
             montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 0,
                                      GRID, seed=0)
@@ -56,12 +64,13 @@ class TestEstimateCcdf:
         with pytest.raises(ParameterError):
             montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 10,
                                      GRID[::-1], seed=0)
-        # K < 1, and M outside [1, K] or not integral under SFL, fail before
-        # any draw
+        # K < 1 or not integral, and M outside [1, K] or not integral under
+        # SFL, fail before any draw
         for mode, arch, K, M in [("SFL", "CONV", 20, 0), ("SFL", "PA", 20, 0),
                                  ("SFL", "CONV", 20, -1), ("SFL", "CONV", 20, 21),
                                  ("SFL", "PA", 20, 21), ("SFL", "CONV", 0, 1),
-                                 ("SFL", "CONV", 20, 2.9), ("AFL", "CONV", 0, None)]:
+                                 ("SFL", "CONV", 20, 2.9), ("SFL", "PA", 4.5, 2),
+                                 ("AFL", "CONV", 0, None), ("AFL", "CONV", 4.5, None)]:
             with pytest.raises(ParameterError):
                 montecarlo.estimate_ccdf(mode, arch, PHY, UNI, K, M, 10, GRID,
                                          seed=0)
@@ -103,13 +112,13 @@ class TestVerifyBounds:
                                             seed=0)
         assert not any("M=7" in v.name for v in verdicts)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            montecarlo.verify_bounds([5], [2], 10.0, trials=0, seed=0)
-        with pytest.raises(ParameterError):
-            montecarlo.verify_bounds([5, 0], [1], 10.0, trials=10, seed=0)
-        with pytest.raises(ParameterError):
-            montecarlo.verify_bounds([5], [2, -1], 10.0, trials=10, seed=0)
+    def test_rejects_bad_inputs(self, no_draws):
+        for K_grid, M_grid, trials in [([5], [2], 0), ([5, 0], [1], 10),
+                                       ([5], [2, -1], 10), ([10], [2.9], 10),
+                                       ([10.5], [2], 10), ([10, 4.5], [2], 10)]:
+            with pytest.raises(ParameterError):
+                montecarlo.verify_bounds(K_grid, M_grid, 10.0, trials=trials,
+                                         seed=0)
 
     def test_matches_row_major_reference(self, monkeypatch):
         # several chunks, the last one partial
@@ -181,7 +190,7 @@ class TestParticipationSweep:
             assert row["n_pa_mc"] == pytest.approx(row["n_pa"], abs=1e-9)
             assert row["gap"] >= -1e-9
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_bad_inputs(self, no_draws):
         model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
         with pytest.raises(ParameterError):
             montecarlo.participation_sweep(5, [0.01, 0.02], model, UNI, PHY,
@@ -189,9 +198,10 @@ class TestParticipationSweep:
         with pytest.raises(ParameterError):
             montecarlo.participation_sweep(5, [0.02, 0.01], model, UNI, PHY,
                                            trials=10, seed=0)
-        with pytest.raises(ParameterError):
-            montecarlo.participation_sweep(0, [0.01, 0.02], model, UNI, PHY,
-                                           trials=10, seed=0)
+        for K in (0, 4.5):
+            with pytest.raises(ParameterError):
+                montecarlo.participation_sweep(K, [0.01, 0.02], model, UNI,
+                                               PHY, trials=10, seed=0)
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     @pytest.mark.parametrize("model", [

@@ -8,16 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
-from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
-                             PositionSample, conv_offsets, draw_positions,
-                             min_spacings, pa_bottleneck, pa_offsets,
-                             sample_positions)
+from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
+                             DistributionSpec, conv_offsets, draw_positions,
+                             min_spacings, pa_offsets, sample_positions,
+                             schedule_round)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
-
-
-def make_sample(xs):
-    return PositionSample(xs=np.asarray(xs, float), spec=UNI, seed=0)
 
 
 class TestDistributionSpec:
@@ -38,16 +34,16 @@ class TestSamplePositions:
     def test_uniform_in_range_and_reproducible(self):
         s1 = sample_positions(UNI, 500, seed=3)
         s2 = sample_positions(UNI, 500, seed=3)
-        assert np.array_equal(s1.xs, s2.xs)
-        assert np.all(np.abs(s1.xs) <= 5.0)
-        assert s1.K == 500
+        assert np.array_equal(s1, s2)
+        assert np.all(np.abs(s1) <= 5.0)
+        assert s1.shape == (500,)
 
     def test_gm_unclipped_and_bimodal(self):
         spec = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=30.0, sigma=0.5)
         s = sample_positions(spec, 2000, seed=1)
         # far-out clusters prove there is no clipping to the corridor
-        assert np.max(np.abs(s.xs)) > 5.0
-        frac_pos = np.mean(s.xs > 0)
+        assert np.max(np.abs(s)) > 5.0
+        frac_pos = np.mean(s > 0)
         assert 0.4 < frac_pos < 0.6
 
     def test_sample_is_a_batch_of_one(self):
@@ -56,7 +52,7 @@ class TestSamplePositions:
             for seed in range(5):
                 batch = draw_positions(np.random.default_rng(seed), spec, (1, 17))
                 assert batch.shape == (1, 17)
-                assert np.array_equal(batch[0], sample_positions(spec, 17, seed).xs)
+                assert np.array_equal(batch[0], sample_positions(spec, 17, seed))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -65,55 +61,81 @@ class TestSamplePositions:
 
 class TestConvBottleneck:
     def test_hand_case(self):
-        s = make_sample([-4.0, -1.0, 0.5, 2.0])
-        assert conv_offsets(s.xs, 1) == 0.5
-        assert conv_offsets(s.xs, 2) == 1.0
-        assert conv_offsets(s.xs, 4) == 4.0
+        xs = np.array([-4.0, -1.0, 0.5, 2.0])
+        assert conv_offsets(xs, 1) == 0.5
+        assert conv_offsets(xs, 2) == 1.0
+        assert conv_offsets(xs, 4) == 4.0
 
 
 class TestPaBottleneck:
     def test_hand_case_window(self):
-        s = make_sample([-4.0, -1.0, 0.0, 3.0])
-        off = pa_bottleneck(s, 2)
+        xs = np.array([-4.0, -1.0, 0.0, 3.0])
+        sched, z = schedule_round(xs, 2, PA)
         # tightest 2-window is [-1, 0]: half-span 0.5, midpoint -0.5
-        assert off.pa_offset == pytest.approx(0.5)
-        assert off.z_star == pytest.approx(-0.5)
-        assert off.window == (1, 2)
+        assert list(sched) == [1, 2]
+        assert z == -0.5
+        assert pa_offsets(xs, 2) == 0.5
 
     def test_m1_degenerate(self):
-        s = make_sample([2.0, -3.0, 1.0])
-        off = pa_bottleneck(s, 1)
-        assert off.pa_offset == 0.0
-        assert off.z_star in (-3.0, 1.0, 2.0)
+        xs = np.array([2.0, -3.0, 1.0])
+        sched, z = schedule_round(xs, 1, PA)
+        assert pa_offsets(np.sort(xs), 1) == 0.0
+        assert z in (-3.0, 1.0, 2.0)
+        assert xs[sched[0]] == z
 
     def test_m_out_of_range(self):
-        s = make_sample([0.0, 1.0])
-        with pytest.raises(ParameterError):
-            pa_bottleneck(s, 3)
+        for arch in (CONV, PA):
+            for M in (0, 3, 1.5):
+                with pytest.raises(ParameterError):
+                    schedule_round(np.array([0.0, 1.0]), M, arch)
 
     def test_tie_break_lowest_start(self):
-        s = make_sample([0.0, 1.0, 2.0, 3.0])
-        off = pa_bottleneck(s, 2)
-        assert off.window == (0, 1)
-        assert off.z_star == pytest.approx(0.5)
+        sched, z = schedule_round(np.array([0.0, 1.0, 2.0, 3.0]), 2, PA)
+        assert list(sched) == [0, 1]
+        assert z == 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(xs=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=30),
            data=st.data())
     def test_ordering_pa_le_conv(self, xs, data):
         M = data.draw(st.integers(1, len(xs)))
-        s = make_sample(xs)
-        assert pa_bottleneck(s, M).pa_offset <= conv_offsets(s.xs, M) + 1e-12
+        xs = np.asarray(xs)
+        assert pa_offsets(np.sort(xs), M) <= conv_offsets(xs, M) + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), K=st.integers(2, 40), data=st.data())
     def test_window_is_really_tightest(self, seed, K, data):
         M = data.draw(st.integers(2, K))
-        s = sample_positions(UNI, K, seed=seed)
-        off = pa_bottleneck(s, M)
-        xs = s.sorted_xs()
-        brute = min(xs[i + M - 1] - xs[i] for i in range(K - M + 1)) / 2.0
-        assert off.pa_offset == pytest.approx(brute, abs=1e-12)
+        xs = sample_positions(UNI, K, seed=seed)
+        sched, _ = schedule_round(xs, M, PA)
+        srt = np.sort(xs)
+        brute = min(srt[i + M - 1] - srt[i] for i in range(K - M + 1))
+        assert np.ptp(xs[sched]) == brute
+        assert pa_offsets(srt, M) == pytest.approx(brute / 2.0, abs=1e-12)
+
+
+class TestScheduleRound:
+    def test_conv_picks_closest(self):
+        sched, z = schedule_round(np.array([-4.0, -1.0, 0.5, 2.0]), 2, CONV)
+        assert list(sched) == [1, 2]
+        assert z == 0.0
+
+    def test_pa_picks_tightest_window(self):
+        # unsorted input: the window's indices are mapped back to the caller's
+        # order and returned ascending
+        sched, z = schedule_round(np.array([3.0, -1.0, -4.0, 0.0]), 2, PA)
+        assert list(sched) == [1, 3]
+        assert z == -0.5
+
+    def test_rejects_bad_input(self):
+        xs = np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(ParameterError):
+            schedule_round(xs, 2, "BEAM")
+        for arch in (CONV, PA):
+            with pytest.raises(ParameterError):
+                schedule_round(xs[None, :], 2, arch)
+            with pytest.raises(ParameterError):
+                schedule_round(np.zeros((2, 2)), 1, arch)
 
 
 class TestBatchedBottlenecks:
@@ -135,12 +157,12 @@ class TestBatchedBottlenecks:
             assert conv[i] == sorted(abs(x) for x in row)[M - 1]
             assert half[i] == min(spans) / 2.0
             assert half[i] <= conv[i]
-            s = make_sample(row)
-            off = pa_bottleneck(s, M)
-            assert conv[i] == conv_offsets(s.xs, M)
-            assert half[i] == off.pa_offset
-            assert off.window == (start, start + M - 1)
-            assert off.z_star == 0.5 * (srt[start] + srt[start + M - 1])
+            assert conv[i] == conv_offsets(np.array(row), M)
+            # the window: the stable sort order of the row, from ``start``
+            order = sorted(range(K), key=row.__getitem__)
+            sched, z = schedule_round(np.array(row), M, PA)
+            assert list(sched) == sorted(order[start:start + M])
+            assert z == 0.5 * (srt[start] + srt[start + M - 1])
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 40), K=st.integers(1, 12), seed=st.integers(0, 10_000),
@@ -164,7 +186,7 @@ class TestBatchedBottlenecks:
 class TestMinSimpleSpacing:
     def test_range_bound(self):
         for seed in range(20):
-            u = np.sort(sample_positions(UNI, 10, seed=seed).xs) / 10.0 + 0.5
+            u = np.sort(sample_positions(UNI, 10, seed=seed)) / 10.0 + 0.5
             v = min_spacings(u[None, :])
             assert v.shape == (1,)
             assert 0.0 <= v[0] <= 1.0 / (10 + 1)
