@@ -153,6 +153,17 @@ def validate(cfg: RunConfig) -> RunConfig:
     _require(cfg.arch in ("CONV", "PA", "both"), "arch",
              "must be 'CONV', 'PA', or 'both'")
     _require(cfg.mode in ("sfl", "afl"), "mode", "must be 'sfl' or 'afl'")
+    if cfg.mode == "afl":
+        # the tick period is the deadline unless a tick is given
+        period_key = "tick" if cfg.tick > 0 else "deadline"
+        _require(cfg.tick_period() > 0, period_key,
+                 "the afl tick period must be positive")
+        _require(0 < cfg.afl_horizon() < math.inf, "horizon",
+                 "the afl horizon (rounds times the tick period unless "
+                 "given) must be positive and finite")
+        _require(math.isfinite(cfg.afl_horizon() / cfg.tick_period()),
+                 period_key, "the afl tick period is too small: horizon / "
+                 "tick period overflows")
     try:
         cfg.phy()
         cfg.dist_spec()

@@ -20,6 +20,7 @@ from typing import List, Optional
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
+from .analytics import check_order
 from .errors import InfeasibleLinkError, ParameterError
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
@@ -139,19 +140,20 @@ def ht_aggregate(entries, K: int) -> np.ndarray:
         raise ParameterError("K must be at least 1")
     if not entries:
         return np.zeros(0)
-    return _ht_kernel(*(np.asarray(a, dtype=float) for a in zip(*entries)), K)
-
-
-def _ht_kernel(I: np.ndarray, pi: np.ndarray, Y: np.ndarray, K: int) -> np.ndarray:
-    """``ht_aggregate`` over float arrays: I and pi of shape (n,), Y (n, ...)."""
+    I, pi, Y = (np.asarray(a, dtype=float) for a in zip(*entries))
     inc = I != 0
-    if np.any(pi[inc] <= 0):
+    # I Y, then / pi, so every indicator value keeps the rounding of (I Y) / pi
+    return _ht_kernel(pi[inc], (I[inc] * Y[inc].T).T, K)
+
+
+def _ht_kernel(pi: np.ndarray, Y: np.ndarray, K: int) -> np.ndarray:
+    """``ht_aggregate`` over the included rows only: pi (n,), Y (n, ...)."""
+    if (pi <= 0).any():
         raise ParameterError("included entry with zero inclusion probability")
-    if not inc.any():
+    if not pi.size:
         return np.zeros(Y.shape[1:])
-    terms = (I[inc] * Y[inc].T / pi[inc]).T
     # cumsum adds row by row; sum(axis=0) may pair rows up and round differently
-    return np.cumsum(terms, axis=0)[-1] / K
+    return np.cumsum((Y.T / pi).T, axis=0)[-1] / K
 
 
 def ht_second_moment_exact(Ys, pis, K: int) -> float:
@@ -285,9 +287,7 @@ class SyntheticProblem:
 
     def stochastic_grads(self, ws: np.ndarray, rng) -> np.ndarray:
         """Per-user noisy gradients; ``ws`` is (K, d_w) or a single point."""
-        ws = np.asarray(ws, dtype=float)
-        if ws.ndim == 1:
-            ws = np.broadcast_to(ws, self.centers.shape)
+        ws = np.asarray(ws, dtype=float)  # a single (d_w,) point broadcasts
         noise = rng.normal(0.0, self.noise_sigma / math.sqrt(self.d_w),
                            size=self.centers.shape)
         return ws - self.centers + noise
@@ -359,10 +359,11 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             seed: int, w0: Optional[np.ndarray] = None) -> TrainLog:
     """Synchronous training: M scheduled users, bandwidth split 1/M.
 
-    All users run the error-feedback recursion every round; only the scheduled
-    set is aggregated, with uniform 1/M weights.  The round time is the
-    slowest scheduled upload.
+    Every user's gradient noise is drawn each round, but only the scheduled
+    users carry an error-feedback residual; their updates are averaged with
+    uniform 1/M weights.  The round time is the slowest scheduled upload.
     """
+    _, M = check_order(problem.K, M)
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (problem.K,):
         raise ParameterError(f"xs must be a ({problem.K},) array of positions")
@@ -378,13 +379,13 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
 
     rng = np.random.default_rng(seed)
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
-    e = np.zeros_like(problem.centers)
+    e = np.zeros((M, problem.d_w))
     log = TrainLog()
     t = 0.0
     grad_norm2 = problem.grad_norm2(w)
     for rnd in range(rounds):
-        Ys, e = quantize_ef(problem.stochastic_grads(w, rng), e, spec)
-        w = w - eta * Ys[sched].mean(axis=0)
+        Ys, e = quantize_ef(problem.stochastic_grads(w, rng)[sched], e, spec)
+        w = w - eta * Ys.mean(axis=0)
         t += round_time
         # this round's post-update norm is the next round's pre-update norm
         pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
@@ -432,6 +433,8 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     else:
         raise ParameterError(f"unknown architecture {arch!r}")
     pis = np.array([inclusion_probability(t, model) for t in taus])
+    # HT divides each upload by its inclusion probability, uniform by 1
+    weights = pis if weighting == "HT" else np.ones(K)
 
     rng = np.random.default_rng(seed)
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
@@ -440,7 +443,7 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     cache_ver = np.zeros(K, dtype=int)
     busy_until = np.zeros(K)
     version = 0
-    # heap of (apply time, tick, batch latency, updates, their pis, their
+    # heap of (apply time, tick, batch latency, updates, their weights, their
     # fetch versions), uploads in arrival order; the tick breaks ties
     pending: list = []
     log = TrainLog()
@@ -448,13 +451,8 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     def apply_batches(up_to: float):
         nonlocal w, version
         while pending and pending[0][0] <= up_to:
-            apply_time, _, lat, Ys, up_pis, fetch_vers = heapq.heappop(pending)
-            ones = np.ones(len(Ys))
-            if weighting == "HT":
-                update = _ht_kernel(ones, up_pis, Ys, K)
-            else:
-                update = _ht_kernel(ones, ones, Ys, len(Ys))
-            w = w - eta * update
+            apply_time, _, lat, Ys, up_w, fetch_vers = heapq.heappop(pending)
+            w = w - eta * _ht_kernel(up_w, Ys, K if weighting == "HT" else len(Ys))
             staleness = version - int(fetch_vers.min())
             version += 1
             grad_norm2 = problem.grad_norm2(w)
@@ -469,21 +467,23 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     n_ticks = int(math.ceil(horizon_s / T_p))
     for n in range(n_ticks):
         t_tick = n * T_p
-        apply_batches(t_tick)
-        idle = np.flatnonzero(busy_until <= t_tick + 1e-12)
+        if pending and pending[0][0] <= t_tick:
+            apply_batches(t_tick)
+        idle = (busy_until <= t_tick + 1e-12).nonzero()[0]
         caches[idle] = w
         cache_ver[idle] = version
         Ys, e = quantize_ef(problem.stochastic_grads(caches, rng), e, spec)
-        Z, T_c, I = draw_gates(taus[idle], model, rng)
-        finish = T_c + taus[idle]
+        taus_idle = taus[idle]
+        Z, T_c, I = draw_gates(taus_idle, model, rng)
+        finish = T_c + taus_idle
         # uploaders stay busy until their upload lands, the rest while computing
         busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
         if I.any():
-            up = idle[I][np.argsort(finish[I], kind="stable")]
-            if np.any(pis[up] <= 0):
+            up = idle[I][finish[I].argsort(kind="stable")]
+            if (pis[up] <= 0).any():
                 raise ParameterError("upload from a zero-probability user")
             lat = finish[I].max()
-            heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], pis[up],
+            heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], weights[up],
                                      cache_ver[up]))
     apply_batches(horizon_s)
     return log

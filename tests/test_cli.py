@@ -79,6 +79,24 @@ class TestExitCodes:
         assert f"'{key}'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("flags,key", [
+        (["--deadline", "0"], "deadline"),                # zero tick period
+        (["--tick", "1e-310", "--horizon", "1"], "tick"),  # too many ticks
+        (["--deadline", "1e-310", "--horizon", "1"], "deadline"),
+        (["--tick", "1e308", "--rounds", "10"], "horizon"),  # rounds * tick
+    ])
+    def test_impossible_afl_timing_rejected_before_artifacts(
+            self, tmp_path, capsys, flags, key):
+        rc = main(["train", "--mode", "afl", "--k", "5", "--m", "2", *flags,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_sfl_accepts_zero_deadline(self):
+        # a synchronous round waits for its slowest upload; no tick is involved
+        assert load_config(None, {"mode": "sfl", "deadline": "0"}).deadline == 0.0
+
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_runtime_error_names_its_type(self, tmp_path, capsys):
         # an SNR scale this small rounds every rate to zero

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from pinchfl import flcore
 from pinchfl.errors import InfeasibleLinkError, ParameterError
 from pinchfl.flcore import (CONV, PA, QuantizerSpec, SyntheticProblem,
-                            convergence_constants, draw_gates, ht_aggregate,
-                            ht_second_moment_exact, inclusion_probability,
-                            make_synthetic_problem, quantize, quantize_ef,
-                            run_afl, run_sfl, xi_safe)
+                            TrainRecord, convergence_constants, draw_gates,
+                            ht_aggregate, ht_second_moment_exact,
+                            inclusion_probability, make_synthetic_problem,
+                            quantize, quantize_ef, run_afl, run_sfl, xi_safe)
 from pinchfl.participation import DETERMINISTIC, SHIFTED_EXPONENTIAL, DeadlineModel
-from pinchfl.phy import PhyParams
-from pinchfl.spatial import UNIFORM, DistributionSpec, sample_positions
+from pinchfl.phy import PhyParams, upload_latency
+from pinchfl.spatial import (UNIFORM, DistributionSpec, sample_positions,
+                             schedule_round)
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
@@ -282,7 +283,8 @@ class TestGatesAndWeights:
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 4), K=st.integers(1, 60),
            entries=st.lists(st.tuples(
-               st.sampled_from([0, 1]),
+               # any indicator value, so a dropped I factor shows
+               st.one_of(st.sampled_from([0, 1]), st.floats(-4.0, 4.0)),
                st.one_of(st.floats(1e-6, 1.0), st.just(0.0)),
                st.lists(st.floats(-1e6, 1e6, allow_nan=False),
                         min_size=4, max_size=4),
@@ -298,7 +300,11 @@ class TestGatesAndWeights:
         pi = np.array([e[1] for e in entries])
         Y = np.array([e[2] for e in entries])
         wrapped = lambda: ht_aggregate(list(zip(I, pi, Y)), K)
-        kernel = lambda: flcore._ht_kernel(I, pi, Y, K)
+        # the kernel takes the included rows only, with I already applied
+        inc = [e for e in entries if e[0]]
+        kernel = lambda: flcore._ht_kernel(
+            np.array([p for _, p, _ in inc]),
+            np.array([[i * yj for yj in y] for i, _, y in inc]).reshape(-1, d), K)
         if any(i and p == 0.0 for i, p, _ in entries):
             # an included entry must have a positive inclusion probability
             for call in (wrapped, kernel):
@@ -421,6 +427,18 @@ class TestRunSfl:
             with pytest.raises(ParameterError):
                 run_sfl(p, bad, PHY, 2, 0.1, QuantizerSpec(6), 1, CONV, 0)
 
+    def test_integral_float_m_is_an_int(self):
+        p = make_synthetic_problem(8, 4, 0.1, 0.3, seed=0)
+        xs = sample_positions(UNI, 8, seed=2)
+        args = (p, xs, PHY)
+        rest = (0.1, QuantizerSpec(6), 5, PA, 9)
+        as_float = run_sfl(*args, 2.0, *rest).records
+        assert ([dataclasses.astuple(r) for r in as_float]
+                == [dataclasses.astuple(r) for r in run_sfl(*args, 2, *rest).records])
+        assert all(type(r.participants) is int for r in as_float)
+        with pytest.raises(ParameterError):
+            run_sfl(*args, 2.5, *rest)
+
     def test_same_seed_same_trajectory(self):
         K = 8
         p = make_synthetic_problem(K, 4, 0.1, 0.3, seed=0)
@@ -501,3 +519,140 @@ class TestRunAfl:
         a = run_afl(p, sample, PHY, model, **kw)
         b = run_afl(p, sample, PHY, model, **kw)
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
+
+
+def _ref_sfl(problem, xs, phy, M, eta, spec, rounds, arch, seed):
+    """Plain run_sfl: every user runs error feedback over all K rows, then
+    the scheduled rows are averaged."""
+    sched, z = schedule_round(xs, M, arch)
+    round_time = float(np.max(upload_latency(phy.c_round(M), xs[sched], z,
+                                             phy.S, phy.d)))
+    bottleneck = float(np.max(np.abs(xs[sched] - z)))
+    rng = np.random.default_rng(seed)
+    w = problem.initial_point()
+    e = np.zeros_like(problem.centers)
+    records, t = [], 0.0
+    for rnd in range(rounds):
+        pre = problem.grad_norm2(w)
+        Ys, e = quantize_ef(problem.stochastic_grads(w, rng), e, spec)
+        w = w - eta * Ys[sched].mean(axis=0)
+        t += round_time
+        records.append(TrainRecord(
+            time=t, index=rnd, arch=arch, scheduled=tuple(int(i) for i in sched),
+            z=float(z), bottleneck=bottleneck, latency=round_time,
+            participants=M, staleness=0, loss=problem.loss_gap(w),
+            grad_norm2=pre))
+    return records
+
+
+def _ref_afl(problem, xs, phy, model, eta, spec, horizon_s, arch, seed,
+             weighting="HT", tick_period=None):
+    """Plain run_afl: a sorted list of pending batches, each a list of
+    (1, pi, Y) entries aggregated by ht_aggregate."""
+    K = problem.K
+    T_p = model.T_d if tick_period is None else tick_period
+    if arch == CONV:
+        taus = upload_latency(phy.c, xs, 0.0, phy.S, phy.d)
+    else:
+        taus = np.full(K, upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d))
+    pis = np.array([inclusion_probability(t, model) for t in taus])
+    rng = np.random.default_rng(seed)
+    w = problem.initial_point()
+    e = np.zeros_like(problem.centers)
+    caches = np.tile(w, (K, 1))
+    cache_ver = np.zeros(K, dtype=int)
+    busy_until = np.zeros(K)
+    state = {"w": w, "version": 0}
+    pending, records = [], []
+
+    def apply_due(up_to):
+        pending.sort(key=lambda batch: batch[:2])  # apply time, then tick
+        while pending and pending[0][0] <= up_to:
+            apply_time, _, lat, entries, fetched = pending.pop(0)
+            if weighting == "HT":
+                update = ht_aggregate(entries, K)
+            else:
+                update = ht_aggregate([(1, 1.0, Y) for _, _, Y in entries],
+                                      len(entries))
+            state["w"] = state["w"] - eta * update
+            staleness = state["version"] - int(min(fetched))
+            state["version"] += 1
+            gn2 = problem.grad_norm2(state["w"])
+            records.append(TrainRecord(
+                time=apply_time, index=state["version"], arch=arch,
+                scheduled=(), z=0.0 if arch == CONV else math.nan,
+                bottleneck=math.nan, latency=lat, participants=len(entries),
+                staleness=staleness, loss=0.5 * gn2, grad_norm2=gn2))
+
+    for n in range(math.ceil(horizon_s / T_p)):
+        t_tick = n * T_p
+        apply_due(t_tick)
+        idle = np.flatnonzero(busy_until <= t_tick + 1e-12)
+        caches[idle] = state["w"]
+        cache_ver[idle] = state["version"]
+        Ys, e = quantize_ef(problem.stochastic_grads(caches, rng), e, spec)
+        Z, T_c, I = draw_gates(taus[idle], model, rng)
+        finish = T_c + taus[idle]
+        busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
+        if np.any(I):
+            up = idle[I][np.argsort(finish[I], kind="stable")]
+            lat = finish[I].max()
+            pending.append((t_tick + lat, n, lat,
+                            [(1, pis[i], Ys[i]) for i in up],
+                            [cache_ver[i] for i in up]))
+    apply_due(horizon_s)
+    return records
+
+
+def _as_reprs(records):
+    # repr is exact for floats, compares NaN by value and shows numpy scalars
+    return [repr(dataclasses.astuple(r)) for r in records]
+
+
+_REF_LINK = PhyParams.from_snr_scale(5.0, d=0.5, D=10.0, W=1e6, B_t=1e5)
+_REF_SPECS = {"b6": QuantizerSpec(b=6), "b3": QuantizerSpec(b=3),
+              "identity": QuantizerSpec(b=6, c_q=0.0)}
+_REF_MODELS = {
+    "deterministic": (DeadlineModel(T_d=0.05), None, 0.5),
+    "deterministic-tick": (DeadlineModel(T_d=0.05), 0.025, 0.5),
+    "shifted-exp": (DeadlineModel(T_d=0.05, fc_kind=SHIFTED_EXPONENTIAL,
+                                  t0=1e-3, rate=200.0, p_s=0.7), 0.005, 0.2),
+    # ticks one PA upload apart: a batch lands exactly on the next tick and
+    # is applied before that tick refreshes the caches
+    "tick-on-arrival": (DeadlineModel(T_d=0.05), upload_latency(
+        _REF_LINK.c, 0.0, 0.0, _REF_LINK.S, _REF_LINK.d), 0.2),
+}
+
+
+def _ref_problem(seed):
+    return (make_synthetic_problem(40, 8, 0.002, 0.05, seed=seed),
+            sample_positions(UNI, 40, seed=seed))
+
+
+class TestLoopsMatchReference:
+    """The training loops against plain references built from the public
+    kernels, record for record."""
+
+    @pytest.mark.parametrize("spec", list(_REF_SPECS))
+    @pytest.mark.parametrize("arch", [CONV, PA])
+    def test_run_sfl(self, arch, spec):
+        for seed in (0, 1):
+            problem, xs = _ref_problem(seed)
+            args = (problem, xs, _REF_LINK, 7, 0.2, _REF_SPECS[spec], 40,
+                    arch, seed)
+            assert (_as_reprs(run_sfl(*args).records)
+                    == _as_reprs(_ref_sfl(*args)))
+
+    @pytest.mark.parametrize("weighting", ["HT", "uniform"])
+    @pytest.mark.parametrize("model", list(_REF_MODELS))
+    @pytest.mark.parametrize("spec", list(_REF_SPECS))
+    @pytest.mark.parametrize("arch", [CONV, PA])
+    def test_run_afl(self, arch, spec, model, weighting):
+        deadline, tick, horizon = _REF_MODELS[model]
+        problem, xs = _ref_problem(3)
+        args = (problem, xs, _REF_LINK, deadline, 0.2, _REF_SPECS[spec],
+                horizon, arch, 3)
+        kw = dict(weighting=weighting, tick_period=tick)
+        records = run_afl(*args, **kw).records
+        assert records
+        assert _as_reprs(records) == _as_reprs(_ref_afl(*args, **kw))
