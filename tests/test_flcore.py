@@ -562,10 +562,11 @@ def _ref_afl(problem, xs, phy, model, eta, spec, horizon_s, arch, seed,
     caches = np.tile(w, (K, 1))
     cache_ver = np.zeros(K, dtype=int)
     busy_until = np.zeros(K)
-    state = {"w": w, "version": 0}
+    version = 0
     pending, records = [], []
 
     def apply_due(up_to):
+        nonlocal w, version
         pending.sort(key=lambda batch: batch[:2])  # apply time, then tick
         while pending and pending[0][0] <= up_to:
             apply_time, _, lat, entries, fetched = pending.pop(0)
@@ -574,12 +575,12 @@ def _ref_afl(problem, xs, phy, model, eta, spec, horizon_s, arch, seed,
             else:
                 update = ht_aggregate([(1, 1.0, Y) for _, _, Y in entries],
                                       len(entries))
-            state["w"] = state["w"] - eta * update
-            staleness = state["version"] - int(min(fetched))
-            state["version"] += 1
-            gn2 = problem.grad_norm2(state["w"])
+            w = w - eta * update
+            staleness = version - int(min(fetched))
+            version += 1
+            gn2 = problem.grad_norm2(w)
             records.append(TrainRecord(
-                time=apply_time, index=state["version"], arch=arch,
+                time=apply_time, index=version, arch=arch,
                 scheduled=(), z=0.0 if arch == CONV else math.nan,
                 bottleneck=math.nan, latency=lat, participants=len(entries),
                 staleness=staleness, loss=0.5 * gn2, grad_norm2=gn2))
@@ -588,8 +589,8 @@ def _ref_afl(problem, xs, phy, model, eta, spec, horizon_s, arch, seed,
         t_tick = n * T_p
         apply_due(t_tick)
         idle = np.flatnonzero(busy_until <= t_tick + 1e-12)
-        caches[idle] = state["w"]
-        cache_ver[idle] = state["version"]
+        caches[idle] = w
+        cache_ver[idle] = version
         Ys, e = quantize_ef(problem.stochastic_grads(caches, rng), e, spec)
         Z, T_c, I = draw_gates(taus[idle], model, rng)
         finish = T_c + taus[idle]
