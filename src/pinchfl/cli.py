@@ -43,6 +43,11 @@ _FLAG_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
 
 
 def _build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="key = value config file")
+    common.add_argument("--out", default=None, help="artifact directory")
+    for key in _FLAG_KEYS:
+        common.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     parser = _Parser(prog="pinchfl", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     commands = {
@@ -53,11 +58,7 @@ def _build_parser() -> _Parser:
         "verify": "closed-form straggler moments; every bound vs Monte Carlo",
     }
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--out", default=None, help="artifact directory")
-        for key in _FLAG_KEYS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -277,10 +277,6 @@ class SyntheticProblem:
         diff = self.centers - self.w_star
         return float(np.mean(np.sum(diff**2, axis=1)))
 
-    def loss_gap(self, w: np.ndarray) -> float:
-        """F(w) - F*, which is half the squared distance to the center mean."""
-        return 0.5 * self.grad_norm2(w)
-
     def grad_norm2(self, w: np.ndarray) -> float:
         diff = np.asarray(w) - self.w_star
         return float(np.dot(diff, diff))

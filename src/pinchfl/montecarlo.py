@@ -50,22 +50,21 @@ def _ascending(grid) -> np.ndarray:
     return grid
 
 
-def _met_counts(grid: np.ndarray, finish: np.ndarray) -> np.ndarray:
-    """Per row of ``finish`` (n, w), how many entries are <= each point of
-    the ascending ``grid`` (G,): an (n, G) integer array.
+def _met_counts(grid: np.ndarray, finish: np.ndarray):
+    """Over the rows of ``finish`` (n, w), the total and the squared total of
+    the counts of entries <= each point of the ascending ``grid`` (G,): two
+    (G,) int64 arrays.  Sorts ``finish``, a buffer the caller owns, in place.
 
-    ``searchsorted`` gives each entry the first grid point it meets, exactly
-    as ``finish <= grid[g]`` would: an ``inf`` meets no finite point and a
-    ``nan`` meets none.  One ``bincount`` over row-offset indices and a
-    cumulative sum along each row turn those into counts for every grid
-    point at once.
+    Sorted rows make column k every row's (k+1)-th finishing time; sorted
+    columns let one ``searchsorted`` count A[k, g], the rows with at least
+    k+1 entries <= grid[g].  A row's count N is sum_k [N > k] and N**2 is
+    sum_k (2k+1) [N > k], so both totals are exact.  NaN sorts last and
+    meets no point; ``inf`` meets only an ``inf`` point.
     """
-    n, G = finish.shape[0], grid.size
-    idx = np.searchsorted(grid, finish, side="left")
-    idx += (np.arange(n) * (G + 1))[:, None]
-    counts = np.bincount(idx.ravel(), minlength=n * (G + 1)).reshape(n, G + 1)
-    np.cumsum(counts, axis=1, out=counts)
-    return counts[:, :G]
+    finish.sort(axis=1)
+    finish.sort(axis=0)
+    met = np.array([np.searchsorted(c, grid, side="right") for c in finish.T])
+    return met.sum(axis=0), (2 * np.arange(met.shape[0]) + 1) @ met
 
 
 class _Moment:
@@ -160,7 +159,7 @@ def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
             lat = sfl_round_latencies(rng, spec, K, M, phy, arch, n)
         else:
             lat = afl_upload_latencies(rng, spec, phy, arch, n)
-        exceed += n - _met_counts(grid, lat[None, :])[0]
+        exceed += n - _met_counts(grid, lat[:, None])[0]
     return CcdfSeries(grid=grid, ccdf=exceed / trials, trials=trials, seed=seed)
 
 
@@ -290,9 +289,10 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
         # the finishing times T_c + tau of both architectures take turns in
         # the tau_conv buffer, which keeps the peak memory low
         for i, tau in enumerate((tau_conv, tau_pa)):
-            counts = _met_counts(T_grid, np.add(T_c, tau, out=tau_conv))
-            sums[i] += counts.sum(axis=0)
-            sums_sq[i] += np.square(counts, out=counts).sum(axis=0)
+            total, total_sq = _met_counts(T_grid,
+                                          np.add(T_c, tau, out=tau_conv))
+            sums[i] += total
+            sums_sq[i] += total_sq
     rows = []
     for j, T_d in enumerate(T_grid):
         model_T = DeadlineModel(T_d=float(T_d), fc_kind=model.fc_kind,

@@ -12,7 +12,7 @@ import pytest
 
 import pinchfl
 from pinchfl.analytics import straggler_moments
-from pinchfl.cli import main
+from pinchfl.cli import _FLAG_KEYS, _build_parser, main
 from pinchfl.config import RunConfig, load_config
 from pinchfl.errors import ConfigError
 
@@ -62,6 +62,18 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["verify", "--bogus", "1"]) == 1
+
+    @pytest.mark.parametrize("command", ["ccdf", "participation", "highsnr",
+                                         "train", "verify"])
+    def test_every_command_takes_every_flag(self, command):
+        keys = ["config", "out", *_FLAG_KEYS]
+        argv = [command]
+        for key in keys:
+            argv += [f"--{key.replace('_', '-')}", f"value-{key}"]
+        args = _build_parser().parse_args(argv)
+        assert args.command == command
+        assert {key: getattr(args, key) for key in keys} == \
+            {key: f"value-{key}" for key in keys}
 
     def test_bad_config_value(self, tmp_path, capsys):
         rc = main(["verify", "--k", "0", "--out", str(tmp_path)])

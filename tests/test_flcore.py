@@ -366,7 +366,7 @@ class TestSyntheticProblem:
     def test_initial_gap(self):
         p = make_synthetic_problem(4, 6, 0.1, 0.0, seed=0)
         w0 = p.initial_point(gap=2.5)
-        assert p.loss_gap(w0) == pytest.approx(2.5, abs=1e-12)
+        assert 0.5 * p.grad_norm2(w0) == pytest.approx(2.5, abs=1e-12)
 
     def test_centers_are_a_private_read_only_copy(self):
         centers = np.random.default_rng(0).normal(size=(5, 3))
@@ -379,7 +379,7 @@ class TestSyntheticProblem:
         # the caller's array is neither frozen nor shared
         centers[0] = 99.0
         assert p.w_star.tobytes() == p.centers.mean(axis=0).tobytes() == mean.tobytes()
-        assert p.loss_gap(p.w_star) == 0.0 and p.w_star is p.w_star
+        assert 0.5 * p.grad_norm2(p.w_star) == 0.0 and p.w_star is p.w_star
 
     def test_noise_statistics(self):
         p = make_synthetic_problem(3, 4, 0.0, noise_sigma=0.5, seed=0)
@@ -540,7 +540,7 @@ def _ref_sfl(problem, xs, phy, M, eta, spec, rounds, arch, seed):
         records.append(TrainRecord(
             time=t, index=rnd, arch=arch, scheduled=tuple(int(i) for i in sched),
             z=float(z), bottleneck=bottleneck, latency=round_time,
-            participants=M, staleness=0, loss=problem.loss_gap(w),
+            participants=M, staleness=0, loss=0.5 * problem.grad_norm2(w),
             grad_norm2=pre))
     return records
 

@@ -25,6 +25,41 @@ def no_draws(monkeypatch):
     monkeypatch.setattr(montecarlo, "_chunk_rng", _chunk_rng)
 
 
+def _met_reference(grid, finish):
+    """Per grid point, the total and the squared total of the row counts."""
+    counts = [(finish <= g).sum(axis=1) for g in grid]
+    return ([int(c.sum()) for c in counts],
+            [int((c**2).sum()) for c in counts])
+
+
+# few distinct values, so entries tie with each other and with grid points
+TIES = np.array([-np.inf, 0.0, 0.25, 0.5, 0.75, 1.0, np.inf, np.nan])
+
+
+class TestMetCounts:
+    @pytest.mark.parametrize("n,w", [(1, 1), (1, 6), (60, 1), (45, 7)])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", ["mixed", "constant"])
+    def test_matches_per_grid_reference(self, n, w, seed, rows):
+        rng = np.random.default_rng(seed)
+        if rows == "mixed":
+            finish = np.where(rng.random((n, w)) < 0.6,
+                              rng.choice(TIES, size=(n, w)),
+                              rng.random((n, w)))
+        else:
+            finish = np.repeat(rng.choice(TIES, size=(n, 1)), w, axis=1)
+        grid = np.sort(np.concatenate([
+            rng.choice(TIES[:-1], size=5), [0.5, 0.5], rng.random(3),
+        ]))
+        if seed % 2:
+            grid = np.append(grid, np.inf)
+        want = _met_reference(grid, finish.copy())
+        total, total_sq = montecarlo._met_counts(grid, finish)
+        assert total.dtype == total_sq.dtype == np.int64
+        assert total.shape == total_sq.shape == grid.shape
+        assert (total.tolist(), total_sq.tolist()) == want
+
+
 class TestEstimateCcdf:
     def test_deterministic_rerun(self):
         a = montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 5000,
