@@ -53,21 +53,22 @@ class DeadlineModel:
     def F_c(self, u):
         """Compute-time CDF evaluated at u, a scalar or a numpy array.
 
-        A scalar goes through ``math.exp``; an array goes through numpy's
-        exp, which may differ from libm in the last bit.
+        Both branches write 1 - exp(-rate s) as -expm1(-rate s), which is
+        zero exactly when rate s is, so they agree on where the CDF vanishes
+        even where numpy's expm1 and libm's differ in the last bit.
         """
         if isinstance(u, np.ndarray):
             if self.fc_kind == DETERMINISTIC:
                 return np.where(u < self.t0, 0.0, 1.0)
-            s = np.maximum(u - self.t0, 0.0)  # 1 - exp(0) = 0 below t0
+            s = np.maximum(u - self.t0, 0.0)  # -expm1(0) = 0 below t0
             s *= -self.rate
-            np.exp(s, out=s)
-            return np.subtract(1.0, s, out=s)
+            np.expm1(s, out=s)
+            return np.negative(s, out=s)
         if u < self.t0:
             return 0.0
         if self.fc_kind == DETERMINISTIC:
             return 1.0
-        return 1.0 - math.exp(-self.rate * (u - self.t0))
+        return -math.expm1(-self.rate * (u - self.t0))
 
 
 @dataclass(frozen=True)

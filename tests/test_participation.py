@@ -49,7 +49,7 @@ class TestDeadlineModel:
         assert np.array_equal(got == 0.0, ref == 0.0)
         if kind == DETERMINISTIC:
             assert np.array_equal(got, ref)
-        else:  # numpy's exp may differ from math.exp in the last bit
+        else:  # numpy's expm1 may differ from libm's in the last bit
             np.testing.assert_allclose(got, ref, rtol=0.0,
                                        atol=np.finfo(float).eps)
 
