@@ -20,7 +20,7 @@ from .errors import ParameterError
 from .participation import DETERMINISTIC, DeadlineModel, expected_participants
 from .phy import PhyParams, upload_latency
 from .spatial import (CONV, PA, DistributionSpec, conv_offsets, draw_positions,
-                      min_spacings, pa_offsets)
+                      min_spacings, pa_offsets, sorted_conv_offsets)
 
 CHUNK = 100_000
 
@@ -45,8 +45,11 @@ def _chunks(trials: int):
 
 def _ascending(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.diff(grid) >= 0):
-        raise ParameterError("grid must be one-dimensional and ascending")
+    # the diff of a one-point grid is empty, so NaN is rejected by name;
+    # inf points are valid
+    if grid.ndim != 1 or np.isnan(grid).any() or not np.all(np.diff(grid) >= 0):
+        raise ParameterError("grid must be one-dimensional, ascending and "
+                             "free of NaN")
     return grid
 
 
@@ -185,17 +188,23 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
         tail_hits = {M: _Moment() for M in M_grid if M <= K}
         minspace = _Moment()
         violations = 0
+        # every chunk draws into one row-major buffer and copies the sorted
+        # rows into one column-major buffer; the kernels below allocate
+        # only (n,) arrays
+        draw = np.empty((min(CHUNK, trials), K))
+        cols = np.empty_like(draw, order="F")
         for chunk, n in _chunks(trials):
-            xs = _chunk_rng(seed, chunk).random((n, K))
+            xs = draw[:n]
+            _chunk_rng(seed, chunk).random(out=xs)
             xs -= 0.5
             xs *= D
             xs.sort(axis=1)
-            conv = conv_offsets(xs, list(conv_m))
-            # one column per order statistic: the spacings, windows and spans
-            # below reduce across K with contiguous n-long inner loops
-            xs = np.asfortranarray(xs)
-            for j, M in enumerate(conv_m):
-                y = conv[:, j]
+            # one column per order statistic: the windows, spacings and
+            # spans below reduce across K with contiguous n-long inner loops
+            np.copyto(cols[:n], xs)
+            xs = cols[:n]
+            for M in conv_m:
+                y = sorted_conv_offsets(xs, M)
                 conv_m[M].add(y**2)
                 half = pa_offsets(xs, M)
                 pa_m[M].add(half**2)
@@ -205,8 +214,7 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
                 )
                 if M >= 2:
                     span_mean[M].add((xs[:, M - 1] - xs[:, 0]) / D)
-            # normalised in place to u = (x + D/2) / D; no second name
-            # keeps this chunk's buffer alive into the next draw
+            # normalised in place to u = (x + D/2) / D
             xs += D / 2.0
             xs /= D
             minspace.add(min_spacings(xs) ** 2)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from pinchfl import montecarlo
+from pinchfl import analytics, montecarlo
 from pinchfl.errors import ParameterError
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
                                    DeadlineModel)
 from pinchfl.phy import PhyParams, upload_latency
 from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
-                             draw_positions)
+                             _spans, draw_positions)
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
@@ -110,6 +110,17 @@ class TestEstimateCcdf:
                 montecarlo.estimate_ccdf(mode, arch, PHY, UNI, K, M, 10, GRID,
                                          seed=0)
 
+    def test_nan_grid_point_rejected(self, no_draws):
+        for grid in ([np.nan], [0.01, np.nan], [np.nan, 0.01, 0.02]):
+            with pytest.raises(ParameterError):
+                montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 10,
+                                         grid, seed=0)
+
+    def test_inf_grid_point_is_valid(self):
+        s = montecarlo.estimate_ccdf("SFL", "CONV", PHY, UNI, 20, 5, 100,
+                                     [0.0, np.inf], seed=0)
+        assert s.ccdf.tolist() == [1.0, 0.0]
+
     @pytest.mark.parametrize("mode", ["SFL", "AFL"])
     @pytest.mark.parametrize("arch", ["CONV", "PA"])
     def test_counts_match_pairwise_reference(self, monkeypatch, mode, arch):
@@ -167,6 +178,78 @@ class TestVerifyBounds:
         assert {n for n in ref if "hoeffding" not in n} <= set(got) <= set(ref)
         for name, value in got.items():
             assert value == ref[name], name
+
+    def test_reused_buffers_match_fresh_draws(self, monkeypatch):
+        # three chunks, the last one partial: a stale row of a reused draw
+        # or column buffer, or a wrong [:n] slice, changes a verdict
+        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        args = ([1, 3, 10], [1, 2, 5], 10.0, 1600, 3)
+        assert (repr(montecarlo.verify_bounds(*args))
+                == repr(_fresh_draw_reference(*args, eps=0.1)))
+
+
+def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
+    """Every verdict of ``verify_bounds``, from a fresh (n, K) draw per
+    chunk, |x| sorted apart from the rows, and the window spans and the
+    spacings built in full before their minima are taken."""
+    verdicts = []
+    for K in K_grid:
+        Ms = [M for M in M_grid if M <= K]
+        conv, pa, tail, span = ({M: montecarlo._Moment() for M in Ms}
+                                for _ in range(4))
+        minspace = montecarlo._Moment()
+        violations = 0
+        for chunk, n in montecarlo._chunks(trials):
+            xs = np.sort(D * (montecarlo._chunk_rng(seed, chunk).random((n, K))
+                              - 0.5), axis=1)
+            abs_sorted = np.sort(np.abs(xs), axis=1)
+            for M in Ms:
+                y = abs_sorted[:, M - 1]
+                half = _spans(xs, M).min(axis=1) / 2.0
+                conv[M].add(y**2)
+                pa[M].add(half**2)
+                violations += int(np.sum(half > y + 1e-12))
+                tail[M].add((np.abs(y / (D / 2.0) - M / (K + 1)) >= eps)
+                            .astype(float))
+                span[M].add((xs[:, M - 1] - xs[:, 0]) / D)
+            u = (xs + D / 2.0) / D
+            gap = np.diff(u, axis=1).min(axis=1, initial=np.inf)
+            minspace.add(np.minimum(np.minimum(gap, u[:, 0]), 1.0 - u[:, -1])
+                         ** 2)
+        verdicts.append(montecarlo.BoundVerdict(
+            f"K={K} ordering pa<=conv", 0.0, float(violations), 0.0,
+            violations == 0, "exact"))
+        ms = analytics.min_spacing_second_moment(K)
+        verdicts.append(montecarlo.BoundVerdict(
+            f"K={K} min-spacing E[M*^2]", ms, minspace.mean,
+            minspace.std_error,
+            abs(minspace.mean - ms) <= 3.0 * minspace.std_error))
+        for M in Ms:
+            rep = analytics.straggler_moments(K, M, D)
+            cm, pm, th, sm = conv[M], pa[M], tail[M], span[M]
+            key = f"K={K} M={M}"
+            verdicts += [
+                montecarlo.BoundVerdict(
+                    f"{key} conv E[Y^2]", rep.conv_E2, cm.mean, cm.std_error,
+                    abs(cm.mean - rep.conv_E2) <= 3.0 * cm.std_error),
+                montecarlo.BoundVerdict(
+                    f"{key} pa upper", rep.pa_ub, pm.mean, pm.std_error,
+                    pm.mean <= rep.pa_ub + 3.0 * pm.std_error, "upper"),
+                montecarlo.BoundVerdict(
+                    f"{key} pa lower", rep.pa_lb, pm.mean, pm.std_error,
+                    pm.mean >= rep.pa_lb - 3.0 * pm.std_error, "lower"),
+            ]
+            if 0 < eps < min(M / (K + 1), 1.0 - M / (K + 1)):
+                bound = analytics.concentration_bounds(K, M, eps)[2]
+                verdicts.append(montecarlo.BoundVerdict(
+                    f"{key} hoeffding tail", bound, th.mean, th.std_error,
+                    th.mean <= bound + 3.0 * th.std_error, "upper"))
+            if M >= 2:
+                verdicts.append(montecarlo.BoundVerdict(
+                    f"{key} span mean", (M - 1) / (K + 1), sm.mean,
+                    sm.std_error,
+                    abs(sm.mean - (M - 1) / (K + 1)) <= 3.0 * sm.std_error))
+    return verdicts
 
 
 def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
@@ -237,6 +320,13 @@ class TestParticipationSweep:
             with pytest.raises(ParameterError):
                 montecarlo.participation_sweep(K, [0.01, 0.02], model, UNI,
                                                PHY, trials=10, seed=0)
+
+    def test_nan_deadline_rejected(self, no_draws):
+        model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
+        for grid in ([np.nan], [0.01, np.nan]):
+            with pytest.raises(ParameterError):
+                montecarlo.participation_sweep(5, grid, model, UNI, PHY,
+                                               trials=10, seed=0)
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     @pytest.mark.parametrize("model", [
