@@ -102,11 +102,8 @@ def _cmd_ccdf(cfg: RunConfig, out: str) -> dict:
     grid = _latency_grid(cfg)
     mode = montecarlo.SFL if cfg.mode == "sfl" else montecarlo.AFL
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
-    series = {
-        arch: montecarlo.estimate_ccdf(mode, arch, phy, spec, cfg.k, cfg.m,
+    series = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, cfg.m,
                                        cfg.trials, grid, cfg.seed)
-        for arch in archs
-    }
     rows = []
     for i, t in enumerate(grid):
         row = {"t": float(t)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
@@ -19,10 +19,13 @@ from . import analytics
 from .errors import ParameterError
 from .participation import DETERMINISTIC, DeadlineModel, expected_participants
 from .phy import PhyParams, upload_latency
-from .spatial import (CONV, PA, DistributionSpec, conv_offsets, draw_positions,
-                      min_spacings, pa_offsets, sorted_conv_offsets)
+from .spatial import (CONV, PA, DistributionSpec, draw_positions, min_spacings,
+                      pa_offsets, sorted_conv_offsets)
 
 CHUNK = 100_000
+# rows per window scan of C-order rows: a block of them stays in cache while
+# the scan reads one column per window
+_BLOCK_ROWS = 4096
 
 SFL = "SFL"
 AFL = "AFL"
@@ -125,45 +128,70 @@ class BoundVerdict:
 
 
 def sfl_round_latencies(rng, spec: DistributionSpec, K: int, M: int,
-                        phy: PhyParams, arch: str, n: int) -> np.ndarray:
-    """Per-trial synchronous round times (slowest of M scheduled uploads)."""
+                        phy: PhyParams, archs, n: int) -> Dict[str, np.ndarray]:
+    """Per-trial synchronous round times (slowest of M scheduled uploads) of
+    each of ``archs``, all from one draw whose rows are sorted once."""
     xs = draw_positions(rng, spec, (n, K))
-    if arch == CONV:
-        bottleneck = conv_offsets(xs, M)
-    else:
-        bottleneck = pa_offsets(np.sort(xs, axis=1), M)
-    return upload_latency(phy.c_round(M), bottleneck, 0.0, phy.S, phy.d)
+    xs.sort(axis=1)
+    kernels = {CONV: sorted_conv_offsets, PA: pa_offsets}
+    bottleneck = {arch: np.empty(n) for arch in archs}
+    for r in range(0, n, _BLOCK_ROWS):
+        for arch in archs:
+            bottleneck[arch][r:r + _BLOCK_ROWS] = kernels[arch](
+                xs[r:r + _BLOCK_ROWS], M)
+    return {arch: upload_latency(phy.c_round(M), offset, 0.0, phy.S, phy.d)
+            for arch, offset in bottleneck.items()}
 
 
 def afl_upload_latencies(rng, spec: DistributionSpec, phy: PhyParams,
                         arch: str, n: int) -> np.ndarray:
-    """Per-trial single-user upload times (radiator pinned under PA)."""
+    """Per-trial single-user upload times (radiator pinned under PA, so
+    only CONV draws from ``rng``)."""
     c = phy.c
     if arch == PA:
         return np.full(n, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
     return upload_latency(c, draw_positions(rng, spec, n), 0.0, phy.S, phy.d)
 
 
-def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
-                  K: int, M_or_model, trials: int, grid, seed: int) -> CcdfSeries:
-    """Empirical CCDF of the per-round (SFL) or per-upload (AFL) latency."""
+def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
+                   K: int, M_or_model, trials: int, grid,
+                   seed: int) -> Dict[str, CcdfSeries]:
+    """Empirical CCDF of the per-round (SFL) or per-upload (AFL) latency of
+    each architecture in ``archs``.
+
+    Every architecture scores the same position draws, so each chunk is
+    drawn once; the curve of an architecture does not depend, bit for bit,
+    on which others share the call.
+    """
     grid = _ascending(grid)
     if trials < 1:
         raise ParameterError("trials must be at least 1")
     if mode not in (SFL, AFL):
         raise ParameterError(f"unknown mode {mode!r}")
-    if arch not in (CONV, PA):
-        raise ParameterError(f"unknown architecture {arch!r}")
+    archs = tuple(archs)
+    if not 0 < len(archs) == len({CONV, PA}.intersection(archs)):
+        raise ParameterError(f"need distinct architectures of {CONV} and {PA}, "
+                             f"got {archs!r}")
     K, M = analytics.check_order(K, M_or_model if mode == SFL else 1)
-    exceed = np.zeros(grid.size, dtype=np.int64)
+    exceed = {arch: np.zeros(grid.size, dtype=np.int64) for arch in archs}
     for chunk, n in _chunks(trials):
         rng = _chunk_rng(seed, chunk)
         if mode == SFL:
-            lat = sfl_round_latencies(rng, spec, K, M, phy, arch, n)
+            lats = sfl_round_latencies(rng, spec, K, M, phy, archs, n)
         else:
-            lat = afl_upload_latencies(rng, spec, phy, arch, n)
-        exceed += n - _met_counts(grid, lat[:, None])[0]
-    return CcdfSeries(grid=grid, ccdf=exceed / trials, trials=trials, seed=seed)
+            lats = {arch: afl_upload_latencies(rng, spec, phy, arch, n)
+                    for arch in archs}
+        for arch, lat in lats.items():
+            exceed[arch] += n - _met_counts(grid, lat[:, None])[0]
+    return {arch: CcdfSeries(grid=grid, ccdf=exceed[arch] / trials,
+                             trials=trials, seed=seed) for arch in archs}
+
+
+def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
+                  K: int, M_or_model, trials: int, grid, seed: int) -> CcdfSeries:
+    """Empirical CCDF of one architecture: ``estimate_ccdfs`` of one."""
+    return estimate_ccdfs(mode, (arch,), phy, spec, K, M_or_model, trials,
+                          grid, seed)[arch]
 
 
 def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
@@ -177,6 +205,8 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    if not (math.isfinite(D) and D > 0):
+        raise ParameterError("corridor length D must be positive and finite")
     # an M is an integer >= 1; it is skipped for every K below it
     K_grid = [analytics.check_order(K)[0] for K in K_grid]
     M_grid = [analytics.check_order(M)[0] for M in M_grid]

@@ -66,18 +66,6 @@ def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:
     return draw_positions(np.random.default_rng(seed), spec, K)
 
 
-def conv_offsets(xs: np.ndarray, M: int) -> np.ndarray:
-    """M-th smallest absolute offset on the last axis of unsorted ``xs``.
-
-    For rows that are already sorted, ``sorted_conv_offsets`` gives the same
-    values without a copy.  On unsorted C-order rows, as
-    ``sfl_round_latencies`` draws them, this form is the faster one: abs
-    plus one sort took 30 ms per 10^5 x 40 batch, sorting the rows and
-    scanning their windows 42 ms (one core of an AVX-512 Xeon, numpy 2.4).
-    """
-    return np.sort(np.abs(xs), axis=-1)[..., M - 1]
-
-
 def _spans(sorted_xs: np.ndarray, M: int) -> np.ndarray:
     """Span of every M-window of consecutive sorted positions (last axis),
     one entry per start index.  The result keeps the input's memory layout."""
@@ -120,8 +108,8 @@ def sorted_conv_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
 
     The M users nearest the origin are consecutive in a sorted row, so the
     offset is the smallest ``max(-x[i], x[i+M-1])`` over the M-windows.  It
-    equals ``conv_offsets`` of the same row, except that a zero may come
-    out as -0.0.
+    equals the M-th entry of the sorted ``|x|`` of the row, except that a
+    zero may come out as -0.0.
     """
     return _window_min(sorted_xs, M, _reach)
 

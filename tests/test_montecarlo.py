@@ -131,15 +131,69 @@ class TestEstimateCcdf:
         grid = np.sort(np.concatenate([GRID, [afl_pa, afl_pa]]))
         s = montecarlo.estimate_ccdf(mode, arch, PHY, UNI, K, M, trials, grid,
                                      seed=seed)
-        exceed = np.zeros(grid.size)
-        for chunk, n in montecarlo._chunks(trials):
-            rng = montecarlo._chunk_rng(seed, chunk)
-            if mode == "SFL":
-                lat = montecarlo.sfl_round_latencies(rng, UNI, K, M, PHY, arch, n)
-            else:
-                lat = montecarlo.afl_upload_latencies(rng, UNI, PHY, arch, n)
-            exceed += (lat[:, None] > grid[None, :]).sum(axis=0)
+        lat = _fresh_latencies(mode, arch, UNI, K, M, trials, seed)
+        exceed = (lat[:, None] > grid[None, :]).sum(axis=0)
         assert np.array_equal(s.ccdf, exceed / trials)
+
+
+def _fresh_latencies(mode, arch, spec, K, M, trials, seed):
+    """Every trial's latency, from a fresh draw per chunk: the CONV offset
+    from the sorted |x|, the PA offset from the full array of window spans
+    of a sorted copy."""
+    lats = []
+    for chunk, n in montecarlo._chunks(trials):
+        rng = montecarlo._chunk_rng(seed, chunk)
+        if mode == "AFL":
+            if arch == "PA":
+                lats.append(np.full(n, upload_latency(PHY.c, 0.0, 0.0, PHY.S,
+                                                      PHY.d)))
+            else:
+                lats.append(upload_latency(PHY.c, draw_positions(rng, spec, n),
+                                           0.0, PHY.S, PHY.d))
+            continue
+        xs = draw_positions(rng, spec, (n, K))
+        if arch == "CONV":
+            offset = np.sort(np.abs(xs), axis=1)[:, M - 1]
+        else:
+            offset = _spans(np.sort(xs, axis=1), M).min(axis=1) / 2
+        lats.append(upload_latency(PHY.c_round(M), offset, 0.0, PHY.S, PHY.d))
+    return np.concatenate(lats)
+
+
+class TestEstimateCcdfs:
+    @pytest.mark.parametrize("mode", ["SFL", "AFL"])
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("M", [1, 11])
+    def test_paired_equals_single_and_fresh_draws(self, monkeypatch, mode,
+                                                  spec, M):
+        # chunks of 9000 and 5000 rows: two full row blocks and a partial
+        # one, then a partial chunk; a grid point at every reference latency
+        # makes any wrong or stale row change a count
+        monkeypatch.setattr(montecarlo, "CHUNK", 9000)
+        K, trials, seed = 11, 14000, 4
+        ref = {arch: _fresh_latencies(mode, arch, spec, K, M, trials, seed)
+               for arch in ("CONV", "PA")}
+        grid = np.sort(np.concatenate(list(ref.values())))
+        paired = montecarlo.estimate_ccdfs(mode, ("CONV", "PA"), PHY, spec, K,
+                                           M, trials, grid, seed)
+        assert list(paired) == ["CONV", "PA"]
+        for arch, lat in ref.items():
+            single = montecarlo.estimate_ccdf(mode, arch, PHY, spec, K, M,
+                                              trials, grid, seed)
+            assert np.array_equal(paired[arch].ccdf, single.ccdf)
+            met = np.searchsorted(np.sort(lat), grid, side="right")
+            assert np.array_equal(paired[arch].ccdf, (trials - met) / trials)
+            assert paired[arch].trials == trials and paired[arch].seed == seed
+
+    def test_rejects_bad_archs(self, no_draws):
+        for archs in [(), ["CONV", "CONV"], ("PA", "CONV", "PA"), ("BEAM",),
+                      ("CONV", "beam"), "CONV"]:
+            with pytest.raises(ParameterError):
+                montecarlo.estimate_ccdfs("SFL", archs, PHY, UNI, 20, 5, 10,
+                                          GRID, seed=0)
+        with pytest.raises(ParameterError):
+            montecarlo.estimate_ccdf("AFL", "BEAM", PHY, UNI, 20, None, 10,
+                                     GRID, seed=0)
 
 
 class TestVerifyBounds:
@@ -165,6 +219,11 @@ class TestVerifyBounds:
             with pytest.raises(ParameterError):
                 montecarlo.verify_bounds(K_grid, M_grid, 10.0, trials=trials,
                                          seed=0)
+
+    def test_rejects_bad_corridor(self, no_draws):
+        for D in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+            with pytest.raises(ParameterError):
+                montecarlo.verify_bounds([3], [2], D, trials=100, seed=0)
 
     def test_matches_row_major_reference(self, monkeypatch):
         # several chunks, the last one partial

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, conv_offsets, draw_positions,
-                             min_spacings, pa_offsets, sample_positions,
-                             schedule_round, sorted_conv_offsets)
+                             DistributionSpec, draw_positions, min_spacings,
+                             pa_offsets, sample_positions, schedule_round,
+                             sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 
@@ -62,9 +62,9 @@ class TestSamplePositions:
 class TestConvBottleneck:
     def test_hand_case(self):
         xs = np.array([-4.0, -1.0, 0.5, 2.0])
-        assert conv_offsets(xs, 1) == 0.5
-        assert conv_offsets(xs, 2) == 1.0
-        assert conv_offsets(xs, 4) == 4.0
+        for M, want in [(1, 0.5), (2, 1.0), (4, 4.0)]:
+            assert np.sort(np.abs(xs))[M - 1] == want
+            assert sorted_conv_offsets(xs, M) == want
 
 
 class TestPaBottleneck:
@@ -100,7 +100,7 @@ class TestPaBottleneck:
     def test_ordering_pa_le_conv(self, xs, data):
         M = data.draw(st.integers(1, len(xs)))
         xs = np.asarray(xs)
-        assert pa_offsets(np.sort(xs), M) <= conv_offsets(xs, M) + 1e-12
+        assert pa_offsets(np.sort(xs), M) <= np.sort(np.abs(xs))[M - 1] + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), K=st.integers(2, 40), data=st.data())
@@ -147,7 +147,7 @@ class TestBatchedBottlenecks:
         rng = np.random.default_rng(seed)
         # rounding to a coarse grid makes ties between windows common
         xs = np.round(rng.uniform(-5, 5, (n, K)), 1)
-        conv = conv_offsets(xs, M)
+        conv = np.sort(np.abs(xs), axis=-1)[..., M - 1]
         sorted_conv = sorted_conv_offsets(np.sort(xs, axis=1), M)
         half = pa_offsets(np.sort(xs, axis=1), M)
         assert conv.shape == sorted_conv.shape == half.shape == (n,)
@@ -160,7 +160,7 @@ class TestBatchedBottlenecks:
             assert sorted_conv[i] == conv[i]
             assert half[i] == min(spans) / 2.0
             assert half[i] <= conv[i]
-            assert conv[i] == conv_offsets(np.array(row), M)
+            assert conv[i] == np.sort(np.abs(np.array(row)))[M - 1]
             # the window: the stable sort order of the row, from ``start``
             order = sorted(range(K), key=row.__getitem__)
             sched, z = schedule_round(np.array(row), M, PA)
