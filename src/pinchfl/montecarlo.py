@@ -23,8 +23,10 @@ from .spatial import (CONV, PA, DistributionSpec, draw_positions, min_spacings,
                       pa_offsets, sorted_conv_offsets)
 
 CHUNK = 100_000
-# rows per window scan of C-order rows: a block of them stays in cache while
-# the scan reads one column per window
+# rows per block of a chunk: a block of (_BLOCK_ROWS, K) positions stays in
+# cache while the SFL CCDF's window scans read one column per window of its
+# C-order rows, and while verify_bounds draws, sorts, copies it into columns
+# and scans them
 _BLOCK_ROWS = 4096
 
 SFL = "SFL"
@@ -207,6 +209,9 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
         raise ParameterError("trials must be at least 1")
     if not (math.isfinite(D) and D > 0):
         raise ParameterError("corridor length D must be positive and finite")
+    # an eps at or above min(p, 1 - p) skips only that (K, M)'s tail verdict
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError("tail deviation eps must be positive and finite")
     # an M is an integer >= 1; it is skipped for every K below it
     K_grid = [analytics.check_order(K)[0] for K in K_grid]
     M_grid = [analytics.check_order(M)[0] for M in M_grid]
@@ -218,36 +223,50 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
         tail_hits = {M: _Moment() for M in M_grid if M <= K}
         minspace = _Moment()
         violations = 0
-        # every chunk draws into one row-major buffer and copies the sorted
-        # rows into one column-major buffer; the kernels below allocate
-        # only (n,) arrays
-        draw = np.empty((min(CHUNK, trials), K))
-        cols = np.empty_like(draw, order="F")
+        # each chunk is drawn, sorted, copied into columns and scanned one
+        # block of rows at a time, in two block buffers; the per-trial
+        # results land in (n,) arrays, the only chunk-sized ones
+        block = np.empty((min(_BLOCK_ROWS, trials), K))
+        cols = np.empty_like(block, order="F")
         for chunk, n in _chunks(trials):
-            xs = draw[:n]
-            _chunk_rng(seed, chunk).random(out=xs)
-            xs -= 0.5
-            xs *= D
-            xs.sort(axis=1)
-            # one column per order statistic: the windows, spacings and
-            # spans below reduce across K with contiguous n-long inner loops
-            np.copyto(cols[:n], xs)
-            xs = cols[:n]
+            rng = _chunk_rng(seed, chunk)
+            conv_y = {M: np.empty(n) for M in conv_m}
+            pa_half = {M: np.empty(n) for M in conv_m}
+            spans = {M: np.empty(n) for M in span_mean}
+            gaps = np.empty(n)
+            # a double is one 64-bit word of the stream, so block-wise
+            # draws are the chunk's one draw, bit for bit
+            for r in range(0, n, _BLOCK_ROWS):
+                b = min(_BLOCK_ROWS, n - r)
+                xs = block[:b]
+                rng.random(out=xs)
+                xs -= 0.5
+                xs *= D
+                xs.sort(axis=1)
+                # one column per order statistic: the windows, spacings and
+                # spans below reduce across K with contiguous inner loops
+                np.copyto(cols[:b], xs)
+                xs = cols[:b]
+                for M in conv_m:
+                    conv_y[M][r:r + b] = sorted_conv_offsets(xs, M)
+                    pa_half[M][r:r + b] = pa_offsets(xs, M)
+                for M in span_mean:
+                    np.subtract(xs[:, M - 1], xs[:, 0], out=spans[M][r:r + b])
+                # normalised in place to u = (x + D/2) / D
+                xs += D / 2.0
+                xs /= D
+                gaps[r:r + b] = min_spacings(xs)
             for M in conv_m:
-                y = sorted_conv_offsets(xs, M)
+                y, half = conv_y[M], pa_half[M]
                 conv_m[M].add(y**2)
-                half = pa_offsets(xs, M)
                 pa_m[M].add(half**2)
                 violations += int(np.sum(half > y + 1e-12))
                 tail_hits[M].add(
                     (np.abs(y / (D / 2.0) - M / (K + 1)) >= eps).astype(float)
                 )
                 if M >= 2:
-                    span_mean[M].add((xs[:, M - 1] - xs[:, 0]) / D)
-            # normalised in place to u = (x + D/2) / D
-            xs += D / 2.0
-            xs /= D
-            minspace.add(min_spacings(xs) ** 2)
+                    span_mean[M].add(spans[M] / D)
+            minspace.add(gaps ** 2)
         verdicts.append(BoundVerdict(
             name=f"K={K} ordering pa<=conv", analytic=0.0,
             empirical=float(violations), std_error=0.0,
@@ -278,7 +297,7 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
                 passed=pm.mean >= rep.pa_lb - 3.0 * pm.std_error, kind="lower",
             ))
             p_dag = M / (K + 1)
-            if 0 < eps < min(p_dag, 1.0 - p_dag):
+            if eps < min(p_dag, 1.0 - p_dag):
                 _, _, hoeffding = analytics.concentration_bounds(K, M, eps)
                 th = tail_hits[M]
                 verdicts.append(BoundVerdict(

@@ -225,6 +225,13 @@ class TestVerifyBounds:
             with pytest.raises(ParameterError):
                 montecarlo.verify_bounds([3], [2], D, trials=100, seed=0)
 
+    def test_rejects_bad_eps(self, no_draws):
+        # a NaN or non-positive eps would drop every tail verdict silently
+        for eps in (float("nan"), float("inf"), -float("inf"), 0.0, -0.1):
+            with pytest.raises(ParameterError):
+                montecarlo.verify_bounds([3], [2], 10.0, trials=100, seed=0,
+                                         eps=eps)
+
     def test_matches_row_major_reference(self, monkeypatch):
         # several chunks, the last one partial
         monkeypatch.setattr(montecarlo, "CHUNK", 700)
@@ -239,10 +246,21 @@ class TestVerifyBounds:
             assert value == ref[name], name
 
     def test_reused_buffers_match_fresh_draws(self, monkeypatch):
-        # three chunks, the last one partial: a stale row of a reused draw
-        # or column buffer, or a wrong [:n] slice, changes a verdict
+        # three chunks, the last one partial: a stale row of a reused block
+        # buffer, or a wrong slice of it, changes a verdict
         monkeypatch.setattr(montecarlo, "CHUNK", 700)
         args = ([1, 3, 10], [1, 2, 5], 10.0, 1600, 3)
+        assert (repr(montecarlo.verify_bounds(*args))
+                == repr(_fresh_draw_reference(*args, eps=0.1)))
+
+    @pytest.mark.parametrize("trials", [1600, 200])
+    def test_row_blocks_match_fresh_draws(self, monkeypatch, trials):
+        # 1600 trials: chunks of 700 rows cut into two full blocks of 256
+        # and a partial one, then a last chunk of 200 rows, one partial
+        # block; 200 trials: fewer trials than one block
+        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
+        args = ([1, 3, 10, 40], [1, 2, 5, 7], 10.0, trials, 4)
         assert (repr(montecarlo.verify_bounds(*args))
                 == repr(_fresh_draw_reference(*args, eps=0.1)))
 
