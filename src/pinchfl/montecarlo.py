@@ -19,14 +19,15 @@ from . import analytics
 from .errors import ParameterError
 from .participation import DETERMINISTIC, DeadlineModel, expected_participants
 from .phy import PhyParams, upload_latency
-from .spatial import (CONV, PA, DistributionSpec, draw_positions, min_spacings,
-                      pa_offsets, sorted_conv_offsets)
+from .spatial import (CONV, PA, DistributionSpec, draw_position_blocks,
+                      draw_positions, min_spacings, pa_offsets,
+                      sorted_conv_offsets)
 
 CHUNK = 100_000
 # rows per block of a chunk: a block of (_BLOCK_ROWS, K) positions stays in
-# cache while the SFL CCDF's window scans read one column per window of its
-# C-order rows, and while verify_bounds draws, sorts, copies it into columns
-# and scans them
+# cache while the SFL CCDF draws it, sorts its rows and scans its windows,
+# one column per window of its C-order rows, and while verify_bounds draws,
+# sorts, copies it into columns and scans them
 _BLOCK_ROWS = 4096
 
 SFL = "SFL"
@@ -34,7 +35,8 @@ AFL = "AFL"
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent substream for one chunk of trials."""
+    """Independent substream for one chunk of trials, always on PCG64 (the
+    block draws of ``spatial.draw_position_blocks`` rely on it)."""
     return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
 
 
@@ -132,15 +134,19 @@ class BoundVerdict:
 def sfl_round_latencies(rng, spec: DistributionSpec, K: int, M: int,
                         phy: PhyParams, archs, n: int) -> Dict[str, np.ndarray]:
     """Per-trial synchronous round times (slowest of M scheduled uploads) of
-    each of ``archs``, all from one draw whose rows are sorted once."""
-    xs = draw_positions(rng, spec, (n, K))
-    xs.sort(axis=1)
+    each of ``archs``, all from one draw of n rows of K positions.
+
+    The draw is made, its rows sorted and its windows scanned one block of
+    ``_BLOCK_ROWS`` rows at a time; only the (n,) bottlenecks are n long.
+    """
     kernels = {CONV: sorted_conv_offsets, PA: pa_offsets}
     bottleneck = {arch: np.empty(n) for arch in archs}
-    for r in range(0, n, _BLOCK_ROWS):
+    r = 0
+    for xs in draw_position_blocks(rng, spec, n, K, _BLOCK_ROWS):
+        xs.sort(axis=1)
         for arch in archs:
-            bottleneck[arch][r:r + _BLOCK_ROWS] = kernels[arch](
-                xs[r:r + _BLOCK_ROWS], M)
+            bottleneck[arch][r:r + len(xs)] = kernels[arch](xs, M)
+        r += len(xs)
     return {arch: upload_latency(phy.c_round(M), offset, 0.0, phy.S, phy.d)
             for arch, offset in bottleneck.items()}
 
@@ -166,8 +172,7 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
     on which others share the call.
     """
     grid = _ascending(grid)
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    trials, _ = analytics.check_order(trials)
     if mode not in (SFL, AFL):
         raise ParameterError(f"unknown mode {mode!r}")
     archs = tuple(archs)
@@ -205,8 +210,7 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
     minimum-spacing second moment, the concentration tail, and the
     deterministic ordering (zero violations allowed).
     """
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    trials, _ = analytics.check_order(trials)
     if not (math.isfinite(D) and D > 0):
         raise ParameterError("corridor length D must be positive and finite")
     # an eps at or above min(p, 1 - p) skips only that (K, M)'s tail verdict
@@ -328,8 +332,7 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     between deadlines carries no fresh sampling noise.
     """
     T_grid = _ascending(T_grid)
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    trials, _ = analytics.check_order(trials)
     K, _ = analytics.check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     # per deadline, CONV then PA: integer sums of participants and of squares

@@ -10,6 +10,7 @@ unit-interval points is the smallest of their K+1 gaps, edge gaps included.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +52,45 @@ class DistributionSpec:
                 raise ParameterError("cluster offset mu must be nonnegative")
 
 
+def _mixture(coin_rng, normal_rng, spec: DistributionSpec, size) -> np.ndarray:
+    # a fair coin per position picks the cluster, then a Gaussian offset
+    centers = np.where(coin_rng.random(size) < 0.5, -spec.mu, spec.mu)
+    return centers + normal_rng.normal(0.0, spec.sigma, size=size)
+
+
 def draw_positions(rng, spec: DistributionSpec, size) -> np.ndarray:
     """Array of i.i.d. user positions from ``spec`` with shape ``size``."""
     if spec.kind == UNIFORM:
         return rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=size)
-    centers = np.where(rng.random(size) < 0.5, -spec.mu, spec.mu)
-    return centers + rng.normal(0.0, spec.sigma, size=size)
+    return _mixture(rng, rng, spec, size)
+
+
+def draw_position_blocks(rng, spec: DistributionSpec, n: int, K: int,
+                         rows: int):
+    """Yield the row blocks of ``draw_positions(rng, spec, (n, K))``, bit for
+    bit, one fresh (b, K) array of b <= ``rows`` rows at a time.
+
+    ``rng`` must be a Generator on PCG64, as ``montecarlo._chunk_rng``
+    always builds, which spends one 64-bit word per uniform double.  So successive
+    uniform blocks are the one draw.  The mixture draws all n*K coins
+    before any normal: each block's coins come from ``rng``, its normals
+    from a copy of ``rng`` advanced past the n*K coins.  The mixture
+    leaves ``rng`` after the coins, not after the normals.
+    """
+    if spec.kind == GAUSSIAN_MIXTURE:
+        normal_rng = copy.deepcopy(rng)
+        normal_rng.bit_generator.advance(n * K)
+    for r in range(0, n, rows):
+        size = (min(rows, n - r), K)
+        if spec.kind == UNIFORM:
+            yield rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=size)
+        else:
+            yield _mixture(rng, normal_rng, spec, size)
 
 
 def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:
     """Draw K i.i.d. user positions from ``spec`` with a fixed seed: a (K,) array."""
-    if K < 1:
-        raise ParameterError("K must be at least 1")
+    K, _ = check_order(K)
     return draw_positions(np.random.default_rng(seed), spec, K)
 
 

@@ -185,6 +185,23 @@ class TestEstimateCcdfs:
             assert np.array_equal(paired[arch].ccdf, (trials - met) / trials)
             assert paired[arch].trials == trials and paired[arch].seed == seed
 
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    def test_many_row_blocks_match_fresh_draws(self, monkeypatch, spec):
+        # chunks of 700 rows cut into two full blocks of 256 and a partial
+        # one, then a last chunk of 200 rows, one partial block; a grid
+        # point at every reference latency makes any wrong row change a count
+        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
+        K, M, trials, seed = 9, 3, 1600, 8
+        ref = {arch: _fresh_latencies("SFL", arch, spec, K, M, trials, seed)
+               for arch in ("CONV", "PA")}
+        grid = np.sort(np.concatenate(list(ref.values())))
+        got = montecarlo.estimate_ccdfs("SFL", ("CONV", "PA"), PHY, spec, K,
+                                        M, trials, grid, seed)
+        for arch, lat in ref.items():
+            met = np.searchsorted(np.sort(lat), grid, side="right")
+            assert np.array_equal(got[arch].ccdf, (trials - met) / trials)
+
     def test_rejects_bad_archs(self, no_draws):
         for archs in [(), ["CONV", "CONV"], ("PA", "CONV", "PA"), ("BEAM",),
                       ("CONV", "beam"), "CONV"]:
@@ -194,6 +211,36 @@ class TestEstimateCcdfs:
         with pytest.raises(ParameterError):
             montecarlo.estimate_ccdf("AFL", "BEAM", PHY, UNI, 20, None, 10,
                                      GRID, seed=0)
+
+
+def _runners(trials):
+    """Every Monte Carlo runner at ``trials`` on a small problem, uncalled."""
+    model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
+    return [
+        lambda: montecarlo.verify_bounds([3], [2], 10.0, trials, seed=0),
+        lambda: montecarlo.estimate_ccdfs("SFL", ("CONV", "PA"), PHY, GM, 3,
+                                          2, trials, GRID, seed=0),
+        lambda: montecarlo.estimate_ccdf("AFL", "CONV", PHY, UNI, 3, None,
+                                         trials, GRID, seed=0),
+        lambda: montecarlo.participation_sweep(3, [0.01, 0.02], model, UNI,
+                                               PHY, trials, seed=0),
+    ]
+
+
+class TestTrialCounts:
+    def test_rejects_non_integral_trials(self, no_draws):
+        for trials in (150000.5, float("nan"), float("inf"), 0, -3):
+            for run in _runners(trials):
+                with pytest.raises(ParameterError):
+                    run()
+
+    @pytest.mark.parametrize("trials", [2.0, 1600.0])
+    def test_integral_float_trials_is_an_int(self, monkeypatch, trials):
+        # 1600 trials in chunks of 700 end in a partial chunk, whose slice
+        # bounds a float count would make floats
+        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        for run, run_int in zip(_runners(trials), _runners(int(trials))):
+            assert repr(run()) == repr(run_int())
 
 
 class TestVerifyBounds:

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, draw_positions, min_spacings,
-                             pa_offsets, sample_positions, schedule_round,
+                             DistributionSpec, draw_position_blocks,
+                             draw_positions, min_spacings, pa_offsets,
+                             sample_positions, schedule_round,
                              sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
+GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
 
 
 class TestDistributionSpec:
@@ -55,8 +57,36 @@ class TestSamplePositions:
                 assert np.array_equal(batch[0], sample_positions(spec, 17, seed))
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            sample_positions(UNI, 0, seed=0)
+        for K in (0, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                sample_positions(UNI, K, seed=0)
+
+    def test_integral_float_k_is_an_int(self):
+        for spec in (UNI, GM):
+            assert np.array_equal(sample_positions(spec, 2.0, 0),
+                                  sample_positions(spec, 2, 0))
+
+
+class TestDrawPositionBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from([UNI, GM]), n=st.integers(1, 30),
+           K=st.integers(1, 6), rows=st.integers(1, 8),
+           seed=st.integers(0, 10_000))
+    # fewer rows than one block, a whole number of blocks, one row more
+    # than a block, one user per row
+    @example(spec=GM, n=5, K=3, rows=8, seed=1)
+    @example(spec=GM, n=12, K=3, rows=4, seed=2)
+    @example(spec=UNI, n=12, K=3, rows=4, seed=2)
+    @example(spec=GM, n=5, K=2, rows=4, seed=3)
+    @example(spec=GM, n=9, K=1, rows=4, seed=4)
+    def test_blocks_concatenate_to_one_draw(self, spec, n, K, rows, seed):
+        want = draw_positions(np.random.default_rng(seed), spec, (n, K))
+        blocks = list(draw_position_blocks(np.random.default_rng(seed), spec,
+                                           n, K, rows))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestConvBottleneck:
