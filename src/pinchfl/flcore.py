@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from .analytics import check_order
-from .errors import InfeasibleLinkError, ParameterError
+from .errors import ParameterError
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
 from .spatial import CONV, PA, schedule_round
@@ -52,9 +52,11 @@ class QuantizerSpec:
         return 1.0 - min(self.c_q * 2.0 ** (-2 * self.b), _ALPHA_CAP)
 
 
-def inclusion_probability(tau: float, model: DeadlineModel) -> float:
-    """Unconditional inclusion probability p_s * F_c(T_d - tau)."""
-    if tau < 0:
+def inclusion_probability(tau, model: DeadlineModel):
+    """Unconditional inclusion probability p_s * F_c(T_d - tau) of each
+    upload time in ``tau``, a scalar (a batch of one) or an array."""
+    tau = np.asarray(tau, dtype=float)
+    if (tau < 0).any():
         raise ParameterError("upload time tau must be nonnegative")
     return model.p_s * model.F_c(model.T_d - tau)
 
@@ -367,8 +369,6 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         raise ParameterError("rounds must be >= 1 and eta positive")
     sched, z = schedule_round(xs, M, arch)
     taus = upload_latency(phy.c_round(M), xs[sched], z, phy.S, phy.d)
-    if np.any(np.isinf(taus)):
-        raise InfeasibleLinkError("a scheduled link has zero rate")
     round_time = float(np.max(taus))
     scheduled = tuple(int(i) for i in sched)
     bottleneck = float(np.max(np.abs(xs[sched] - z)))
@@ -428,7 +428,7 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         taus = np.full(K, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
     else:
         raise ParameterError(f"unknown architecture {arch!r}")
-    pis = np.array([inclusion_probability(t, model) for t in taus])
+    pis = inclusion_probability(taus, model)
     # HT divides each upload by its inclusion probability, uniform by 1
     weights = pis if weighting == "HT" else np.ones(K)
 

@@ -40,6 +40,13 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
 
 
+def _trial_count(trials) -> int:
+    """``int(trials)`` of an integral count >= 1; else ParameterError."""
+    if not (trials >= 1 and float(trials).is_integer()):
+        raise ParameterError(f"trials={trials}: need an integer >= 1")
+    return int(trials)
+
+
 def _chunks(trials: int):
     done = 0
     index = 0
@@ -172,7 +179,7 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
     on which others share the call.
     """
     grid = _ascending(grid)
-    trials, _ = analytics.check_order(trials)
+    trials = _trial_count(trials)
     if mode not in (SFL, AFL):
         raise ParameterError(f"unknown mode {mode!r}")
     archs = tuple(archs)
@@ -210,7 +217,7 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
     minimum-spacing second moment, the concentration tail, and the
     deterministic ordering (zero violations allowed).
     """
-    trials, _ = analytics.check_order(trials)
+    trials = _trial_count(trials)
     if not (math.isfinite(D) and D > 0):
         raise ParameterError("corridor length D must be positive and finite")
     # an eps at or above min(p, 1 - p) skips only that (K, M)'s tail verdict
@@ -332,7 +339,9 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     between deadlines carries no fresh sampling noise.
     """
     T_grid = _ascending(T_grid)
-    trials, _ = analytics.check_order(trials)
+    if (T_grid < 0).any():
+        raise ParameterError("deadline T_d must be nonnegative")
+    trials = _trial_count(trials)
     K, _ = analytics.check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     # per deadline, CONV then PA: integer sums of participants and of squares
@@ -355,9 +364,7 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
             sums_sq[i] += total_sq
     rows = []
     for j, T_d in enumerate(T_grid):
-        model_T = DeadlineModel(T_d=float(T_d), fc_kind=model.fc_kind,
-                                t0=model.t0, rate=model.rate, p_s=model.p_s)
-        report = expected_participants(K, float(T_d), model_T, spec, phy)
+        report = expected_participants(K, float(T_d), model, spec, phy)
         conv_stat, pa_stat = (_Moment(trials, float(sums[i, j]),
                                       float(sums_sq[i, j])) for i in (0, 1))
         rows.append({

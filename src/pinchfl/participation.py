@@ -51,24 +51,17 @@ class DeadlineModel:
             raise ParameterError("trigger probability p_s must lie in (0, 1]")
 
     def F_c(self, u):
-        """Compute-time CDF evaluated at u, a scalar or a numpy array.
-
-        Both branches write 1 - exp(-rate s) as -expm1(-rate s), which is
-        zero exactly when rate s is, so they agree on where the CDF vanishes
-        even where numpy's expm1 and libm's differ in the last bit.
-        """
-        if isinstance(u, np.ndarray):
-            if self.fc_kind == DETERMINISTIC:
-                return np.where(u < self.t0, 0.0, 1.0)
-            s = np.maximum(u - self.t0, 0.0)  # -expm1(0) = 0 below t0
-            s *= -self.rate
-            np.expm1(s, out=s)
-            return np.negative(s, out=s)
-        if u < self.t0:
-            return 0.0
+        """Compute-time CDF at u, a scalar (a batch of one, returned as a
+        numpy scalar) or an array.  The shifted exponential is written as
+        -expm1(-rate s), which is zero exactly when rate s is."""
+        s = np.array(u, dtype=float)
         if self.fc_kind == DETERMINISTIC:
-            return 1.0
-        return -math.expm1(-self.rate * (u - self.t0))
+            return np.where(s < self.t0, 0.0, 1.0)[()]
+        s -= self.t0
+        np.maximum(s, 0.0, out=s)  # -expm1(0) = 0 below t0
+        s *= -self.rate
+        np.expm1(s, out=s)
+        return np.negative(s, out=s)[()]
 
 
 @dataclass(frozen=True)

@@ -69,19 +69,12 @@ class PhyParams:
                          d=d, D=D, W=W, B_t=B_t)
 
 
-def spectral_efficiency(x, z: float, S: float, d: float):
-    """Achievable rate R = log2(1 + S / ((x-z)^2 + d^2)) in bit/s/Hz.
-
-    ``x`` is a scalar or a numpy array, ``z`` a scalar.  An array is worked
-    on in one buffer.  A scalar goes through ``math.log2``: numpy's
-    vectorised log2 differs from libm in the last bit for a few inputs, and
-    the scalar closed forms stay libm-exact.
-    """
+def _rate(x, z: float, S: float, d: float) -> np.ndarray:
+    """log2(1 + S / ((x-z)^2 + d^2)) in one new float buffer shaped like x."""
     if S <= 0 or d <= 0:
         raise ParameterError("S and d must be positive")
-    if not isinstance(x, np.ndarray):
-        return math.log2(1.0 + S / ((x - z) ** 2 + d**2))
-    r = np.subtract(x, z, dtype=float)
+    r = np.array(x, dtype=float)
+    r -= z
     np.square(r, out=r)
     r += d**2
     np.divide(S, r, out=r)
@@ -89,20 +82,23 @@ def spectral_efficiency(x, z: float, S: float, d: float):
     return np.log2(r, out=r)
 
 
+def spectral_efficiency(x, z: float, S: float, d: float):
+    """Achievable rate R = log2(1 + S / ((x-z)^2 + d^2)) in bit/s/Hz at x,
+    an array or a scalar (a batch of one, returned as a numpy scalar)."""
+    return _rate(x, z, S, d)[()]
+
+
 def upload_latency(c: float, x, z: float, S: float, d: float):
-    """Upload time tau = c / R(x, z) for a user at x and the radiator at z.
+    """Upload time tau = c / R(x, z) for users at x and the radiator at z.
 
     ``c`` is the link constant ``PhyParams.c_round(M)`` of the caller's
-    round (``PhyParams.c`` for a single upload).  An array is divided into
-    the rate buffer.  A zero rate gives an infinite time for an array and
-    raises InfeasibleLinkError for a scalar.
+    round (``PhyParams.c`` for a single upload).  The times are divided into
+    the rate buffer; a zero rate anywhere raises InfeasibleLinkError.
     """
-    rate = spectral_efficiency(x, z, S, d)
-    if isinstance(rate, np.ndarray):
-        return np.divide(c, rate, out=rate)
-    if rate == 0.0:
-        raise InfeasibleLinkError(f"zero rate at offset {x - z}")
-    return c / rate
+    rate = _rate(x, z, S, d)
+    if not rate.all():
+        raise InfeasibleLinkError("a link has zero rate")
+    return np.divide(c, rate, out=rate)[()]
 
 
 @dataclass(frozen=True)

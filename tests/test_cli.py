@@ -109,11 +109,14 @@ class TestExitCodes:
         # a synchronous round waits for its slowest upload; no tick is involved
         assert load_config(None, {"mode": "sfl", "deadline": "0"}).deadline == 0.0
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_runtime_error_names_its_type(self, tmp_path, capsys):
         # an SNR scale this small rounds every rate to zero
         for argv in (["train", "--mode", "sfl", "--k", "5", "--m", "2",
                       "--rounds", "2"],
+                     ["train", "--mode", "afl", "--arch", "CONV", "--k", "5",
+                      "--m", "2", "--rounds", "2"],
+                     ["train", "--mode", "afl", "--arch", "PA", "--k", "5",
+                      "--m", "2", "--rounds", "2"],
                      ["ccdf", "--k", "5", "--m", "2", "--trials", "100"],
                      ["participation", "--k", "5", "--m", "2", "--trials", "100"]):
             rc = main(argv + ["--snr", "1e-30", "--out", str(tmp_path)])

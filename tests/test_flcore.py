@@ -208,6 +208,21 @@ class TestGatesAndWeights:
         assert inclusion_probability(0.7, m) == pytest.approx(0.5)
         assert inclusion_probability(0.9, m) == 0.0
 
+    def test_inclusion_probability_of_an_array(self):
+        taus = np.array([0.0, 0.3, 0.7, 0.85, 0.95, 1.2])
+        for model in (DeadlineModel(T_d=1.0, t0=0.2, p_s=0.5),
+                      DeadlineModel(T_d=1.0, fc_kind=SHIFTED_EXPONENTIAL,
+                                    t0=0.1, rate=3.0, p_s=0.6)):
+            pis = inclusion_probability(taus, model)
+            ref = np.array([inclusion_probability(t, model) for t in taus])
+            assert pis.shape == taus.shape
+            assert pis.tobytes() == ref.tobytes()
+            for i in range(taus.size):
+                bad = taus.copy()
+                bad[i] = -1e-12
+                with pytest.raises(ParameterError):
+                    inclusion_probability(bad, model)
+
     def test_xi_safe_values(self):
         assert xi_safe(10, 1.0) == pytest.approx(1.0)
         assert xi_safe(10, 0.1) == pytest.approx((9 + 10) / 10)
@@ -417,7 +432,7 @@ class TestRunSfl:
         p = make_synthetic_problem(4, 2, 0.0, 0.0, seed=0)
         sample = sample_positions(UNI, 4, seed=0)
         dead = PhyParams.from_snr_scale(1e-300, d=3.0, D=10.0, W=1e6, B_t=1e5)
-        with pytest.raises(InfeasibleLinkError), np.errstate(divide="ignore"):
+        with pytest.raises(InfeasibleLinkError):
             run_sfl(p, sample, dead, 2, 0.1, QuantizerSpec(6), 1, CONV, 0)
 
     def test_rejects_positions_of_wrong_shape(self):

@@ -1,5 +1,7 @@
 """Chunked trial runners: determinism, CCDF shape, and bound verdicts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -231,7 +233,8 @@ class TestTrialCounts:
     def test_rejects_non_integral_trials(self, no_draws):
         for trials in (150000.5, float("nan"), float("inf"), 0, -3):
             for run in _runners(trials):
-                with pytest.raises(ParameterError):
+                with pytest.raises(ParameterError,
+                                   match=re.escape(f"trials={trials}:")):
                     run()
 
     @pytest.mark.parametrize("trials", [2.0, 1600.0])
@@ -444,6 +447,13 @@ class TestParticipationSweep:
             with pytest.raises(ParameterError):
                 montecarlo.participation_sweep(K, [0.01, 0.02], model, UNI,
                                                PHY, trials=10, seed=0)
+
+    def test_negative_deadline_rejected(self, no_draws):
+        model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
+        for grid in ([-0.01], [-0.01, 0.02], [-np.inf, 0.0]):
+            with pytest.raises(ParameterError, match="nonnegative"):
+                montecarlo.participation_sweep(5, grid, model, UNI, PHY,
+                                               trials=10, seed=0)
 
     def test_nan_deadline_rejected(self, no_draws):
         model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)

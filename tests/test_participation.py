@@ -45,13 +45,9 @@ class TestDeadlineModel:
         m = DeadlineModel(T_d=1.0, fc_kind=kind, t0=t0, rate=rate)
         u = [*u, t0, math.nextafter(t0, -math.inf)]
         got = m.F_c(np.array(u))
+        # a scalar is a batch of one: the same bits as its batch element
         ref = np.array([m.F_c(v) for v in u])
-        assert np.array_equal(got == 0.0, ref == 0.0)
-        if kind == DETERMINISTIC:
-            assert np.array_equal(got, ref)
-        else:  # numpy's expm1 may differ from libm's in the last bit
-            np.testing.assert_allclose(got, ref, rtol=0.0,
-                                       atol=np.finfo(float).eps)
+        assert got.tobytes() == ref.tobytes()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ParameterError):

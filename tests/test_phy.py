@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pinchfl import phy
-from pinchfl.errors import OutOfRegimeError, ParameterError
+from pinchfl.errors import (InfeasibleLinkError, OutOfRegimeError,
+                            ParameterError)
 
 
 def _params(**kw):
@@ -67,13 +68,26 @@ class TestSpectralEfficiency:
     @given(c=st.floats(1e-3, 1e3), x=st.floats(-50, 50), z=st.floats(-50, 50),
            S=st.floats(1e-2, 1e8), d=st.floats(0.1, 10))
     def test_latency_matches_math_formula(self, c, x, z, S, d):
-        ref = c / math.log2(1.0 + S / ((x - z) ** 2 + d**2))
-        # scalars use libm and match bit for bit
-        assert phy.upload_latency(c, x, z, S, d) == ref
-        # arrays use numpy's log2, which may differ in the last bit
+        # a scalar is a batch of one: the same bits as its batch element
+        rate = phy.spectral_efficiency(x, z, S, d)
+        assert rate == phy.spectral_efficiency(np.array([x]), z, S, d)[0]
+        tau = phy.upload_latency(c, x, z, S, d)
         taus = phy.upload_latency(c, np.array([x, x]), z, S, d)
-        assert taus.shape == (2,)
-        assert taus[0] == taus[1] == pytest.approx(ref, rel=1e-14)
+        assert taus.shape == (2,) and np.shape(tau) == ()
+        assert tau == taus[0] == taus[1] == c / rate
+        # numpy's log2 may differ from libm's in the last bit; the square is
+        # a product, as in the kernel (pow may round it differently, which
+        # near a zero rate moves the rate by more than 1e-14 relative)
+        ref = c / math.log2(1.0 + S / ((x - z) * (x - z) + d**2))
+        assert tau == pytest.approx(ref, rel=1e-14)
+
+    def test_zero_rate_anywhere_is_infeasible(self):
+        # S / (x^2 + d^2) vanishes next to 1 at x = 10 but not at x = 0
+        assert phy.spectral_efficiency(0.0, 0.0, 1e-15, 1.0) > 0.0
+        assert phy.spectral_efficiency(10.0, 0.0, 1e-15, 1.0) == 0.0
+        for x in (10.0, np.array([0.0, 10.0]), np.array([[10.0], [0.0]])):
+            with pytest.raises(InfeasibleLinkError):
+                phy.upload_latency(1.0, x, 0.0, 1e-15, 1.0)
 
     def test_array_latency_divides_into_rate_buffer(self):
         xs = np.random.default_rng(5).uniform(-40, 40, (50, 7))
