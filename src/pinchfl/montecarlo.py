@@ -21,13 +21,14 @@ from .participation import DETERMINISTIC, DeadlineModel, expected_participants
 from .phy import PhyParams, upload_latency
 from .spatial import (CONV, PA, DistributionSpec, draw_position_blocks,
                       draw_positions, min_spacings, pa_offsets,
-                      sorted_conv_offsets)
+                      rng_after_positions, sorted_conv_offsets)
 
 CHUNK = 100_000
 # rows per block of a chunk: a block of (_BLOCK_ROWS, K) positions stays in
 # cache while the SFL CCDF draws it, sorts its rows and scans its windows,
-# one column per window of its C-order rows, and while verify_bounds draws,
-# sorts, copies it into columns and scans them
+# one column per window of its C-order rows, while verify_bounds draws,
+# sorts, copies it into columns and scans them, and while participation_sweep
+# draws it, adds compute times to its latencies and counts them per deadline
 _BLOCK_ROWS = 4096
 
 SFL = "SFL"
@@ -36,7 +37,8 @@ AFL = "AFL"
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent substream for one chunk of trials, always on PCG64 (the
-    block draws of ``spatial.draw_position_blocks`` rely on it)."""
+    block draws of ``spatial.draw_position_blocks`` and
+    ``spatial.rng_after_positions`` rely on it)."""
     return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
 
 
@@ -336,7 +338,12 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
 
     Common random numbers: each chunk draws positions and compute times once
     and scores every deadline from that one draw, so the simulated gap
-    between deadlines carries no fresh sampling noise.
+    between deadlines carries no fresh sampling noise.  The chunk is drawn
+    and scored one block of ``_BLOCK_ROWS`` rows at a time: its positions
+    from ``draw_position_blocks``, its exponential compute times from
+    ``rng_after_positions``, both bit for bit the chunk's one draw.  Under
+    deterministic compute every PA user finishes at ``t0 + tau_pa``, so the
+    PA counts are n*K or 0 per chunk, in closed form.
     """
     T_grid = _ascending(T_grid)
     if (T_grid < 0).any():
@@ -344,24 +351,33 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     trials = _trial_count(trials)
     K, _ = analytics.check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
+    deterministic = model.fc_kind == DETERMINISTIC
+    if deterministic:
+        T_c = model.t0
+        pa_met = (T_c + tau_pa <= T_grid).astype(np.int64)
     # per deadline, CONV then PA: integer sums of participants and of squares
     sums = np.zeros((2, T_grid.size), dtype=np.int64)
     sums_sq = np.zeros((2, T_grid.size), dtype=np.int64)
     for chunk, n in _chunks(trials):
         rng = _chunk_rng(seed, chunk)
-        tau_conv = upload_latency(phy.c, draw_positions(rng, spec, (n, K)),
-                                  0.0, phy.S, phy.d)
-        if model.fc_kind == DETERMINISTIC:
-            T_c = model.t0
+        if deterministic:
+            sums[1] += n * K * pa_met
+            sums_sq[1] += n * K * K * pa_met
         else:
-            T_c = model.t0 + rng.exponential(1.0 / model.rate, size=(n, K))
-        # the finishing times T_c + tau of both architectures take turns in
-        # the tau_conv buffer, which keeps the peak memory low
-        for i, tau in enumerate((tau_conv, tau_pa)):
-            total, total_sq = _met_counts(T_grid,
-                                          np.add(T_c, tau, out=tau_conv))
-            sums[i] += total
-            sums_sq[i] += total_sq
+            compute_rng = rng_after_positions(rng, spec, n, K, _BLOCK_ROWS)
+        for xs in draw_position_blocks(rng, spec, n, K, _BLOCK_ROWS):
+            tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d)
+            if not deterministic:
+                T_c = compute_rng.exponential(1.0 / model.rate, size=xs.shape)
+                T_c += model.t0
+            # the finishing times T_c + tau of both architectures take turns
+            # in the tau_conv buffer
+            taus = (tau_conv,) if deterministic else (tau_conv, tau_pa)
+            for i, tau in enumerate(taus):
+                total, total_sq = _met_counts(T_grid,
+                                              np.add(T_c, tau, out=tau_conv))
+                sums[i] += total
+                sums_sq[i] += total_sq
     rows = []
     for j, T_d in enumerate(T_grid):
         report = expected_participants(K, float(T_d), model, spec, phy)

@@ -88,6 +88,26 @@ def draw_position_blocks(rng, spec: DistributionSpec, n: int, K: int,
             yield _mixture(rng, normal_rng, spec, size)
 
 
+def rng_after_positions(rng, spec: DistributionSpec, n: int, K: int,
+                        rows: int):
+    """A copy of ``rng`` in the state ``draw_positions(rng, spec, (n, K))``
+    would leave it in; ``rng`` itself does not move.
+
+    ``rng`` must be on PCG64, as for ``draw_position_blocks``.  Uniform
+    positions spend n*K words, so the copy skips them.  A normal takes a
+    varying number of words, so for the mixture the copy skips the n*K
+    coins and then draws and discards the n*K normals, ``rows`` rows at a
+    time.
+    """
+    after = copy.deepcopy(rng)
+    after.bit_generator.advance(n * K)
+    if spec.kind == GAUSSIAN_MIXTURE:
+        discard = np.empty((min(rows, n), K))
+        for r in range(0, n, rows):
+            after.standard_normal(out=discard[:n - r])
+    return after
+
+
 def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:
     """Draw K i.i.d. user positions from ``spec`` with a fixed seed: a (K,) array."""
     K, _ = check_order(K)

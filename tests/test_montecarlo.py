@@ -1,6 +1,7 @@
 """Chunked trial runners: determinism, CCDF shape, and bound verdicts."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,13 +471,18 @@ class TestParticipationSweep:
     ], ids=["deterministic", "shifted_exp"])
     def test_common_draws_match_per_deadline_reference(self, monkeypatch,
                                                        spec, model):
-        # several chunks, the last one partial
+        # several chunks, the last one partial; each 700-row chunk spans
+        # three row blocks, the last one partial
         monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
         K, trials, seed = 9, 1600, 3
         tau_pa = upload_latency(PHY.c, 0.0, 0.0, PHY.S, PHY.d)
         pinned = model.t0 + tau_pa
+        # the closed-form PA count under deterministic compute steps at
+        # pinned: the grid holds it and the double just below it
         grid = np.sort(np.concatenate([
-            np.linspace(0.9 * pinned, pinned + 0.02, 7), [pinned, pinned],
+            np.linspace(0.9 * pinned, pinned + 0.02, 7),
+            [np.nextafter(pinned, 0), pinned, pinned],
         ]))
         rows = montecarlo.participation_sweep(K, grid, model, spec, PHY,
                                               trials, seed)
@@ -500,3 +506,25 @@ class TestParticipationSweep:
         assert got == want
         # the grid straddles the earliest PA finishing time
         assert rows[0]["n_pa_mc"] == 0 < rows[-1]["n_pa_mc"]
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("model", [
+        DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC),
+        DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, t0=0.001,
+                      rate=300.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch, spec, model):
+        # numpy reports its buffers to tracemalloc; a chunk is 32 blocks, and
+        # a second, partial chunk follows
+        monkeypatch.setattr(montecarlo, "CHUNK", 16384)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
+        K = 40
+        block_bytes = 512 * K * 8
+        tracemalloc.start()
+        try:
+            montecarlo.participation_sweep(K, np.linspace(0.0, 0.2, 50), model,
+                                           spec, PHY, trials=20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * block_bytes

@@ -11,8 +11,8 @@ from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
                              DistributionSpec, draw_position_blocks,
                              draw_positions, min_spacings, pa_offsets,
-                             sample_positions, schedule_round,
-                             sorted_conv_offsets)
+                             rng_after_positions, sample_positions,
+                             schedule_round, sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
@@ -86,6 +86,32 @@ class TestDrawPositionBlocks:
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= rows
         got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestRngAfterPositions:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from([UNI, GM]), n=st.integers(1, 30),
+           K=st.integers(1, 6), rows=st.integers(1, 8),
+           seed=st.integers(0, 10_000))
+    # fewer rows than one block, a whole number of blocks, one user per row
+    @example(spec=GM, n=5, K=3, rows=8, seed=1)
+    @example(spec=GM, n=12, K=3, rows=4, seed=2)
+    @example(spec=UNI, n=12, K=3, rows=4, seed=2)
+    @example(spec=GM, n=9, K=1, rows=4, seed=4)
+    def test_block_exponentials_follow_one_draw(self, spec, n, K, rows, seed):
+        rng = np.random.default_rng(seed)
+        draw_positions(rng, spec, (n, K))
+        want = rng.exponential(0.01, size=(n, K))
+        rng = np.random.default_rng(seed)
+        after = rng_after_positions(rng, spec, n, K, rows)
+        # the copy moves, the generator it was taken from does not
+        fresh = np.random.default_rng(seed)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        got = np.concatenate([
+            after.exponential(0.01, size=(min(rows, n - r), K))
+            for r in range(0, n, rows)
+        ])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
