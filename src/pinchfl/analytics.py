@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-_CLAMP = 1e-15
-
 
 @dataclass(frozen=True)
 class StragglerMomentReport:
@@ -59,13 +57,15 @@ def min_spacing_second_moment(K: int) -> float:
 def straggler_moments(K: int, M: int, D: float) -> StragglerMomentReport:
     """Exact CONV second moment and the PA moment sandwich at (K, M, D)."""
     K, M = check_order(K, M)
-    if D <= 0:
-        raise ParameterError("corridor length D must be positive")
+    if not (D > 0 and math.isfinite(D)):
+        raise ParameterError("corridor length D must be positive and finite")
     m = M - 1
     half_sq = (D / 2.0) ** 2
-    conv_E2 = half_sq * M * (M + 1) / ((K + 1) * (K + 2))
+    # the M-th offset is (D/2) U_(M); half the span of m spacings is
+    # distributed as (D/2) U_(m)
+    conv_E2 = half_sq * order_stat_moments(K, M)[1]
     pa_ub_avg = half_sq * (m / (K - m)) ** 2
-    pa_ub_beta = half_sq * m * (m + 1) / ((K + 1) * (K + 2))
+    pa_ub_beta = half_sq * order_stat_moments(K, m)[1] if m else 0.0
     pa_lb = half_sq * m**2 * 2.0 / ((K + 1) ** 3 * (K + 2))
     ratio_limit = m**2 / (M * (M + 1))
     return StragglerMomentReport(
@@ -78,28 +78,12 @@ def straggler_moments(K: int, M: int, D: float) -> StragglerMomentReport:
     )
 
 
-def _kl_bernoulli(p: float, q: float) -> float:
-    """KL divergence D(p || q) between Bernoulli laws, in nats.
-
-    Uses the 0*log(0/q) = 0 convention; arguments are clamped away from
-    {0, 1} to avoid log singularities.
+def hoeffding_tail(K: int, eps: float) -> float:
+    """Hoeffding bound 2 exp(-2 K eps^2) on the two-sided tail of the
+    normalized M-th closest of K users around M/(K+1), via the binomial
+    counting identity, for eps inside (0, min(p, 1-p)) at p = M/(K+1).
     """
-    p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-    q = min(max(q, _CLAMP), 1.0 - _CLAMP)
-    return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-
-
-def concentration_bounds(K: int, M: int, eps: float) -> tuple:
-    """Tail bounds for the normalized M-th closest user around M/(K+1).
-
-    Returns (kl_lower_tail, kl_upper_tail, hoeffding_two_sided) via the
-    binomial counting identity plus Chernoff/Hoeffding.
-    """
-    K, M = check_order(K, M)
-    p_dag = M / (K + 1)
-    if not 0 < eps < min(p_dag, 1.0 - p_dag):
-        raise ParameterError(f"eps={eps} outside (0, min(p, 1-p)) for p={p_dag}")
-    kl_lower = math.exp(-K * _kl_bernoulli(M / K, p_dag - eps))
-    kl_upper = math.exp(-K * _kl_bernoulli((M - 1) / K, p_dag + eps))
-    hoeffding = 2.0 * math.exp(-2.0 * K * eps**2)
-    return kl_lower, kl_upper, hoeffding
+    K, _ = check_order(K)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"eps={eps}: need a positive finite deviation")
+    return 2.0 * math.exp(-2.0 * K * eps**2)

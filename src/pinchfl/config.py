@@ -98,18 +98,15 @@ class RunConfig:
         return self.horizon if self.horizon > 0 else self.rounds * self.tick_period()
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"k", "m", "bits", "rounds", "dim", "trials", "seed", "grid_points"}
-_STR_KEYS = {"fc_kind", "dist", "weighting", "arch", "mode", "out"}
+# each key parses as its annotation in RunConfig, a string under postponed
+# evaluation of annotations
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw) -> object:
-    if key in _STR_KEYS:
-        return str(raw).strip()
     try:
-        if key in _INT_KEYS:
-            return int(str(raw).strip())
-        return float(str(raw).strip())
+        return _FIELD_TYPES[key](str(raw).strip())
     except ValueError:
         raise ConfigError(f"malformed value for config key '{key}': {raw!r}")
 

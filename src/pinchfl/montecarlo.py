@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
@@ -234,6 +234,8 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
         pa_m = {M: _Moment() for M in M_grid if M <= K}
         span_mean = {M: _Moment() for M in M_grid if 2 <= M <= K}
         tail_hits = {M: _Moment() for M in M_grid if M <= K}
+        # the mean M/(K+1) of U_(M): the tail centre of the M-th offset
+        p_dag = {M: analytics.order_stat_moments(K, M)[0] for M in conv_m}
         minspace = _Moment()
         violations = 0
         # each chunk is drawn, sorted, copied into columns and scanned one
@@ -275,7 +277,7 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
                 pa_m[M].add(half**2)
                 violations += int(np.sum(half > y + 1e-12))
                 tail_hits[M].add(
-                    (np.abs(y / (D / 2.0) - M / (K + 1)) >= eps).astype(float)
+                    (np.abs(y / (D / 2.0) - p_dag[M]) >= eps).astype(float)
                 )
                 if M >= 2:
                     span_mean[M].add(spans[M] / D)
@@ -309,9 +311,8 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
                 empirical=pm.mean, std_error=pm.std_error,
                 passed=pm.mean >= rep.pa_lb - 3.0 * pm.std_error, kind="lower",
             ))
-            p_dag = M / (K + 1)
-            if eps < min(p_dag, 1.0 - p_dag):
-                _, _, hoeffding = analytics.concentration_bounds(K, M, eps)
+            if eps < min(p_dag[M], 1.0 - p_dag[M]):
+                hoeffding = analytics.hoeffding_tail(K, eps)
                 th = tail_hits[M]
                 verdicts.append(BoundVerdict(
                     name=f"K={K} M={M} hoeffding tail", analytic=hoeffding,
@@ -320,8 +321,8 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
                     kind="upper",
                 ))
             if M >= 2:
-                m = M - 1
-                mean_th = m / (K + 1)
+                # M-1 spacings span a Beta(M-1, K-M+2) length, as U_(M-1)
+                mean_th = analytics.order_stat_moments(K, M - 1)[0]
                 sm = span_mean[M]
                 verdicts.append(BoundVerdict(
                     name=f"K={K} M={M} span mean", analytic=mean_th,

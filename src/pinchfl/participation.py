@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from .analytics import check_order
 from .errors import ParameterError, UnsupportedDistributionError
 from .phy import PhyParams, spectral_efficiency, upload_latency
-from .spatial import GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec
+from .spatial import UNIFORM, DistributionSpec
 
 DETERMINISTIC = "deterministic"
 SHIFTED_EXPONENTIAL = "shifted_exponential"
@@ -39,6 +38,9 @@ class DeadlineModel:
     p_s: float = 1.0
 
     def __post_init__(self):
+        for name in ("T_d", "t0", "rate", "p_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.T_d < 0:
             raise ParameterError("deadline T_d must be nonnegative")
         if self.t0 < 0:
@@ -69,8 +71,6 @@ class CoverageRadius:
     """Closed-form coverage radius and its near-threshold behaviour."""
 
     rho: float
-    rho_raw: float
-    drho_dT: float
     kappa: float
     T_min: float
     T_max: float
@@ -83,13 +83,9 @@ class ParticipationReport:
     n_conv: float
     n_pa: float
     gap: float
-    rho: Optional[float]
-    T_min: Optional[float]
-    T_max: Optional[float]
-    kappa: Optional[float]
 
 
-def _rho_raw(T_d: float, t0: float, phy: PhyParams) -> float:
+def _coverage_root(T_d: float, t0: float, phy: PhyParams) -> float:
     """Uncapped root of the coverage equation; zero when nothing completes."""
     if T_d <= t0:
         return 0.0
@@ -104,9 +100,9 @@ def _rho_raw(T_d: float, t0: float, phy: PhyParams) -> float:
 def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> CoverageRadius:
     """Deadline-limited coverage radius for the uniform corridor.
 
-    Requires a deterministic compute time.  ``rho`` is clamped to 0 below
-    T_min and capped at D/2 above T_max; ``rho_raw`` is the uncapped root.
-    ``kappa`` is the square-root-law coefficient at the threshold.
+    Requires a deterministic compute time.  ``rho`` is the root of the
+    coverage equation, clamped to 0 below T_min and capped at D/2 above
+    T_max.  ``kappa`` is the square-root-law coefficient at the threshold.
     """
     if model.fc_kind != DETERMINISTIC:
         raise UnsupportedDistributionError(
@@ -116,23 +112,17 @@ def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> Coverag
     S, d, D, c = phy.S, phy.d, phy.D, phy.c
     T_min = t0 + upload_latency(c, 0.0, 0.0, S, d)
     T_max = t0 + upload_latency(c, D / 2.0, 0.0, S, d)
-    rho_raw = _rho_raw(T_d, t0, phy)
     if T_d < T_min:
-        rho, drho = 0.0, 0.0
+        rho = 0.0
     elif T_d >= T_max:
-        rho, drho = D / 2.0, 0.0
+        rho = D / 2.0
     else:
-        rho = rho_raw
-        q = 2.0 ** (c / (T_d - t0))
-        drho = (S * q * math.log(2.0) * c) / (
-            2.0 * rho * (q - 1.0) ** 2 * (T_d - t0) ** 2
-        ) if rho > 0 else math.inf
+        rho = _coverage_root(T_d, t0, phy)
     lam_d = spectral_efficiency(0.0, 0.0, S, d)
     kappa = (d**2 / math.sqrt(S)) * math.sqrt(1.0 + S / d**2) * lam_d * math.sqrt(
         math.log(2.0) / c
     )
-    return CoverageRadius(rho=rho, rho_raw=rho_raw, drho_dT=drho,
-                          kappa=kappa, T_min=T_min, T_max=T_max)
+    return CoverageRadius(rho=rho, kappa=kappa, T_min=T_min, T_max=T_max)
 
 
 def gm_abs_cdf(rho: float, mu: float, sigma: float) -> float:
@@ -164,36 +154,32 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
 
     Uniform or Gaussian-mixture positions with deterministic compute use the
     closed forms.  Under shifted-exponential compute the eligibility integral,
-    which vanishes beyond rho_raw, is summed over [0, rho_raw] (capped at
-    D/2 on the uniform corridor) by a composite 64-point Gauss-Legendre rule
-    whose panels end where the integrand turns.
+    which vanishes beyond the uncapped coverage root r, is summed over
+    [0, r] (r capped at D/2 on the uniform corridor) by a composite 64-point
+    Gauss-Legendre rule whose panels end where the integrand turns.
     """
     K, _ = check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     n_pa = K * model.F_c(T_d - tau_pa)
 
-    rho = T_min = T_max = kappa = None
     if model.fc_kind == DETERMINISTIC:
         if spec.kind == UNIFORM:
             cov = coverage_radius(T_d, model, phy)
-            rho, T_min, T_max, kappa = cov.rho, cov.T_min, cov.T_max, cov.kappa
             n_conv = K * min(2.0 * cov.rho / phy.D, 1.0)
         else:
-            rho_raw = _rho_raw(T_d, model.t0, phy)
-            rho = rho_raw
-            T_min = model.t0 + tau_pa
-            n_conv = K * gm_abs_cdf(rho_raw, spec.mu, spec.sigma)
+            n_conv = K * gm_abs_cdf(_coverage_root(T_d, model.t0, phy),
+                                    spec.mu, spec.sigma)
     else:
-        rho_raw = _rho_raw(T_d, model.t0, phy)
+        reach = _coverage_root(T_d, model.t0, phy)
         # the compute-time CDF turns where the slack is about 1/rate
-        breaks = [_rho_raw(T_d - 4.0**j / model.rate, model.t0, phy)
+        breaks = [_coverage_root(T_d - 4.0**j / model.rate, model.t0, phy)
                   for j in range(-1, 5)]
         if spec.kind == UNIFORM:
-            x, w = _composite_rule(breaks, min(rho_raw, spec.D / 2.0))
+            x, w = _composite_rule(breaks, min(reach, spec.D / 2.0))
             dens = 1.0 / spec.D
         else:
             breaks += [spec.mu + k * spec.sigma for k in (-8, -4, 0, 4, 8)]
-            x, w = _composite_rule(breaks, rho_raw)
+            x, w = _composite_rule(breaks, reach)
             two_var = 2.0 * spec.sigma**2
             dens = (np.exp(-((x - spec.mu) ** 2) / two_var)
                     + np.exp(-((x + spec.mu) ** 2) / two_var)) / (
@@ -202,22 +188,4 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
         # positions and eligibility are even in x: twice the integral over x >= 0
         n_conv = K * 2.0 * float(w @ (dens * eligible))
 
-    return ParticipationReport(n_conv=n_conv, n_pa=n_pa, gap=n_pa - n_conv,
-                               rho=rho, T_min=T_min, T_max=T_max, kappa=kappa)
-
-
-def mills_check(mu: float, sigma: float, rho: float, D: float) -> tuple:
-    """Mills-ratio bound on the central mixture mass and the dominance test.
-
-    Returns (mills_bound, condition_holds): the condition guarantees a larger
-    pinning advantage under the mixture than under the uniform corridor.
-    """
-    if not 0 <= rho < mu:
-        raise ParameterError("mills bound requires 0 <= rho < mu")
-    if sigma <= 0 or D <= 0:
-        raise ParameterError("sigma and D must be positive")
-    bound = (sigma / math.sqrt(2.0 * math.pi)) * (
-        math.exp(-((mu - rho) ** 2) / (2.0 * sigma**2)) / (mu - rho)
-        + math.exp(-((mu + rho) ** 2) / (2.0 * sigma**2)) / (mu + rho)
-    )
-    return bound, bound <= 2.0 * rho / D
+    return ParticipationReport(n_conv=n_conv, n_pa=n_pa, gap=n_pa - n_conv)

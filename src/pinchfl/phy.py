@@ -37,8 +37,9 @@ class PhyParams:
 
     def __post_init__(self):
         for name in ("P", "sigma_n2", "f_c", "d", "D", "W", "B_t"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be positive and finite")
 
     @property
     def eta_f(self) -> float:
@@ -172,17 +173,3 @@ def afl_gap_bracket(Lambda: float, consts: HighSnrConstants) -> float:
         - 4.0 * (consts.C0 + damp) ** 2 / Lambda**3
         - 2.0 * damp / Lambda**2
     )
-
-
-def afl_time_gain_lb(K: int, phy: PhyParams, Lambda: float) -> float:
-    """Lower bound on the total time saved over K asynchronous uploads.
-
-    Lambda is supplied directly (as log2 of the SNR scale) so the regime can
-    be probed without astronomically large powers; the geometric constants
-    come from the phy geometry.
-    """
-    if K < 1:
-        raise ParameterError("K must be at least 1")
-    consts = high_snr_constants(phy.D, phy.d)
-    # K uploads at the single-user constant: K * B_t / W in one product
-    return phy.c_round(K) * afl_gap_bracket(Lambda, consts)

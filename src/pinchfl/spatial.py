@@ -11,6 +11,7 @@ unit-interval points is the smallest of their K+1 gaps, edge gaps included.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in (UNIFORM, GAUSSIAN_MIXTURE):
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
+        for name in ("D", "mu", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.kind == UNIFORM and self.D <= 0:
             raise ParameterError("uniform corridor length D must be positive")
         if self.kind == GAUSSIAN_MIXTURE:

@@ -2,12 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchfl import analytics
+from pinchfl import analytics, montecarlo
 from pinchfl.errors import ParameterError
 
 
@@ -45,7 +44,7 @@ class TestOrderStatMoments:
         for call in (lambda: analytics.order_stat_moments(20, 2.9),
                      lambda: analytics.order_stat_moments(4.5, 2),
                      lambda: analytics.straggler_moments(20, 2.9, 10.0),
-                     lambda: analytics.concentration_bounds(20, 2.9, 0.05),
+                     lambda: analytics.hoeffding_tail(4.5, 0.05),
                      lambda: analytics.min_spacing_second_moment(4.5)):
             with pytest.raises(ParameterError):
                 call()
@@ -83,9 +82,22 @@ class TestStragglerMoments:
         # the movable-radiator ceiling never exceeds the fixed-antenna value
         assert rep.pa_ub_beta <= rep.conv_E2
 
+    @pytest.mark.parametrize("K, M, D", [(3, 1, 2.0), (40, 7, 10.0),
+                                         (11, 4, 7.5), (20, 20, 3.0)])
+    def test_beta_moments_are_order_stat_moments(self, K, M, D):
+        # both Beta second moments are (D/2)^2 E[U^2] of one order
+        # statistic, U_(M) for CONV and U_(M-1) for the PA span ceiling
+        rep = analytics.straggler_moments(K, M, D)
+        half_sq = (D / 2.0) ** 2
+        assert rep.conv_E2 == half_sq * analytics.order_stat_moments(K, M)[1]
+        assert rep.pa_ub_beta == (
+            half_sq * analytics.order_stat_moments(K, M - 1)[1] if M > 1
+            else 0.0)
+
     def test_rejects_bad_corridor(self):
-        with pytest.raises(ParameterError):
-            analytics.straggler_moments(3, 2, 0.0)
+        for D in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                analytics.straggler_moments(3, 2, D)
 
 
 class TestMinSpacingMoment:
@@ -104,30 +116,29 @@ class TestMinSpacingMoment:
 
 
 class TestConcentrationBounds:
-    def test_spec_example(self):
-        kl_lower, _, _ = analytics.concentration_bounds(10, 5, 0.2)
-        # exp(-10 * D(0.5 || 5/11 - 0.2)) frozen by hand
-        p, q = 0.5, 5.0 / 11.0 - 0.2
-        expect = math.exp(-10 * (p * math.log(p / q)
-                                 + (1 - p) * math.log((1 - p) / (1 - q))))
-        assert kl_lower == pytest.approx(expect, rel=1e-12)
-
     def test_hoeffding_form(self):
-        _, _, h = analytics.concentration_bounds(100, 10, 0.05)
+        h = analytics.hoeffding_tail(100, 0.05)
         assert h == pytest.approx(2.0 * math.exp(-2.0 * 100 * 0.0025))
 
     def test_eps_window_enforced(self):
-        with pytest.raises(ParameterError):
-            analytics.concentration_bounds(10, 5, 0.5)
+        for eps in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                analytics.hoeffding_tail(10, eps)
+        # verify_bounds drops the tail verdict of an eps at or above
+        # min(p, 1-p), p = M/(K+1), and keeps every other verdict
+        names = [v.name for v in montecarlo.verify_bounds([10], [5], 10.0,
+                                                          200, 0, eps=0.5)]
+        assert "K=10 M=5 hoeffding tail" not in names
+        assert "K=10 M=5 span mean" in names
 
     @settings(max_examples=100, deadline=None)
     @given(K=st.integers(5, 500), data=st.data())
     def test_bounds_decay_in_k(self, K, data):
-        # fixed occupancy fraction, growing K: all three bounds lie in (0, 2]
+        # fixed occupancy fraction, growing K: the bound lies in (0, 2]
+        # and falls as K grows
         M = max(1, K // 4)
         p = M / (K + 1)
         eps = data.draw(st.floats(1e-3, float(min(p, 1 - p)) * 0.9))
-        lo, hi, h = analytics.concentration_bounds(K, M, eps)
-        assert 0.0 < lo <= 1.0 + 1e-12
-        assert 0.0 < hi <= 1.0 + 1e-12
+        h = analytics.hoeffding_tail(K, eps)
         assert 0.0 < h <= 2.0
+        assert analytics.hoeffding_tail(K + 1, eps) <= h

@@ -55,6 +55,16 @@ class TestLoadConfig:
         assert load_config(None, {"arch": "pa"}).arch == "PA"
         assert load_config(None, {"mode": "AFL"}).mode == "afl"
 
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
+                             ids=lambda f: f.name)
+    def test_every_key_parses_to_its_default(self, field):
+        # a key's type comes from its annotation alone: the default, written
+        # out as a string, reads back with the same value and type
+        cfg = load_config(None, {field.name: str(field.default)})
+        value = getattr(cfg, field.name)
+        assert value == field.default
+        assert type(value) is type(field.default)
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):

@@ -368,7 +368,7 @@ def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
                     pm.mean >= rep.pa_lb - 3.0 * pm.std_error, "lower"),
             ]
             if 0 < eps < min(M / (K + 1), 1.0 - M / (K + 1)):
-                bound = analytics.concentration_bounds(K, M, eps)[2]
+                bound = analytics.hoeffding_tail(K, eps)
                 verdicts.append(montecarlo.BoundVerdict(
                     f"{key} hoeffding tail", bound, th.mean, th.std_error,
                     th.mean <= bound + 3.0 * th.std_error, "upper"))
