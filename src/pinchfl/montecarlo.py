@@ -1,9 +1,13 @@
 """Trial runners that confront the closed forms with empirical draws.
 
-Every estimator is chunked and seeded per chunk, so results are reproducible
-bit-for-bit for a given (seed, trials) and independent of how the work is
-ordered.  Acceptance convention: two-sided checks pass within three standard
-errors; one-sided bounds get one-sided slack.
+One RNG contract serves every runner: a run at K users draws from three
+generators spawned from ``SeedSequence([seed, K])``, one for the uniforms
+and mixture coins of the positions, one for the mixture's normals and one
+for compute times.  ``_blocks`` draws each stream in order, one block of
+rows at a time, so a run's trials are the same bits whatever the block
+size, and a run is a prefix of any longer run at the same (seed, K).
+Acceptance convention: two-sided checks pass within three standard errors;
+one-sided bounds get one-sided slack.
 """
 
 from __future__ import annotations
@@ -17,29 +21,37 @@ import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from . import analytics
 from .errors import ParameterError
-from .participation import DETERMINISTIC, DeadlineModel, expected_participants
+from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
+                            expected_participants)
 from .phy import PhyParams, upload_latency
-from .spatial import (CONV, PA, DistributionSpec, draw_position_blocks,
-                      draw_positions, min_spacings, pa_offsets,
-                      rng_after_positions, sorted_conv_offsets)
+from .spatial import (CONV, PA, UNIFORM, DistributionSpec, draw_positions,
+                      min_spacings, pa_offsets, sorted_conv_offsets)
 
-CHUNK = 100_000
-# rows per block of a chunk: a block of (_BLOCK_ROWS, K) positions stays in
-# cache while the SFL CCDF draws it, sorts its rows and scans its windows,
-# one column per window of its C-order rows, while verify_bounds draws,
-# sorts, copies it into columns and scans them, and while participation_sweep
-# draws it, adds compute times to its latencies and counts them per deadline
+# rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
+# the SFL CCDF sorts its rows and scans its windows, one column per window
+# of its C-order rows, while verify_bounds sorts it, copies it into columns
+# and scans them, and while participation_sweep adds compute times to its
+# latencies and counts them per deadline
 _BLOCK_ROWS = 4096
 
 SFL = "SFL"
 AFL = "AFL"
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent substream for one chunk of trials, always on PCG64 (the
-    block draws of ``spatial.draw_position_blocks`` and
-    ``spatial.rng_after_positions`` rely on it)."""
-    return np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+def _streams(seed: int, K: int):
+    """The three generators of a run at K users: position uniforms and
+    mixture coins, mixture normals, compute times."""
+    children = np.random.SeedSequence([seed, K]).spawn(3)
+    return [np.random.default_rng(child) for child in children]
+
+
+def _blocks(spec: DistributionSpec, K: int, trials: int, seed: int):
+    """Yield the run's (b, K) position blocks, b <= ``_BLOCK_ROWS``, each a
+    fresh array, with the run's compute-time generator."""
+    positions, normals, compute = _streams(seed, K)
+    for r in range(0, trials, _BLOCK_ROWS):
+        size = (min(_BLOCK_ROWS, trials - r), K)
+        yield draw_positions(positions, spec, size, normals), compute
 
 
 def _trial_count(trials) -> int:
@@ -47,16 +59,6 @@ def _trial_count(trials) -> int:
     if not (trials >= 1 and float(trials).is_integer()):
         raise ParameterError(f"trials={trials}: need an integer >= 1")
     return int(trials)
-
-
-def _chunks(trials: int):
-    done = 0
-    index = 0
-    while done < trials:
-        n = min(CHUNK, trials - done)
-        yield index, n
-        done += n
-        index += 1
 
 
 def _ascending(grid) -> np.ndarray:
@@ -140,45 +142,15 @@ class BoundVerdict:
     kind: str = "two_sided"
 
 
-def sfl_round_latencies(rng, spec: DistributionSpec, K: int, M: int,
-                        phy: PhyParams, archs, n: int) -> Dict[str, np.ndarray]:
-    """Per-trial synchronous round times (slowest of M scheduled uploads) of
-    each of ``archs``, all from one draw of n rows of K positions.
-
-    The draw is made, its rows sorted and its windows scanned one block of
-    ``_BLOCK_ROWS`` rows at a time; only the (n,) bottlenecks are n long.
-    """
-    kernels = {CONV: sorted_conv_offsets, PA: pa_offsets}
-    bottleneck = {arch: np.empty(n) for arch in archs}
-    r = 0
-    for xs in draw_position_blocks(rng, spec, n, K, _BLOCK_ROWS):
-        xs.sort(axis=1)
-        for arch in archs:
-            bottleneck[arch][r:r + len(xs)] = kernels[arch](xs, M)
-        r += len(xs)
-    return {arch: upload_latency(phy.c_round(M), offset, 0.0, phy.S, phy.d)
-            for arch, offset in bottleneck.items()}
-
-
-def afl_upload_latencies(rng, spec: DistributionSpec, phy: PhyParams,
-                        arch: str, n: int) -> np.ndarray:
-    """Per-trial single-user upload times (radiator pinned under PA, so
-    only CONV draws from ``rng``)."""
-    c = phy.c
-    if arch == PA:
-        return np.full(n, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
-    return upload_latency(c, draw_positions(rng, spec, n), 0.0, phy.S, phy.d)
-
-
 def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
                    K: int, M_or_model, trials: int, grid,
                    seed: int) -> Dict[str, CcdfSeries]:
     """Empirical CCDF of the per-round (SFL) or per-upload (AFL) latency of
     each architecture in ``archs``.
 
-    Every architecture scores the same position draws, so each chunk is
-    drawn once; the curve of an architecture does not depend, bit for bit,
-    on which others share the call.
+    Every architecture scores the same position draws, so each block is
+    drawn and sorted once; the curve of an architecture does not depend,
+    bit for bit, on which others share the call.
     """
     grid = _ascending(grid)
     trials = _trial_count(trials)
@@ -189,16 +161,18 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
         raise ParameterError(f"need distinct architectures of {CONV} and {PA}, "
                              f"got {archs!r}")
     K, M = analytics.check_order(K, M_or_model if mode == SFL else 1)
+    if mode == AFL:
+        # one upload per trial: the round of one user, whose CONV offset is
+        # |x|, whose PA offset is 0 and whose link constant c_round(1) is c
+        K = 1
+    kernels = {CONV: sorted_conv_offsets, PA: pa_offsets}
     exceed = {arch: np.zeros(grid.size, dtype=np.int64) for arch in archs}
-    for chunk, n in _chunks(trials):
-        rng = _chunk_rng(seed, chunk)
-        if mode == SFL:
-            lats = sfl_round_latencies(rng, spec, K, M, phy, archs, n)
-        else:
-            lats = {arch: afl_upload_latencies(rng, spec, phy, arch, n)
-                    for arch in archs}
-        for arch, lat in lats.items():
-            exceed[arch] += n - _met_counts(grid, lat[:, None])[0]
+    for xs, _ in _blocks(spec, K, trials, seed):
+        xs.sort(axis=1)
+        for arch in archs:
+            lat = upload_latency(phy.c_round(M), kernels[arch](xs, M), 0.0,
+                                 phy.S, phy.d)
+            exceed[arch] += len(xs) - _met_counts(grid, lat[:, None])[0]
     return {arch: CcdfSeries(grid=grid, ccdf=exceed[arch] / trials,
                              trials=trials, seed=seed) for arch in archs}
 
@@ -228,6 +202,7 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
     # an M is an integer >= 1; it is skipped for every K below it
     K_grid = [analytics.check_order(K)[0] for K in K_grid]
     M_grid = [analytics.check_order(M)[0] for M in M_grid]
+    uniform = DistributionSpec(kind=UNIFORM, D=D)
     verdicts: List[BoundVerdict] = []
     for K in K_grid:
         conv_m = {M: _Moment() for M in M_grid if M <= K}
@@ -238,50 +213,27 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
         p_dag = {M: analytics.order_stat_moments(K, M)[0] for M in conv_m}
         minspace = _Moment()
         violations = 0
-        # each chunk is drawn, sorted, copied into columns and scanned one
-        # block of rows at a time, in two block buffers; the per-trial
-        # results land in (n,) arrays, the only chunk-sized ones
-        block = np.empty((min(_BLOCK_ROWS, trials), K))
-        cols = np.empty_like(block, order="F")
-        for chunk, n in _chunks(trials):
-            rng = _chunk_rng(seed, chunk)
-            conv_y = {M: np.empty(n) for M in conv_m}
-            pa_half = {M: np.empty(n) for M in conv_m}
-            spans = {M: np.empty(n) for M in span_mean}
-            gaps = np.empty(n)
-            # a double is one 64-bit word of the stream, so block-wise
-            # draws are the chunk's one draw, bit for bit
-            for r in range(0, n, _BLOCK_ROWS):
-                b = min(_BLOCK_ROWS, n - r)
-                xs = block[:b]
-                rng.random(out=xs)
-                xs -= 0.5
-                xs *= D
-                xs.sort(axis=1)
-                # one column per order statistic: the windows, spacings and
-                # spans below reduce across K with contiguous inner loops
-                np.copyto(cols[:b], xs)
-                xs = cols[:b]
-                for M in conv_m:
-                    conv_y[M][r:r + b] = sorted_conv_offsets(xs, M)
-                    pa_half[M][r:r + b] = pa_offsets(xs, M)
-                for M in span_mean:
-                    np.subtract(xs[:, M - 1], xs[:, 0], out=spans[M][r:r + b])
-                # normalised in place to u = (x + D/2) / D
-                xs += D / 2.0
-                xs /= D
-                gaps[r:r + b] = min_spacings(xs)
+        # each block's rows are sorted, copied into one column-major buffer
+        # and scanned while the block is in cache; no array is run-sized
+        cols = np.empty((min(_BLOCK_ROWS, trials), K), order="F")
+        for block, _ in _blocks(uniform, K, trials, seed):
+            block.sort(axis=1)
+            # one column per order statistic: the windows, spacings and
+            # spans below reduce across K with contiguous inner loops
+            xs = cols[:len(block)]
+            np.copyto(xs, block)
             for M in conv_m:
-                y, half = conv_y[M], pa_half[M]
+                y, half = sorted_conv_offsets(xs, M), pa_offsets(xs, M)
                 conv_m[M].add(y**2)
                 pa_m[M].add(half**2)
                 violations += int(np.sum(half > y + 1e-12))
-                tail_hits[M].add(
-                    (np.abs(y / (D / 2.0) - p_dag[M]) >= eps).astype(float)
-                )
-                if M >= 2:
-                    span_mean[M].add(spans[M] / D)
-            minspace.add(gaps ** 2)
+                tail_hits[M].add(np.abs(y / (D / 2.0) - p_dag[M]) >= eps)
+            for M in span_mean:
+                span_mean[M].add((xs[:, M - 1] - xs[:, 0]) / D)
+            # normalised in place to u = (x + D/2) / D
+            xs += D / 2.0
+            xs /= D
+            minspace.add(min_spacings(xs) ** 2)
         verdicts.append(BoundVerdict(
             name=f"K={K} ordering pa<=conv", analytic=0.0,
             empirical=float(violations), std_error=0.0,
@@ -337,48 +289,39 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
                         seed: int) -> List[dict]:
     """Analytic vs simulated participant counts over a deadline sweep.
 
-    Common random numbers: each chunk draws positions and compute times once
+    Common random numbers: the run draws positions and compute times once
     and scores every deadline from that one draw, so the simulated gap
-    between deadlines carries no fresh sampling noise.  The chunk is drawn
-    and scored one block of ``_BLOCK_ROWS`` rows at a time: its positions
-    from ``draw_position_blocks``, its exponential compute times from
-    ``rng_after_positions``, both bit for bit the chunk's one draw.  Under
-    deterministic compute every PA user finishes at ``t0 + tau_pa``, so the
-    PA counts are n*K or 0 per chunk, in closed form.
+    between deadlines carries no fresh sampling noise.  Each block of
+    ``_BLOCK_ROWS`` rows is scored as it is drawn.  Under deterministic
+    compute every PA user finishes at ``t0 + tau_pa``, so each trial counts
+    K PA users or none, in closed form.
     """
-    T_grid = _ascending(T_grid)
-    if (T_grid < 0).any():
-        raise ParameterError("deadline T_d must be nonnegative")
+    T_grid = check_deadline(_ascending(T_grid))
     trials = _trial_count(trials)
     K, _ = analytics.check_order(K)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     deterministic = model.fc_kind == DETERMINISTIC
-    if deterministic:
-        T_c = model.t0
-        pa_met = (T_c + tau_pa <= T_grid).astype(np.int64)
     # per deadline, CONV then PA: integer sums of participants and of squares
     sums = np.zeros((2, T_grid.size), dtype=np.int64)
     sums_sq = np.zeros((2, T_grid.size), dtype=np.int64)
-    for chunk, n in _chunks(trials):
-        rng = _chunk_rng(seed, chunk)
-        if deterministic:
-            sums[1] += n * K * pa_met
-            sums_sq[1] += n * K * K * pa_met
-        else:
-            compute_rng = rng_after_positions(rng, spec, n, K, _BLOCK_ROWS)
-        for xs in draw_position_blocks(rng, spec, n, K, _BLOCK_ROWS):
-            tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d)
-            if not deterministic:
-                T_c = compute_rng.exponential(1.0 / model.rate, size=xs.shape)
-                T_c += model.t0
-            # the finishing times T_c + tau of both architectures take turns
-            # in the tau_conv buffer
-            taus = (tau_conv,) if deterministic else (tau_conv, tau_pa)
-            for i, tau in enumerate(taus):
-                total, total_sq = _met_counts(T_grid,
-                                              np.add(T_c, tau, out=tau_conv))
-                sums[i] += total
-                sums_sq[i] += total_sq
+    if deterministic:
+        T_c = model.t0
+        pa_met = (T_c + tau_pa <= T_grid).astype(np.int64)
+        sums[1] = trials * K * pa_met
+        sums_sq[1] = trials * K * K * pa_met
+    for xs, compute in _blocks(spec, K, trials, seed):
+        tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d)
+        if not deterministic:
+            T_c = compute.exponential(1.0 / model.rate, size=xs.shape)
+            T_c += model.t0
+        # the finishing times T_c + tau of both architectures take turns
+        # in the tau_conv buffer
+        taus = (tau_conv,) if deterministic else (tau_conv, tau_pa)
+        for i, tau in enumerate(taus):
+            total, total_sq = _met_counts(T_grid,
+                                          np.add(T_c, tau, out=tau_conv))
+            sums[i] += total
+            sums_sq[i] += total_sq
     rows = []
     for j, T_d in enumerate(T_grid):
         report = expected_participants(K, float(T_d), model, spec, phy)

@@ -27,6 +27,14 @@ SHIFTED_EXPONENTIAL = "shifted_exponential"
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
+def check_deadline(T_d):
+    """``T_d``, one deadline or an array of them, if every one is finite and
+    nonnegative; else ParameterError."""
+    if not np.all(np.isfinite(T_d) & (T_d >= 0)):
+        raise ParameterError("deadline T_d must be finite and nonnegative")
+    return T_d
+
+
 @dataclass(frozen=True)
 class DeadlineModel:
     """Deadline, compute-time CDF family, and trigger probability."""
@@ -41,8 +49,7 @@ class DeadlineModel:
         for name in ("T_d", "t0", "rate", "p_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")
-        if self.T_d < 0:
-            raise ParameterError("deadline T_d must be nonnegative")
+        check_deadline(self.T_d)
         if self.t0 < 0:
             raise ParameterError("compute offset t0 must be nonnegative")
         if self.fc_kind not in (DETERMINISTIC, SHIFTED_EXPONENTIAL):
@@ -104,6 +111,7 @@ def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> Coverag
     coverage equation, clamped to 0 below T_min and capped at D/2 above
     T_max.  ``kappa`` is the square-root-law coefficient at the threshold.
     """
+    check_deadline(T_d)
     if model.fc_kind != DETERMINISTIC:
         raise UnsupportedDistributionError(
             "closed-form coverage radius requires a deterministic compute time"
@@ -159,6 +167,7 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
     Gauss-Legendre rule whose panels end where the integrand turns.
     """
     K, _ = check_order(K)
+    check_deadline(T_d)
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
     n_pa = K * model.F_c(T_d - tau_pa)
 

@@ -10,7 +10,6 @@ unit-interval points is the smallest of their K+1 gaps, edge gaps included.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -56,60 +55,25 @@ class DistributionSpec:
                 raise ParameterError("cluster offset mu must be nonnegative")
 
 
-def _mixture(coin_rng, normal_rng, spec: DistributionSpec, size) -> np.ndarray:
-    # a fair coin per position picks the cluster, then a Gaussian offset
-    centers = np.where(coin_rng.random(size) < 0.5, -spec.mu, spec.mu)
-    return centers + normal_rng.normal(0.0, spec.sigma, size=size)
+def draw_positions(rng, spec: DistributionSpec, size,
+                   normal_rng=None) -> np.ndarray:
+    """Array of i.i.d. user positions from ``spec`` with shape ``size``.
 
-
-def draw_positions(rng, spec: DistributionSpec, size) -> np.ndarray:
-    """Array of i.i.d. user positions from ``spec`` with shape ``size``."""
+    A mixture position takes a fair coin from ``rng`` to pick the cluster,
+    then a Gaussian offset from ``normal_rng`` (``rng`` itself if None): all
+    the coins of the call are drawn before any normal.
+    """
     if spec.kind == UNIFORM:
-        return rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=size)
-    return _mixture(rng, rng, spec, size)
-
-
-def draw_position_blocks(rng, spec: DistributionSpec, n: int, K: int,
-                         rows: int):
-    """Yield the row blocks of ``draw_positions(rng, spec, (n, K))``, bit for
-    bit, one fresh (b, K) array of b <= ``rows`` rows at a time.
-
-    ``rng`` must be a Generator on PCG64, as ``montecarlo._chunk_rng``
-    always builds, which spends one 64-bit word per uniform double.  So successive
-    uniform blocks are the one draw.  The mixture draws all n*K coins
-    before any normal: each block's coins come from ``rng``, its normals
-    from a copy of ``rng`` advanced past the n*K coins.  The mixture
-    leaves ``rng`` after the coins, not after the normals.
-    """
-    if spec.kind == GAUSSIAN_MIXTURE:
-        normal_rng = copy.deepcopy(rng)
-        normal_rng.bit_generator.advance(n * K)
-    for r in range(0, n, rows):
-        size = (min(rows, n - r), K)
-        if spec.kind == UNIFORM:
-            yield rng.uniform(-spec.D / 2.0, spec.D / 2.0, size=size)
-        else:
-            yield _mixture(rng, normal_rng, spec, size)
-
-
-def rng_after_positions(rng, spec: DistributionSpec, n: int, K: int,
-                        rows: int):
-    """A copy of ``rng`` in the state ``draw_positions(rng, spec, (n, K))``
-    would leave it in; ``rng`` itself does not move.
-
-    ``rng`` must be on PCG64, as for ``draw_position_blocks``.  Uniform
-    positions spend n*K words, so the copy skips them.  A normal takes a
-    varying number of words, so for the mixture the copy skips the n*K
-    coins and then draws and discards the n*K normals, ``rows`` rows at a
-    time.
-    """
-    after = copy.deepcopy(rng)
-    after.bit_generator.advance(n * K)
-    if spec.kind == GAUSSIAN_MIXTURE:
-        discard = np.empty((min(rows, n), K))
-        for r in range(0, n, rows):
-            after.standard_normal(out=discard[:n - r])
-    return after
+        # the bits of rng.uniform(-D/2, D/2), which rounds D u, then adds
+        # -D/2, but without its slower per-element call
+        xs = rng.random(size)
+        xs *= spec.D
+        xs -= spec.D / 2.0
+        return xs
+    xs = np.where(rng.random(size) < 0.5, -spec.mu, spec.mu)
+    xs += (rng if normal_rng is None else normal_rng).normal(0.0, spec.sigma,
+                                                            size=size)
+    return xs
 
 
 def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Chunked trial runners: determinism, CCDF shape, and bound verdicts."""
+"""Block trial runners: the RNG contract, CCDF shape, and bound verdicts."""
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinchfl import analytics, montecarlo
 from pinchfl.errors import ParameterError
@@ -23,9 +26,38 @@ GRID = np.linspace(0.0, 0.2, 30)
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail any test that reaches a Monte Carlo draw."""
-    def _chunk_rng(seed, chunk_index):
+    def _streams(seed, K):
         raise AssertionError("drew trials before rejecting the input")
-    monkeypatch.setattr(montecarlo, "_chunk_rng", _chunk_rng)
+    monkeypatch.setattr(montecarlo, "_streams", _streams)
+
+
+def _whole_draw(spec, K, trials, seed):
+    """The run's positions as one (trials, K) draw from its streams, and its
+    compute-time generator."""
+    positions, normals, compute = montecarlo._streams(seed, K)
+    return draw_positions(positions, spec, (trials, K), normals), compute
+
+
+def _uniform(D):
+    return DistributionSpec(kind=UNIFORM, D=D)
+
+
+def _row_blocks(trials):
+    """The row slices of the run's blocks."""
+    rows = montecarlo._BLOCK_ROWS
+    return [slice(r, r + rows) for r in range(0, trials, rows)]
+
+
+def _peak_blocks(run, width):
+    """Peak memory that ``run()`` allocates, in blocks of 512 rows of
+    ``width`` doubles; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (512 * width * 8)
 
 
 def _met_reference(grid, finish):
@@ -61,6 +93,74 @@ class TestMetCounts:
         assert total.dtype == total_sq.dtype == np.int64
         assert total.shape == total_sq.shape == grid.shape
         assert (total.tolist(), total_sq.tolist()) == want
+
+
+class TestBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from([UNI, GM]), trials=st.integers(1, 30),
+           K=st.integers(1, 6), rows=st.integers(1, 8),
+           extra=st.integers(0, 9), seed=st.integers(0, 10_000))
+    # fewer trials than one block, a whole number of blocks, one trial more
+    # than a block, one user per row
+    @example(spec=GM, trials=5, K=3, rows=8, extra=0, seed=1)
+    @example(spec=GM, trials=12, K=3, rows=4, extra=0, seed=2)
+    @example(spec=UNI, trials=12, K=3, rows=4, extra=5, seed=2)
+    @example(spec=GM, trials=5, K=2, rows=4, extra=1, seed=3)
+    @example(spec=GM, trials=9, K=1, rows=4, extra=0, seed=4)
+    @example(spec=UNI, trials=3, K=1, rows=8, extra=0, seed=5)
+    def test_blocks_are_one_whole_draw(self, spec, trials, K, rows, extra,
+                                       seed):
+        # a run's blocks are one draw, and the first rows of a longer run's
+        want, _ = _whole_draw(spec, K, trials + extra, seed)
+        with mock.patch.object(montecarlo, "_BLOCK_ROWS", rows):
+            blocks = list(montecarlo._blocks(spec, K, trials, seed))
+        sizes = [len(xs) for xs, _ in blocks]
+        assert sizes[:-1] == [rows] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= rows
+        got = np.concatenate([xs for xs, _ in blocks])
+        assert np.array_equal(got.view(np.int64),
+                              want[:trials].view(np.int64))
+        # one compute-time generator, which the position draws leave alone
+        compute = blocks[0][1]
+        assert all(c is compute for _, c in blocks)
+        fresh = montecarlo._streams(seed, K)[2]
+        assert compute.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    def test_streams_differ_by_k(self, spec):
+        # K=3 is not the first columns, nor any values, of K=40
+        few, _ = _whole_draw(spec, 3, 200, 0)
+        many, _ = _whole_draw(spec, 40, 200, 0)
+        assert not np.isin(few, many).any()
+        words = [g.integers(0, 2**63, size=50)
+                 for g in montecarlo._streams(0, 3)]
+        assert len(np.unique(np.concatenate(words))) == 150
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    def test_counts_do_not_depend_on_block_rows(self, monkeypatch, spec):
+        K, M, trials, seed = 9, 3, 5000, 7
+        # the latencies and finishing times of both modes and all sweeps
+        # fall inside the grid
+        grid = np.linspace(0.0, 0.07, 50)
+        models = [DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC, t0=0.002),
+                  DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL,
+                                t0=0.001, rate=300.0)]
+        runs = {}
+        for rows in (4096, 333):
+            monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", rows)
+            ccdfs = [s.ccdf.tolist() for mode in ("SFL", "AFL")
+                     for s in montecarlo.estimate_ccdfs(
+                         mode, ("CONV", "PA"), PHY, spec, K, M, trials,
+                         grid, seed).values()]
+            sweeps = [montecarlo.participation_sweep(K, grid, model, spec,
+                                                     PHY, trials, seed)
+                      for model in models]
+            runs[rows] = ccdfs, sweeps
+        assert runs[4096] == runs[333]
+        # every CONV curve and sweep has counts strictly inside (0, trials)
+        ccdfs, sweeps = runs[333]
+        assert all(any(0 < p < 1 for p in c) for c in ccdfs[::2])
+        assert all(any(0 < r["n_conv_mc"] < K for r in rows) for rows in sweeps)
 
 
 class TestEstimateCcdf:
@@ -127,8 +227,8 @@ class TestEstimateCcdf:
     @pytest.mark.parametrize("mode", ["SFL", "AFL"])
     @pytest.mark.parametrize("arch", ["CONV", "PA"])
     def test_counts_match_pairwise_reference(self, monkeypatch, mode, arch):
-        # several chunks, the last one partial
-        monkeypatch.setattr(montecarlo, "CHUNK", 1000)
+        # several blocks, the last one partial
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 1000)
         trials, seed, K, M = 2500, 6, 12, 4
         afl_pa = upload_latency(PHY.B_t / PHY.W, 0.0, 0.0, PHY.S, PHY.d)
         grid = np.sort(np.concatenate([GRID, [afl_pa, afl_pa]]))
@@ -140,27 +240,21 @@ class TestEstimateCcdf:
 
 
 def _fresh_latencies(mode, arch, spec, K, M, trials, seed):
-    """Every trial's latency, from a fresh draw per chunk: the CONV offset
-    from the sorted |x|, the PA offset from the full array of window spans
-    of a sorted copy."""
-    lats = []
-    for chunk, n in montecarlo._chunks(trials):
-        rng = montecarlo._chunk_rng(seed, chunk)
-        if mode == "AFL":
-            if arch == "PA":
-                lats.append(np.full(n, upload_latency(PHY.c, 0.0, 0.0, PHY.S,
-                                                      PHY.d)))
-            else:
-                lats.append(upload_latency(PHY.c, draw_positions(rng, spec, n),
-                                           0.0, PHY.S, PHY.d))
-            continue
-        xs = draw_positions(rng, spec, (n, K))
-        if arch == "CONV":
-            offset = np.sort(np.abs(xs), axis=1)[:, M - 1]
-        else:
-            offset = _spans(np.sort(xs, axis=1), M).min(axis=1) / 2
-        lats.append(upload_latency(PHY.c_round(M), offset, 0.0, PHY.S, PHY.d))
-    return np.concatenate(lats)
+    """Every trial's latency, from one whole draw: under AFL one user's
+    |x|, or the pinned link; under SFL the CONV offset from the sorted |x|
+    and the PA offset from the full array of window spans of a sorted copy."""
+    if mode == "AFL":
+        if arch == "PA":
+            return np.full(trials, upload_latency(PHY.c, 0.0, 0.0, PHY.S,
+                                                  PHY.d))
+        xs, _ = _whole_draw(spec, 1, trials, seed)
+        return upload_latency(PHY.c, xs[:, 0], 0.0, PHY.S, PHY.d)
+    xs, _ = _whole_draw(spec, K, trials, seed)
+    if arch == "CONV":
+        offset = np.sort(np.abs(xs), axis=1)[:, M - 1]
+    else:
+        offset = _spans(np.sort(xs, axis=1), M).min(axis=1) / 2
+    return upload_latency(PHY.c_round(M), offset, 0.0, PHY.S, PHY.d)
 
 
 class TestEstimateCcdfs:
@@ -169,10 +263,8 @@ class TestEstimateCcdfs:
     @pytest.mark.parametrize("M", [1, 11])
     def test_paired_equals_single_and_fresh_draws(self, monkeypatch, mode,
                                                   spec, M):
-        # chunks of 9000 and 5000 rows: two full row blocks and a partial
-        # one, then a partial chunk; a grid point at every reference latency
-        # makes any wrong or stale row change a count
-        monkeypatch.setattr(montecarlo, "CHUNK", 9000)
+        # three full blocks of 4096 rows and a partial one; a grid point at
+        # every reference latency makes any wrong or stale row change a count
         K, trials, seed = 11, 14000, 4
         ref = {arch: _fresh_latencies(mode, arch, spec, K, M, trials, seed)
                for arch in ("CONV", "PA")}
@@ -190,10 +282,8 @@ class TestEstimateCcdfs:
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     def test_many_row_blocks_match_fresh_draws(self, monkeypatch, spec):
-        # chunks of 700 rows cut into two full blocks of 256 and a partial
-        # one, then a last chunk of 200 rows, one partial block; a grid
-        # point at every reference latency makes any wrong row change a count
-        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        # six full blocks of 256 rows and a partial one; a grid point at
+        # every reference latency makes any wrong row change a count
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
         K, M, trials, seed = 9, 3, 1600, 8
         ref = {arch: _fresh_latencies("SFL", arch, spec, K, M, trials, seed)
@@ -204,6 +294,18 @@ class TestEstimateCcdfs:
         for arch, lat in ref.items():
             met = np.searchsorted(np.sort(lat), grid, side="right")
             assert np.array_equal(got[arch].ccdf, (trials - met) / trials)
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("mode", ["SFL", "AFL"])
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch, mode, spec):
+        # 20000 trials are 40 blocks, the last one partial; an array of one
+        # value per trial would be 4 blocks of 10 users, or 40 of one user,
+        # the one position an AFL trial draws
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
+        K, M = 10, 3
+        assert _peak_blocks(lambda: montecarlo.estimate_ccdfs(
+            mode, ("CONV", "PA"), PHY, spec, K, M, 20_000, GRID, seed=0),
+            K if mode == "SFL" else 1) < 8
 
     def test_rejects_bad_archs(self, no_draws):
         for archs in [(), ["CONV", "CONV"], ("PA", "CONV", "PA"), ("BEAM",),
@@ -240,9 +342,9 @@ class TestTrialCounts:
 
     @pytest.mark.parametrize("trials", [2.0, 1600.0])
     def test_integral_float_trials_is_an_int(self, monkeypatch, trials):
-        # 1600 trials in chunks of 700 end in a partial chunk, whose slice
-        # bounds a float count would make floats
-        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        # 1600 trials in blocks of 700 end in a partial block, whose size a
+        # float count would make a float
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 700)
         for run, run_int in zip(_runners(trials), _runners(int(trials))):
             assert repr(run()) == repr(run_int())
 
@@ -283,9 +385,17 @@ class TestVerifyBounds:
                 montecarlo.verify_bounds([3], [2], 10.0, trials=100, seed=0,
                                          eps=eps)
 
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch):
+        # 20000 trials are 40 blocks, the last one partial; an array of one
+        # value per trial would be 4 blocks
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
+        K = 10
+        assert _peak_blocks(lambda: montecarlo.verify_bounds(
+            [K], [2, 5, 7], 10.0, trials=20_000, seed=0), K) < 8
+
     def test_matches_row_major_reference(self, monkeypatch):
-        # several chunks, the last one partial
-        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        # several blocks, the last one partial
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 700)
         K_grid, M_grid = [1, 2, 3, 10], [1, 2, 5, 7]
         D, trials, seed = 10.0, 1600, 5
         verdicts = montecarlo.verify_bounds(K_grid, M_grid, D, trials, seed)
@@ -297,19 +407,17 @@ class TestVerifyBounds:
             assert value == ref[name], name
 
     def test_reused_buffers_match_fresh_draws(self, monkeypatch):
-        # three chunks, the last one partial: a stale row of a reused block
-        # buffer, or a wrong slice of it, changes a verdict
-        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        # three blocks, the last one partial: a stale row of the reused
+        # column buffer, or a wrong slice of it, changes a verdict
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 700)
         args = ([1, 3, 10], [1, 2, 5], 10.0, 1600, 3)
         assert (repr(montecarlo.verify_bounds(*args))
                 == repr(_fresh_draw_reference(*args, eps=0.1)))
 
     @pytest.mark.parametrize("trials", [1600, 200])
     def test_row_blocks_match_fresh_draws(self, monkeypatch, trials):
-        # 1600 trials: chunks of 700 rows cut into two full blocks of 256
-        # and a partial one, then a last chunk of 200 rows, one partial
-        # block; 200 trials: fewer trials than one block
-        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        # 1600 trials: six full blocks of 256 rows and a partial one; 200
+        # trials: fewer trials than one block
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
         args = ([1, 3, 10, 40], [1, 2, 5, 7], 10.0, trials, 4)
         assert (repr(montecarlo.verify_bounds(*args))
@@ -318,8 +426,9 @@ class TestVerifyBounds:
 
 def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
     """Every verdict of ``verify_bounds``, from a fresh (n, K) draw per
-    chunk, |x| sorted apart from the rows, and the window spans and the
-    spacings built in full before their minima are taken."""
+    K, |x| sorted apart from the rows, and the window spans and the
+    spacings built in full before their minima are taken; the moments add
+    up block by block, as in ``verify_bounds``."""
     verdicts = []
     for K in K_grid:
         Ms = [M for M in M_grid if M <= K]
@@ -327,9 +436,9 @@ def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
                                 for _ in range(4))
         minspace = montecarlo._Moment()
         violations = 0
-        for chunk, n in montecarlo._chunks(trials):
-            xs = np.sort(D * (montecarlo._chunk_rng(seed, chunk).random((n, K))
-                              - 0.5), axis=1)
+        whole = np.sort(_whole_draw(_uniform(D), K, trials, seed)[0], axis=1)
+        for rows in _row_blocks(trials):
+            xs = whole[rows]
             abs_sorted = np.sort(np.abs(xs), axis=1)
             for M in Ms:
                 y = abs_sorted[:, M - 1]
@@ -382,8 +491,9 @@ def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
 
 def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
     """Empirical value and standard error of every verdict, from a per-trial
-    row-major loop: |x| re-sorted, all K+1 spacings stacked as columns, and
-    each PA window found by argmin before its span is read."""
+    row-major loop over one whole draw per K: |x| re-sorted, all K+1
+    spacings stacked as columns, and each PA window found by argmin before
+    its span is read; the moments add up block by block."""
     ref = {}
     for K in K_grid:
         Ms = [M for M in M_grid if M <= K]
@@ -391,9 +501,10 @@ def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
                                 for _ in range(4))
         minspace = montecarlo._Moment()
         violations = 0
-        for chunk, n in montecarlo._chunks(trials):
-            u = montecarlo._chunk_rng(seed, chunk).random((n, K))
-            xs = np.sort(D * (u - 0.5), axis=1)
+        whole = np.sort(_whole_draw(_uniform(D), K, trials, seed)[0], axis=1)
+        for rows in _row_blocks(trials):
+            xs = whole[rows]
+            n = len(xs)
             abs_sorted = np.sort(np.abs(xs), axis=1)
             unit = (xs + D / 2.0) / D
             all_sp = np.column_stack([unit[:, 0], np.diff(unit, axis=1),
@@ -457,8 +568,9 @@ class TestParticipationSweep:
                                                trials=10, seed=0)
 
     def test_nan_deadline_rejected(self, no_draws):
+        # an inf deadline, valid on a CCDF grid, has no coverage radius
         model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
-        for grid in ([np.nan], [0.01, np.nan]):
+        for grid in ([np.nan], [0.01, np.nan], [np.inf], [0.01, np.inf]):
             with pytest.raises(ParameterError):
                 montecarlo.participation_sweep(5, grid, model, UNI, PHY,
                                                trials=10, seed=0)
@@ -471,9 +583,7 @@ class TestParticipationSweep:
     ], ids=["deterministic", "shifted_exp"])
     def test_common_draws_match_per_deadline_reference(self, monkeypatch,
                                                        spec, model):
-        # several chunks, the last one partial; each 700-row chunk spans
-        # three row blocks, the last one partial
-        monkeypatch.setattr(montecarlo, "CHUNK", 700)
+        # six full blocks of 256 rows and a partial one
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
         K, trials, seed = 9, 1600, 3
         tau_pa = upload_latency(PHY.c, 0.0, 0.0, PHY.S, PHY.d)
@@ -488,17 +598,16 @@ class TestParticipationSweep:
                                               trials, seed)
         conv = [montecarlo._Moment() for _ in grid]
         pa = [montecarlo._Moment() for _ in grid]
-        for chunk, n in montecarlo._chunks(trials):
-            rng = montecarlo._chunk_rng(seed, chunk)
-            tau_conv = upload_latency(PHY.c, draw_positions(rng, spec, (n, K)),
-                                      0.0, PHY.S, PHY.d)
-            if model.fc_kind == DETERMINISTIC:
-                T_c = np.full((n, K), model.t0)
-            else:
-                T_c = model.t0 + rng.exponential(1.0 / model.rate, size=(n, K))
-            for j, T_d in enumerate(grid):
-                conv[j].add((T_c + tau_conv <= T_d).sum(axis=1))
-                pa[j].add((T_c + tau_pa <= T_d).sum(axis=1))
+        xs, compute = _whole_draw(spec, K, trials, seed)
+        tau_conv = upload_latency(PHY.c, xs, 0.0, PHY.S, PHY.d)
+        if model.fc_kind == DETERMINISTIC:
+            T_c = np.full((trials, K), model.t0)
+        else:
+            T_c = model.t0 + compute.exponential(1.0 / model.rate,
+                                                 size=(trials, K))
+        for j, T_d in enumerate(grid):
+            conv[j].add((T_c + tau_conv <= T_d).sum(axis=1))
+            pa[j].add((T_c + tau_pa <= T_d).sum(axis=1))
         got = [(r["n_conv_mc"], r["n_pa_mc"], r["conv_stderr"], r["pa_stderr"])
                for r in rows]
         want = [(c.mean, p.mean, c.std_error, p.std_error)
@@ -514,17 +623,9 @@ class TestParticipationSweep:
                       rate=300.0),
     ], ids=["deterministic", "shifted_exp"])
     def test_peak_memory_is_a_few_blocks(self, monkeypatch, spec, model):
-        # numpy reports its buffers to tracemalloc; a chunk is 32 blocks, and
-        # a second, partial chunk follows
-        monkeypatch.setattr(montecarlo, "CHUNK", 16384)
+        # 20000 trials are 39 blocks, the last one partial
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         K = 40
-        block_bytes = 512 * K * 8
-        tracemalloc.start()
-        try:
-            montecarlo.participation_sweep(K, np.linspace(0.0, 0.2, 50), model,
-                                           spec, PHY, trials=20_000, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * block_bytes
+        assert _peak_blocks(lambda: montecarlo.participation_sweep(
+            K, np.linspace(0.0, 0.2, 50), model, spec, PHY, trials=20_000,
+            seed=0), K) < 8

@@ -95,6 +95,27 @@ class TestCoverageRadius:
             coverage_radius(1.0, m, PHY)
 
 
+class TestDeadlineArgument:
+    BAD = (float("nan"), float("inf"), -float("inf"), -0.01)
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("model", [
+        det_model(0.05),
+        DeadlineModel(T_d=0.05, fc_kind=SHIFTED_EXPONENTIAL, t0=0.001,
+                      rate=200.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_expected_participants_rejects_bad_deadline(self, spec, model):
+        # F_c(nan) is 1: a NaN deadline would count every pinned user
+        for T_d in self.BAD:
+            with pytest.raises(ParameterError, match="finite and nonnegative"):
+                expected_participants(10, T_d, model, spec, PHY)
+
+    def test_coverage_radius_rejects_bad_deadline(self):
+        for T_d in self.BAD:
+            with pytest.raises(ParameterError, match="finite and nonnegative"):
+                coverage_radius(T_d, det_model(0.05), PHY)
+
+
 class TestGmAbsCdf:
     def test_matches_numeric_integral(self):
         from scipy.integrate import quad

@@ -4,15 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, draw_position_blocks,
-                             draw_positions, min_spacings, pa_offsets,
-                             rng_after_positions, sample_positions,
-                             schedule_round, sorted_conv_offsets)
+                             DistributionSpec, draw_positions, min_spacings,
+                             pa_offsets, sample_positions, schedule_round,
+                             sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
@@ -61,58 +60,37 @@ class TestSamplePositions:
             with pytest.raises(ParameterError):
                 sample_positions(UNI, K, seed=0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(D=st.floats(1e-6, 1e6), seed=st.integers(0, 10_000))
+    def test_uniform_has_the_bits_of_rng_uniform(self, D, seed):
+        want = np.random.default_rng(seed).uniform(-D / 2.0, D / 2.0,
+                                                   size=(50, 40))
+        got = draw_positions(np.random.default_rng(seed),
+                             DistributionSpec(kind=UNIFORM, D=D), (50, 40))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(size=st.sampled_from([1, 7, (3, 5), (1, 1)]),
+           seed=st.integers(0, 10_000))
+    def test_mixture_normals_from_a_second_generator(self, size, seed):
+        # coins from the first generator, normals from the second; with no
+        # second generator both come from the first, coins before normals
+        coins, normals = (np.random.default_rng([seed, i]) for i in (0, 1))
+        got = draw_positions(coins, GM, size, normals)
+        coins, normals = (np.random.default_rng([seed, i]) for i in (0, 1))
+        centers = np.where(coins.random(size) < 0.5, -GM.mu, GM.mu)
+        assert np.array_equal(got, centers + normals.normal(0.0, GM.sigma,
+                                                            size=size))
+        one = np.random.default_rng(seed)
+        centers = np.where(one.random(size) < 0.5, -GM.mu, GM.mu)
+        want = centers + one.normal(0.0, GM.sigma, size=size)
+        got = draw_positions(np.random.default_rng(seed), GM, size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_integral_float_k_is_an_int(self):
         for spec in (UNI, GM):
             assert np.array_equal(sample_positions(spec, 2.0, 0),
                                   sample_positions(spec, 2, 0))
-
-
-class TestDrawPositionBlocks:
-    @settings(max_examples=100, deadline=None)
-    @given(spec=st.sampled_from([UNI, GM]), n=st.integers(1, 30),
-           K=st.integers(1, 6), rows=st.integers(1, 8),
-           seed=st.integers(0, 10_000))
-    # fewer rows than one block, a whole number of blocks, one row more
-    # than a block, one user per row
-    @example(spec=GM, n=5, K=3, rows=8, seed=1)
-    @example(spec=GM, n=12, K=3, rows=4, seed=2)
-    @example(spec=UNI, n=12, K=3, rows=4, seed=2)
-    @example(spec=GM, n=5, K=2, rows=4, seed=3)
-    @example(spec=GM, n=9, K=1, rows=4, seed=4)
-    def test_blocks_concatenate_to_one_draw(self, spec, n, K, rows, seed):
-        want = draw_positions(np.random.default_rng(seed), spec, (n, K))
-        blocks = list(draw_position_blocks(np.random.default_rng(seed), spec,
-                                           n, K, rows))
-        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= rows
-        got = np.concatenate(blocks)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class TestRngAfterPositions:
-    @settings(max_examples=100, deadline=None)
-    @given(spec=st.sampled_from([UNI, GM]), n=st.integers(1, 30),
-           K=st.integers(1, 6), rows=st.integers(1, 8),
-           seed=st.integers(0, 10_000))
-    # fewer rows than one block, a whole number of blocks, one user per row
-    @example(spec=GM, n=5, K=3, rows=8, seed=1)
-    @example(spec=GM, n=12, K=3, rows=4, seed=2)
-    @example(spec=UNI, n=12, K=3, rows=4, seed=2)
-    @example(spec=GM, n=9, K=1, rows=4, seed=4)
-    def test_block_exponentials_follow_one_draw(self, spec, n, K, rows, seed):
-        rng = np.random.default_rng(seed)
-        draw_positions(rng, spec, (n, K))
-        want = rng.exponential(0.01, size=(n, K))
-        rng = np.random.default_rng(seed)
-        after = rng_after_positions(rng, spec, n, K, rows)
-        # the copy moves, the generator it was taken from does not
-        fresh = np.random.default_rng(seed)
-        assert rng.bit_generator.state == fresh.bit_generator.state
-        got = np.concatenate([
-            after.exponential(0.01, size=(min(rows, n - r), K))
-            for r in range(0, n, rows)
-        ])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestConvBottleneck:
