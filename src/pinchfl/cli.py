@@ -244,7 +244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.out is not None:
         overrides["out"] = args.out
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -116,14 +116,24 @@ def _require(ok: bool, key: str, why: str):
         raise ConfigError(f"invalid value for config key '{key}': {why}")
 
 
-def validate(cfg: RunConfig) -> RunConfig:
-    """Full precondition check; raises ConfigError naming the offending key."""
+def _reads_m(cfg: RunConfig, command: Optional[str]) -> bool:
+    """Whether ``command`` reads M: verify does, and ccdf and train do in
+    SFL mode.  A config built for no command is checked as if it did."""
+    return command in (None, "verify") or (command in ("ccdf", "train")
+                                           and cfg.mode == "sfl")
+
+
+def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
+    """Full precondition check for the subcommand ``command``; raises
+    ConfigError naming the offending key.  M is checked only where
+    ``command`` reads it."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float):
             _require(math.isfinite(value), f.name, "must be finite")
     _require(cfg.k >= 1, "k", "must be at least 1")
-    _require(1 <= cfg.m <= cfg.k, "m", f"must lie in [1, k={cfg.k}]")
+    if _reads_m(cfg, command):
+        _require(1 <= cfg.m <= cfg.k, "m", f"must lie in [1, k={cfg.k}]")
     for key in ("corridor", "height", "power", "noise", "f_c", "bandwidth",
                 "payload", "eta", "target"):
         _require(getattr(cfg, key) > 0, key, "must be positive")
@@ -171,9 +181,11 @@ def validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def load_config(path: Optional[str], overrides: Optional[Dict[str, object]] = None
-                ) -> RunConfig:
-    """Build a validated RunConfig from a ``key = value`` file plus overrides.
+def load_config(path: Optional[str],
+                overrides: Optional[Dict[str, object]] = None,
+                command: Optional[str] = None) -> RunConfig:
+    """Build a RunConfig from a ``key = value`` file plus overrides, validated
+    for the subcommand ``command``.
 
     Flags win over file values; unknown keys are rejected by name.  Arch and
     mode strings are case-normalized (arch upper, mode lower).
@@ -206,4 +218,4 @@ def load_config(path: Optional[str], overrides: Optional[Dict[str, object]] = No
         values["arch"] = "both" if norm == "both" else norm.upper()
     if "mode" in values:
         values["mode"] = str(values["mode"]).lower()
-    return validate(RunConfig(**values))
+    return validate(RunConfig(**values), command)

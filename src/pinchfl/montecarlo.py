@@ -6,6 +6,10 @@ and mixture coins of the positions, one for the mixture's normals and one
 for compute times.  ``_blocks`` draws each stream in order, one block of
 rows at a time, so a run's trials are the same bits whatever the block
 size, and a run is a prefix of any longer run at the same (seed, K).
+Each run has one block workspace: ``_blocks`` draws every block into one
+buffer, and the runners overwrite it with latencies and finishing times,
+so the memory of a run is a few blocks whatever its trial count or its
+number of blocks.
 Acceptance convention: two-sided checks pass within three standard errors;
 one-sided bounds get one-sided slack.
 """
@@ -30,8 +34,9 @@ from .spatial import (CONV, PA, UNIFORM, DistributionSpec, draw_positions,
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
 # the SFL CCDF sorts its rows and scans its windows, one column per window
 # of its C-order rows, while verify_bounds sorts it, copies it into columns
-# and scans them, and while participation_sweep adds compute times to its
-# latencies and counts them per deadline
+# and scans them, and while participation_sweep turns it into latencies and
+# finishing times in place and counts them per deadline; a run allocates
+# its block buffers once, at min(_BLOCK_ROWS, trials) rows
 _BLOCK_ROWS = 4096
 
 SFL = "SFL"
@@ -46,12 +51,18 @@ def _streams(seed: int, K: int):
 
 
 def _blocks(spec: DistributionSpec, K: int, trials: int, seed: int):
-    """Yield the run's (b, K) position blocks, b <= ``_BLOCK_ROWS``, each a
-    fresh array, with the run's compute-time generator."""
+    """Yield the run's (b, K) position blocks, b <= ``_BLOCK_ROWS``, with the
+    run's compute-time generator.
+
+    Every block is a view of the first b rows of one buffer of the run,
+    drawn in place: a block is valid only until the next one is drawn, and
+    the caller may overwrite it.
+    """
     positions, normals, compute = _streams(seed, K)
+    buffer = np.empty((min(_BLOCK_ROWS, trials), K))
     for r in range(0, trials, _BLOCK_ROWS):
-        size = (min(_BLOCK_ROWS, trials - r), K)
-        yield draw_positions(positions, spec, size, normals), compute
+        xs = buffer[:min(_BLOCK_ROWS, trials - r)]
+        yield draw_positions(positions, spec, xs.shape, normals, out=xs), compute
 
 
 def _trial_count(trials) -> int:
@@ -170,8 +181,10 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
     for xs, _ in _blocks(spec, K, trials, seed):
         xs.sort(axis=1)
         for arch in archs:
-            lat = upload_latency(phy.c_round(M), kernels[arch](xs, M), 0.0,
-                                 phy.S, phy.d)
+            # the latencies overwrite the offsets
+            offsets = kernels[arch](xs, M)
+            lat = upload_latency(phy.c_round(M), offsets, 0.0, phy.S, phy.d,
+                                 out=offsets)
             exceed[arch] += len(xs) - _met_counts(grid, lat[:, None])[0]
     return {arch: CcdfSeries(grid=grid, ccdf=exceed[arch] / trials,
                              trials=trials, seed=seed) for arch in archs}
@@ -292,9 +305,12 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     Common random numbers: the run draws positions and compute times once
     and scores every deadline from that one draw, so the simulated gap
     between deadlines carries no fresh sampling noise.  Each block of
-    ``_BLOCK_ROWS`` rows is scored as it is drawn.  Under deterministic
-    compute every PA user finishes at ``t0 + tau_pa``, so each trial counts
-    K PA users or none, in closed form.
+    ``_BLOCK_ROWS`` rows is scored as it is drawn, in at most two block
+    buffers: the CONV latencies and then their finishing times overwrite
+    the positions, and the PA finishing times overwrite the compute times.
+    Under deterministic compute every PA user finishes at ``t0 + tau_pa``,
+    so each trial counts K PA users or none, in closed form, and nothing
+    but the positions is drawn.
     """
     T_grid = check_deadline(_ascending(T_grid))
     trials = _trial_count(trials)
@@ -309,17 +325,22 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
         pa_met = (T_c + tau_pa <= T_grid).astype(np.int64)
         sums[1] = trials * K * pa_met
         sums_sq[1] = trials * K * K * pa_met
+    else:
+        compute_times = np.empty((min(_BLOCK_ROWS, trials), K))
     for xs, compute in _blocks(spec, K, trials, seed):
-        tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d)
-        if not deterministic:
-            T_c = compute.exponential(1.0 / model.rate, size=xs.shape)
+        tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d, out=xs)
+        if deterministic:
+            finishes = [np.add(T_c, tau_conv, out=tau_conv)]
+        else:
+            # the bits of exponential(1 / rate), which is its scale times a
+            # standard draw
+            T_c = compute.standard_exponential(out=compute_times[:len(xs)])
+            T_c *= 1.0 / model.rate
             T_c += model.t0
-        # the finishing times T_c + tau of both architectures take turns
-        # in the tau_conv buffer
-        taus = (tau_conv,) if deterministic else (tau_conv, tau_pa)
-        for i, tau in enumerate(taus):
-            total, total_sq = _met_counts(T_grid,
-                                          np.add(T_c, tau, out=tau_conv))
+            finishes = [np.add(T_c, tau_conv, out=tau_conv),
+                        np.add(T_c, tau_pa, out=T_c)]
+        for i, finish in enumerate(finishes):
+            total, total_sq = _met_counts(T_grid, finish)
             sums[i] += total
             sums_sq[i] += total_sq
     rows = []

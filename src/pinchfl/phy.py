@@ -70,12 +70,13 @@ class PhyParams:
                          d=d, D=D, W=W, B_t=B_t)
 
 
-def _rate(x, z: float, S: float, d: float) -> np.ndarray:
-    """log2(1 + S / ((x-z)^2 + d^2)) in one new float buffer shaped like x."""
+def _rate(x, z: float, S: float, d: float, out=None) -> np.ndarray:
+    """log2(1 + S / ((x-z)^2 + d^2)) shaped like x, written into the float
+    array ``out`` if given (which may be x itself), else into a new one."""
     if S <= 0 or d <= 0:
         raise ParameterError("S and d must be positive")
-    r = np.array(x, dtype=float)
-    r -= z
+    r = np.subtract(x, z, out=np.empty(np.shape(x)) if out is None else out,
+                    dtype=float)
     np.square(r, out=r)
     r += d**2
     np.divide(S, r, out=r)
@@ -89,14 +90,16 @@ def spectral_efficiency(x, z: float, S: float, d: float):
     return _rate(x, z, S, d)[()]
 
 
-def upload_latency(c: float, x, z: float, S: float, d: float):
+def upload_latency(c: float, x, z: float, S: float, d: float, out=None):
     """Upload time tau = c / R(x, z) for users at x and the radiator at z.
 
     ``c`` is the link constant ``PhyParams.c_round(M)`` of the caller's
     round (``PhyParams.c`` for a single upload).  The times are divided into
-    the rate buffer; a zero rate anywhere raises InfeasibleLinkError.
+    the rate buffer, which is ``out`` if given (x itself may be passed, to
+    overwrite the positions); a zero rate anywhere raises
+    InfeasibleLinkError.
     """
-    rate = _rate(x, z, S, d)
+    rate = _rate(x, z, S, d, out)
     if not rate.all():
         raise InfeasibleLinkError("a link has zero rate")
     return np.divide(c, rate, out=rate)[()]

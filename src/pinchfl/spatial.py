@@ -55,24 +55,46 @@ class DistributionSpec:
                 raise ParameterError("cluster offset mu must be nonnegative")
 
 
-def draw_positions(rng, spec: DistributionSpec, size,
-                   normal_rng=None) -> np.ndarray:
-    """Array of i.i.d. user positions from ``spec`` with shape ``size``.
+def draw_positions(rng, spec: DistributionSpec, size, normal_rng=None,
+                   out=None) -> np.ndarray:
+    """Array of i.i.d. user positions from ``spec`` with shape ``size``,
+    written into ``out``, a C-contiguous float array of that shape, if
+    given, else into a new array.
 
     A mixture position takes a fair coin from ``rng`` to pick the cluster,
     then a Gaussian offset from ``normal_rng`` (``rng`` itself if None): all
-    the coins of the call are drawn before any normal.
+    the coins of the call are drawn before any normal.  The coins are drawn
+    into the result and kept as a boolean mask, the normals then overwrite
+    them, so no second float array is allocated.
     """
+    # numpy fills a Fortran-order out in memory order, permuting the draw
+    if out is not None and not out.flags.c_contiguous:
+        raise ParameterError("out must be a C-contiguous array")
+    xs = rng.random(size, out=out)
     if spec.kind == UNIFORM:
         # the bits of rng.uniform(-D/2, D/2), which rounds D u, then adds
         # -D/2, but without its slower per-element call
-        xs = rng.random(size)
         xs *= spec.D
         xs -= spec.D / 2.0
         return xs
-    xs = np.where(rng.random(size) < 0.5, -spec.mu, spec.mu)
-    xs += (rng if normal_rng is None else normal_rng).normal(0.0, spec.sigma,
-                                                            size=size)
+    left = xs < 0.5
+    (rng if normal_rng is None else normal_rng).standard_normal(size, out=xs)
+    # sigma z: the bits of normal(0, sigma), which is 0.0 + sigma z, but
+    # for the sign of a zero
+    xs *= spec.sigma
+    # +1 or -1 per position, in the bytes of the mask.  Rounding is
+    # symmetric, so -(-y + mu) is y - mu bit for bit: flipping the left
+    # cluster's offsets, adding mu and flipping back adds every centre
+    # with no array of centres
+    sign = left.view(np.int8)
+    sign *= -2
+    sign += 1
+    xs *= sign
+    xs += spec.mu
+    xs *= sign
+    # the flip leaves -0.0 where -y + mu is +0.0, but +-mu + (0.0 + sigma z)
+    # is never -0.0, as 0.0 + sigma z is not
+    xs += 0.0
     return xs
 
 

@@ -115,6 +115,32 @@ class TestExitCodes:
         assert f"'{key}'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("argv", [
+        ["participation", "--k", "5"],
+        ["participation", "--k", "3", "--m", "0"],
+        ["ccdf", "--mode", "afl", "--k", "3"],
+        ["train", "--mode", "afl", "--k", "3", "--rounds", "2"],
+        ["highsnr", "--k", "3"],
+    ], ids=["participation", "participation-m0", "ccdf-afl", "train-afl",
+            "highsnr"])
+    def test_m_is_not_checked_where_it_is_not_read(self, tmp_path, capsys,
+                                                  argv):
+        # the default M=7 exceeds these K, and no command here reads M
+        assert main([*argv, "--trials", "100", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "5"],
+        ["verify", "--k", "5", "--m", "0"],
+        ["ccdf", "--mode", "sfl", "--k", "5"],
+        ["train", "--mode", "sfl", "--k", "5", "--rounds", "2"],
+    ], ids=["verify", "verify-m0", "ccdf-sfl", "train-sfl"])
+    def test_m_is_checked_before_artifacts_where_it_is_read(
+            self, tmp_path, capsys, argv):
+        rc = main([*argv, "--trials", "100", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'m'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sfl_accepts_zero_deadline(self):
         # a synchronous round waits for its slowest upload; no tick is involved
         assert load_config(None, {"mode": "sfl", "deadline": "0"}).deadline == 0.0

@@ -110,10 +110,17 @@ class TestBlocks:
     @example(spec=UNI, trials=3, K=1, rows=8, extra=0, seed=5)
     def test_blocks_are_one_whole_draw(self, spec, trials, K, rows, extra,
                                        seed):
-        # a run's blocks are one draw, and the first rows of a longer run's
+        # a run's blocks are one draw, and the first rows of a longer run's;
+        # each block is a view of the run's one buffer, so it is copied
+        # before the next is drawn
         want, _ = _whole_draw(spec, K, trials + extra, seed)
+        views, blocks = [], []
         with mock.patch.object(montecarlo, "_BLOCK_ROWS", rows):
-            blocks = list(montecarlo._blocks(spec, K, trials, seed))
+            for xs, compute in montecarlo._blocks(spec, K, trials, seed):
+                views.append(xs)
+                blocks.append((xs.copy(), compute))
+        # every block is drawn into the run's one buffer
+        assert all(np.shares_memory(xs, views[0]) for xs in views)
         sizes = [len(xs) for xs, _ in blocks]
         assert sizes[:-1] == [rows] * (len(sizes) - 1)
         assert 1 <= sizes[-1] <= rows
@@ -300,12 +307,16 @@ class TestEstimateCcdfs:
     def test_peak_memory_is_a_few_blocks(self, monkeypatch, mode, spec):
         # 20000 trials are 40 blocks, the last one partial; an array of one
         # value per trial would be 4 blocks of 10 users, or 40 of one user,
-        # the one position an AFL trial draws
+        # the one position an AFL trial draws.  An SFL run holds one block
+        # buffer, and a mixture draw its coin mask and one numpy cast buffer
+        # of at most a block.  An AFL block is one (b,) column, as is each
+        # temporary of the offset kernels, so those set its peak
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         K, M = 10, 3
+        bound = 6 if mode == "AFL" else 2 if spec is UNI else 3
         assert _peak_blocks(lambda: montecarlo.estimate_ccdfs(
             mode, ("CONV", "PA"), PHY, spec, K, M, 20_000, GRID, seed=0),
-            K if mode == "SFL" else 1) < 8
+            K if mode == "SFL" else 1) < bound
 
     def test_rejects_bad_archs(self, no_draws):
         for archs in [(), ["CONV", "CONV"], ("PA", "CONV", "PA"), ("BEAM",),
@@ -387,11 +398,12 @@ class TestVerifyBounds:
 
     def test_peak_memory_is_a_few_blocks(self, monkeypatch):
         # 20000 trials are 40 blocks, the last one partial; an array of one
-        # value per trial would be 4 blocks
+        # value per trial would be 4 blocks.  The run holds its block
+        # buffer and its column-major copy
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         K = 10
         assert _peak_blocks(lambda: montecarlo.verify_bounds(
-            [K], [2, 5, 7], 10.0, trials=20_000, seed=0), K) < 8
+            [K], [2, 5, 7], 10.0, trials=20_000, seed=0), K) < 3
 
     def test_matches_row_major_reference(self, monkeypatch):
         # several blocks, the last one partial
@@ -534,6 +546,19 @@ def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
 
 
 class TestParticipationSweep:
+    @settings(max_examples=50, deadline=None)
+    @given(rate=st.floats(1e-3, 1e6), n=st.integers(1, 50),
+           K=st.integers(1, 9), seed=st.integers(0, 10_000))
+    def test_scaled_standard_exponential_is_exponential(self, rate, n, K,
+                                                        seed):
+        # the sweep writes compute times into its buffer as a standard draw
+        # times 1/rate; numpy's exponential(scale) is scale times that draw
+        want = np.random.default_rng(seed).exponential(1.0 / rate, (n, K))
+        got = np.random.default_rng(seed).standard_exponential(
+            out=np.empty((n, K)))
+        got *= 1.0 / rate
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_mc_matches_closed_form(self):
         model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
         tau_min = PHY.c / np.log2(1.0 + PHY.S / PHY.d**2)
@@ -616,16 +641,21 @@ class TestParticipationSweep:
         # the grid straddles the earliest PA finishing time
         assert rows[0]["n_pa_mc"] == 0 < rows[-1]["n_pa_mc"]
 
-    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("spec,K", [(UNI, 40), (GM, 40), (UNI, 200),
+                                        (GM, 200)],
+                             ids=["uniform", "gm", "uniform-K200", "gm-K200"])
     @pytest.mark.parametrize("model", [
         DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC),
         DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, t0=0.001,
                       rate=300.0),
     ], ids=["deterministic", "shifted_exp"])
-    def test_peak_memory_is_a_few_blocks(self, monkeypatch, spec, model):
-        # 20000 trials are 39 blocks, the last one partial
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch, spec, model, K):
+        # 20000 trials are 40 blocks, the last one partial.  The run holds
+        # one block buffer of positions, latencies and CONV finishing times,
+        # and under exponential compute one of compute times and PA
+        # finishing times
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
-        K = 40
+        buffers = 1 if model.fc_kind == DETERMINISTIC else 2
         assert _peak_blocks(lambda: montecarlo.participation_sweep(
             K, np.linspace(0.0, 0.2, 50), model, spec, PHY, trials=20_000,
-            seed=0), K) < 8
+            seed=0), K) < buffers + 1

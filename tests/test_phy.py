@@ -96,6 +96,20 @@ class TestSpectralEfficiency:
         assert taus.shape == xs.shape
         assert taus.tobytes() == ref.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(1e-3, 1e3),
+           xs=st.lists(st.floats(-50, 50), min_size=1, max_size=30),
+           z=st.floats(-50, 50), S=st.floats(1e-2, 1e8), d=st.floats(0.1, 10),
+           into_x=st.booleans())
+    def test_out_has_the_bits_of_a_fresh_call(self, c, xs, z, S, d, into_x):
+        x = np.array(xs)
+        want = phy.upload_latency(c, x, z, S, d)
+        # the positions themselves, or a buffer holding stale values
+        out = x if into_x else np.full_like(x, np.nan)
+        got = phy.upload_latency(c, x, z, S, d, out=out)
+        for times in (got, out):
+            assert np.array_equal(times.view(np.int64), want.view(np.int64))
+
 
 class TestHighSnrConstants:
     def test_operating_point_values(self):

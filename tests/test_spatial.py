@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
@@ -86,6 +86,50 @@ class TestSamplePositions:
         want = centers + one.normal(0.0, GM.sigma, size=size)
         got = draw_positions(np.random.default_rng(seed), GM, size)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from([UNIFORM, GAUSSIAN_MIXTURE]),
+           mu=st.sampled_from([0.0, 3.0]) | st.floats(0.0, 50.0),
+           sigma=st.sampled_from([5e-324, 0.5]) | st.floats(1e-300, 10.0),
+           n=st.integers(1, 40), K=st.integers(1, 9), extra=st.integers(0, 5),
+           two=st.booleans(), seed=st.integers(0, 10_000))
+    # a subnormal sigma rounds half the offsets sigma z to +0.0 or -0.0, so
+    # mu=0 draws exact zeros of both signs
+    @example(kind=GAUSSIAN_MIXTURE, mu=0.0, sigma=5e-324, n=40, K=9, extra=1,
+             two=True, seed=0)
+    @example(kind=GAUSSIAN_MIXTURE, mu=0.0, sigma=5e-324, n=40, K=9, extra=0,
+             two=False, seed=1)
+    def test_out_has_the_bits_of_a_fresh_draw(self, kind, mu, sigma, n, K,
+                                              extra, two, seed):
+        spec = DistributionSpec(kind=kind, D=10.0, mu=mu, sigma=sigma)
+
+        def generators():
+            coins, normals = (np.random.default_rng([seed, i]) for i in (0, 1))
+            return coins, normals if two else None
+
+        coins, normals = generators()
+        want = draw_positions(coins, spec, (n, K), normals)
+        # the first rows of a larger buffer, holding stale values
+        out = np.full((n + extra, K), -np.inf)[:n]
+        coins, normals = generators()
+        got = draw_positions(coins, spec, (n, K), normals, out=out)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if kind == GAUSSIAN_MIXTURE:
+            # numpy's own mixture: -mu or mu, plus normal(0, sigma), which is
+            # 0.0 + sigma z
+            coins, normals = generators()
+            centres = np.where(coins.random((n, K)) < 0.5, -mu, mu)
+            normals = coins if normals is None else normals
+            ref = centres + normals.normal(0.0, sigma, size=(n, K))
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_out_must_be_c_contiguous(self):
+        # numpy would fill a Fortran-order buffer in memory order, which is
+        # not the draw a fresh call returns
+        for out in (np.empty((3, 4), order="F"), np.empty((3, 8))[:, ::2]):
+            with pytest.raises(ParameterError):
+                draw_positions(np.random.default_rng(0), UNI, (3, 4), out=out)
 
     def test_integral_float_k_is_an_int(self):
         for spec in (UNI, GM):
