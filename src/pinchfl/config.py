@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 from .errors import ConfigError, ParameterError
-from .flcore import QuantizerSpec
+from .flcore import MAX_BITS, QuantizerSpec
 from .participation import DETERMINISTIC, SHIFTED_EXPONENTIAL, DeadlineModel
 from .phy import PhyParams
 from .spatial import GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec
@@ -140,7 +140,9 @@ def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
     for key in ("snr", "t0", "tick", "horizon", "sigma_grad", "delta2",
                 "deadline", "c_q"):
         _require(getattr(cfg, key) >= 0, key, "must be nonnegative")
-    _require(cfg.bits >= 1, "bits", "must be at least 1")
+    _require(1 <= cfg.bits <= MAX_BITS, "bits",
+             f"must lie in [1, {MAX_BITS}], where every grid index is an "
+             f"exact double")
     _require(0 < cfg.p_s <= 1, "p_s", "must lie in (0, 1]")
     _require(cfg.fc_kind in (DETERMINISTIC, SHIFTED_EXPONENTIAL), "fc_kind",
              f"must be one of {DETERMINISTIC!r}, {SHIFTED_EXPONENTIAL!r}")

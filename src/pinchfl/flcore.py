@@ -28,28 +28,47 @@ from .spatial import CONV, PA, schedule_round
 
 _ALPHA_CAP = 1.0 - 1e-6
 _S_MAX = np.finfo(float).max / 2.0  # largest row scale whose 2 s is finite
+MAX_BITS = 53  # the largest b whose top level index 2^b - 1 is an exact double
+
+
+def _grid(b) -> tuple:
+    """Top level index ``2^b - 1`` of a b-bit quantizer and half of it, as
+    floats; b must be an integer (an integral float counts) in
+    [1, MAX_BITS]."""
+    if not (1 <= b <= MAX_BITS and float(b).is_integer()):
+        raise ParameterError(f"bit budget b={b!r}: need an integer with "
+                             f"1 <= b <= {MAX_BITS}")
+    top = float(2 ** int(b) - 1)
+    return top, top / 2.0
 
 
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Per-coordinate bit budget and the high-rate fidelity model.
 
-    ``c_q = 0`` selects the identity (lossless) mode used in tests.
+    ``b`` is an integer with 1 <= b <= 53 (``MAX_BITS``), so that every grid
+    index is an exact double.  The quantizer is the identity (lossless) mode
+    used in tests iff ``c_q = 0``; any ``c_q > 0`` quantizes, also where
+    ``alpha`` rounds to 1.
     """
 
     b: int
     c_q: float = 1.0
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ParameterError("bit budget b must be at least 1")
-        if self.c_q < 0:
+        _grid(self.b)
+        if not self.c_q >= 0:
             raise ParameterError("high-rate constant c_q must be nonnegative")
 
     @property
     def alpha(self) -> float:
         """Fidelity 1 - min(c_q * 2^(-2b), cap); equals 1 in identity mode."""
         return 1.0 - min(self.c_q * 2.0 ** (-2 * self.b), _ALPHA_CAP)
+
+    @property
+    def _ef_grid(self):
+        """``_grid(b)`` for ``_ef_kernel``, None in identity mode."""
+        return None if self.c_q == 0 else _grid(self.b)
 
 
 def inclusion_probability(tau, model: DeadlineModel):
@@ -79,11 +98,30 @@ def draw_gates(taus, model: DeadlineModel, rng):
     Returns boolean Z and I and the float T_c, shaped like ``taus``.
     """
     taus = np.asarray(taus, dtype=float)
-    Z = rng.random(taus.shape) < model.p_s
-    T_c = np.full(taus.shape, float(model.t0))
-    if model.fc_kind != DETERMINISTIC:
-        T_c[Z] += rng.exponential(1.0 / model.rate, size=int(Z.sum()))
-    return Z, T_c, Z & (T_c + taus <= model.T_d)
+    Z, T_c, I, _ = _gate_kernel(taus, *_gate_params(model), rng)
+    return Z, np.full(taus.shape, T_c), I
+
+
+def _gate_params(model: DeadlineModel) -> tuple:
+    """``(p_s, t0, 1/rate, T_d)`` of ``model`` for ``_gate_kernel``, with
+    None for 1/rate under deterministic compute."""
+    scale = None if model.fc_kind == DETERMINISTIC else 1.0 / model.rate
+    return model.p_s, float(model.t0), scale, model.T_d
+
+
+def _gate_kernel(taus: np.ndarray, p_s: float, t0: float, scale, T_d: float,
+                 rng):
+    """``draw_gates`` on a float array, plus the finishing times T_c + tau.
+
+    Under deterministic compute (``scale`` None) T_c is the scalar t0."""
+    Z = rng.random(taus.shape) < p_s
+    if scale is None:
+        T_c = t0
+    else:
+        T_c = np.full(taus.shape, t0)
+        T_c[Z] += rng.exponential(scale, size=np.count_nonzero(Z))
+    finish = T_c + taus
+    return Z, T_c, Z & (finish <= T_d), finish
 
 
 def quantize(v: np.ndarray, b: int) -> np.ndarray:
@@ -93,31 +131,38 @@ def quantize(v: np.ndarray, b: int) -> np.ndarray:
     A row whose grid step is zero (all zeros, or so small that the step
     underflows) is returned as is, with zeros as +0.  A row holding a NaN, an
     infinity or a scale above half the largest float, where 2 s overflows,
-    raises ParameterError.
+    raises ParameterError, and so does a bit budget outside [1, MAX_BITS].
     """
-    v = np.asarray(v, dtype=float)
+    return _quantize_kernel(np.asarray(v, dtype=float), *_grid(b))
+
+
+def _quantize_kernel(v: np.ndarray, top: float, half: float) -> np.ndarray:
+    """``quantize`` on a float array, with ``(top, half)`` from ``_grid``."""
     q = np.abs(v)
     s = np.maximum.reduce(q, axis=-1, keepdims=True, initial=0.0)
     # the largest scale decides, and a NaN fails the comparison too
     if not np.maximum.reduce(s, axis=None, initial=0.0) <= _S_MAX:
         raise ParameterError("quantizer input must be finite, with max|v| "
                              "at most half the largest float")
-    n = 2**b
-    step = 2.0 * s / (n - 1)
-    exact = step == 0.0
-    step[exact] = 1.0
+    # 2 s / (n - 1) bit for bit, as 2 s and (n - 1) / 2 are both exact
+    step = s / half
+    # a row whose step underflows to zero comes back as is; until then it
+    # takes a unit step.  Most calls have no such row and build no mask
+    exact = None if np.count_nonzero(step) == step.size else step == 0.0
+    if exact is not None:
+        step[exact] = 1.0
     # quantize |v| on the symmetric grid in place, then restore signs; rounding
     # up on the magnitude axis is round-half-away-from-zero on the original axis
     q += s
     q /= step
     q += 0.5
     np.floor(q, out=q)  # at least 0, so only the top level needs a clip
-    np.minimum(q, n - 1, out=q)
+    np.minimum(q, top, out=q)
     q *= step
     q -= s
     # negate where v < 0 rather than copysign, which would also flip -0.0 inputs
     np.negative(q, out=q, where=v < 0)
-    return np.where(exact, v + 0.0, q) if exact.any() else q
+    return q if exact is None else np.where(exact, v + 0.0, q)
 
 
 def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
@@ -128,11 +173,19 @@ def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
     e = np.asarray(e, dtype=float)
     if g.shape != e.shape:
         raise ParameterError("gradient and residual must share a shape")
-    v = g + e
-    if spec.alpha >= 1.0:
-        return v.copy(), np.zeros_like(v)
-    Y = quantize(v, spec.b)
-    return Y, v - Y
+    e_next = np.zeros_like(g)
+    return _ef_kernel(g + e, e_next, spec._ef_grid), e_next
+
+
+def _ef_kernel(v: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
+    """``quantize_ef`` on v = g + e: returns Y = Q(v) and writes the next
+    residual v - Y into ``e``.  With ``grid`` None (identity mode) Y is v
+    itself and ``e`` is left as it is."""
+    if grid is None:
+        return v
+    Y = _quantize_kernel(v, *grid)
+    np.subtract(v, Y, out=e)
+    return Y
 
 
 def ht_aggregate(entries, K: int) -> np.ndarray:
@@ -283,16 +336,29 @@ class SyntheticProblem:
         diff = np.asarray(w) - self.w_star
         return float(np.dot(diff, diff))
 
+    @property
+    def _noise_scale(self) -> float:
+        """Standard deviation of each gradient coordinate's noise."""
+        return self.noise_sigma / math.sqrt(self.d_w)
+
     def stochastic_grads(self, ws: np.ndarray, rng) -> np.ndarray:
         """Per-user noisy gradients; ``ws`` is (K, d_w) or a single point."""
         ws = np.asarray(ws, dtype=float)  # a single (d_w,) point broadcasts
-        noise = rng.normal(0.0, self.noise_sigma / math.sqrt(self.d_w),
-                           size=self.centers.shape)
-        return ws - self.centers + noise
+        return _grads_kernel(ws, self.centers, self._noise_scale, rng,
+                             np.empty(self.centers.shape))
 
     def initial_point(self, gap: float = 1.0) -> np.ndarray:
         """A start with F(w0) - F* equal to ``gap`` exactly."""
         return self.w_star + math.sqrt(2.0 * gap / self.d_w) * np.ones(self.d_w)
+
+
+def _grads_kernel(ws: np.ndarray, centers: np.ndarray, scale: float, rng,
+                  out: np.ndarray) -> np.ndarray:
+    """``stochastic_grads`` into ``out``: (ws - centers) + noise."""
+    noise = rng.normal(0.0, scale, size=centers.shape)
+    np.subtract(ws, centers, out=out)
+    out += noise
+    return out
 
 
 def make_synthetic_problem(K: int, d_w: int, delta2_target: float,
@@ -376,12 +442,19 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     rng = np.random.default_rng(seed)
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
     e = np.zeros((M, problem.d_w))
+    # the round kernels' inputs, fixed for the run, and their buffers
+    centers, scale, grid = problem.centers, problem._noise_scale, spec._ef_grid
+    grads = np.empty_like(centers)
+    v = np.empty_like(e)
     log = TrainLog()
     t = 0.0
     grad_norm2 = problem.grad_norm2(w)
     for rnd in range(rounds):
-        Ys, e = quantize_ef(problem.stochastic_grads(w, rng)[sched], e, spec)
-        w = w - eta * Ys.mean(axis=0)
+        _grads_kernel(w, centers, scale, rng, grads)
+        np.take(grads, sched, axis=0, out=v)
+        v += e
+        # the sum over rows divided by M is the bits of their mean
+        w = w - eta * (np.add.reduce(_ef_kernel(v, e, grid), axis=0) / M)
         t += round_time
         # this round's post-update norm is the next round's pre-update norm
         pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
@@ -431,6 +504,8 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     pis = inclusion_probability(taus, model)
     # HT divides each upload by its inclusion probability, uniform by 1
     weights = pis if weighting == "HT" else np.ones(K)
+    # pi is fixed for the run, so only a run with a zero one checks uploads
+    check_pis = not (pis > 0).all()
 
     rng = np.random.default_rng(seed)
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
@@ -439,6 +514,11 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     cache_ver = np.zeros(K, dtype=int)
     busy_until = np.zeros(K)
     version = 0
+    # the tick kernels' inputs, fixed for the run, and the gradient buffer
+    centers, scale, grid = problem.centers, problem._noise_scale, spec._ef_grid
+    gate = _gate_params(model)
+    divisor = K if weighting == "HT" else None
+    v = np.empty_like(centers)
     # heap of (apply time, tick, batch latency, updates, their weights, their
     # fetch versions), uploads in arrival order; the tick breaks ties
     pending: list = []
@@ -448,7 +528,7 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         nonlocal w, version
         while pending and pending[0][0] <= up_to:
             apply_time, _, lat, Ys, up_w, fetch_vers = heapq.heappop(pending)
-            w = w - eta * _ht_kernel(up_w, Ys, K if weighting == "HT" else len(Ys))
+            w = w - eta * _ht_kernel(up_w, Ys, divisor or len(Ys))
             staleness = version - int(fetch_vers.min())
             version += 1
             grad_norm2 = problem.grad_norm2(w)
@@ -468,17 +548,19 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         idle = (busy_until <= t_tick + 1e-12).nonzero()[0]
         caches[idle] = w
         cache_ver[idle] = version
-        Ys, e = quantize_ef(problem.stochastic_grads(caches, rng), e, spec)
-        taus_idle = taus[idle]
-        Z, T_c, I = draw_gates(taus_idle, model, rng)
-        finish = T_c + taus_idle
+        _grads_kernel(caches, centers, scale, rng, v)
+        v += e
+        Ys = _ef_kernel(v, e, grid)
+        Z, T_c, I, finish = _gate_kernel(taus[idle], *gate, rng)
         # uploaders stay busy until their upload lands, the rest while computing
         busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
-        if I.any():
-            up = idle[I][finish[I].argsort(kind="stable")]
-            if (pis[up] <= 0).any():
+        if np.count_nonzero(I):
+            up_finish = finish[I]
+            order = up_finish.argsort(kind="stable")
+            up = idle[I][order]
+            if check_pis and (pis[up] <= 0).any():
                 raise ParameterError("upload from a zero-probability user")
-            lat = finish[I].max()
+            lat = up_finish[order[-1]]  # the last upload to land
             heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], weights[up],
                                      cache_ver[up]))
     apply_batches(horizon_s)

@@ -123,8 +123,8 @@ def _window_min(sorted_xs: np.ndarray, M: int, cost) -> np.ndarray:
     """
     K = sorted_xs.shape[-1]
     best = np.empty(sorted_xs.shape[:-1])
-    scratch = np.empty_like(best)
     cost(sorted_xs[..., 0], sorted_xs[..., M - 1], best)
+    scratch = np.empty_like(best) if K > M else None  # K == M: one window
     for i in range(1, K - M + 1):
         cost(sorted_xs[..., i], sorted_xs[..., i + M - 1], scratch)
         np.minimum(best, scratch, out=best)
@@ -195,9 +195,10 @@ def min_spacings(sorted_u: np.ndarray) -> np.ndarray:
     single row gives a 0-d array.
     """
     gap = np.empty(sorted_u.shape[:-1])
-    scratch = np.empty_like(gap)
     np.subtract(1.0, sorted_u[..., -1], out=gap)
     np.minimum(gap, sorted_u[..., 0], out=gap)
+    # a single point has no interior gap to hold
+    scratch = np.empty_like(gap) if sorted_u.shape[-1] > 1 else None
     for j in range(1, sorted_u.shape[-1]):
         np.subtract(sorted_u[..., j], sorted_u[..., j - 1], out=scratch)
         np.minimum(gap, scratch, out=gap)

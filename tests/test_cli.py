@@ -141,6 +141,18 @@ class TestExitCodes:
         assert "'m'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bits", ["0", "54", "2000"])
+    @pytest.mark.parametrize("mode", ["sfl", "afl"])
+    def test_bit_budget_beyond_the_exact_grid_rejected_before_artifacts(
+            self, tmp_path, capsys, mode, bits):
+        # at 54 bits 2^b - 1 is no longer an exact double; from 1024 on it
+        # overflows a float
+        rc = main(["train", "--mode", mode, "--bits", bits, "--rounds", "2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'bits'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sfl_accepts_zero_deadline(self):
         # a synchronous round waits for its slowest upload; no tick is involved
         assert load_config(None, {"mode": "sfl", "deadline": "0"}).deadline == 0.0

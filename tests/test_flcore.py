@@ -78,7 +78,7 @@ class TestQuantizer:
             assert np.max(np.abs(v - y)) <= step / 2 + 1e-9 * s
 
     @settings(max_examples=200, deadline=None)
-    @given(b=st.integers(1, 8), d=st.integers(1, 8),
+    @given(b=st.integers(1, flcore.MAX_BITS), d=st.integers(1, 8),
            rows=st.lists(st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
                                    st.just(0.0), st.just(-0.0),
                                    st.just(5e-324)),
@@ -87,6 +87,8 @@ class TestQuantizer:
     # -0.0 is not negative: it takes the +0.0 grid value, and +0.0 in an
     # all-zero row
     @example(b=3, d=2, rows=[-0.0, 1.0, -0.0, -0.0], zero_row=False)
+    # the finest grid, next to a row whose step underflows
+    @example(b=53, d=2, rows=[1.0, -0.3, 5e-324, -0.0], zero_row=False)
     def test_rows_match_scalar_reference(self, b, d, rows, zero_row):
         K = max(len(rows) // d, 1)
         v = np.resize(np.asarray(rows), (K, d))
@@ -165,8 +167,22 @@ class TestQuantizerSpec:
         assert QuantizerSpec(b=1, c_q=1e9).alpha > 0.0
 
     def test_bad_bits(self):
+        # 2^b - 1 must be an exact double, the top index of an integer grid
+        for b in (0, 2.5, 54, -1, math.nan):
+            with pytest.raises(ParameterError):
+                QuantizerSpec(b=b)
+            with pytest.raises(ParameterError):
+                quantize(np.array([0.3, -0.1]), b)
+
+    def test_bits_up_to_the_exact_grid(self):
+        v = np.array([0.3, -0.1, 0.2])
+        assert QuantizerSpec(b=53).b == 53
+        # an integral float is an integer
+        assert quantize(v, 6.0).tobytes() == quantize(v, 6).tobytes()
+
+    def test_nan_c_q_rejected(self):
         with pytest.raises(ParameterError):
-            QuantizerSpec(b=0)
+            QuantizerSpec(b=6, c_q=math.nan)
 
 
 class TestErrorFeedback:
@@ -183,6 +199,21 @@ class TestErrorFeedback:
         Y, e_next = quantize_ef(g, np.zeros(2), spec)
         assert np.array_equal(Y, g)
         assert np.all(e_next == 0.0)
+
+    @pytest.mark.parametrize("b, c_q", [(1, 1e-20), (27, 1.0)])
+    def test_only_c_q_zero_is_lossless(self, b, c_q):
+        # alpha rounds to 1 here, and the step still quantizes
+        spec = QuantizerSpec(b=b, c_q=c_q)
+        assert spec.alpha == 1.0
+        rng = np.random.default_rng(b)
+        g, e = rng.normal(size=(6, 5)), rng.normal(scale=0.01, size=(6, 5))
+        for g, e in ((g, e), (np.array([0.3, -0.1, 0.2]), np.zeros(3))):
+            Y, e_next = quantize_ef(g, e, spec)
+            assert Y.tobytes() == quantize(g + e, b).tobytes()
+            assert e_next.tobytes() == ((g + e) - Y).tobytes()
+            assert not np.array_equal(Y, g + e)
+        if b == 1:  # the 1-bit grid of [0.3, -0.1, 0.2] is {-0.3, 0.3}
+            assert list(Y) == [0.3, -0.3, 0.3]
 
     def test_residual_energy_stays_below_fixed_point(self):
         # constant gradient stream: residual energy must stay below the
@@ -244,6 +275,21 @@ class TestGatesAndWeights:
                 p = inclusion_probability(tau, model)
                 # 3-sigma binomial interval
                 assert abs(inc - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("model", [
+        DeadlineModel(T_d=0.9, t0=0.2, p_s=0.6),
+        DeadlineModel(T_d=0.9, fc_kind=SHIFTED_EXPONENTIAL, t0=0.1, rate=3.0,
+                      p_s=0.6)], ids=["deterministic", "shifted-exp"])
+    def test_gate_kernel_matches_draw_gates(self, model):
+        taus = np.random.default_rng(1).uniform(0.0, 1.0, 300)
+        Z, T_c, I = draw_gates(taus, model, np.random.default_rng(6))
+        kZ, kT_c, kI, finish = flcore._gate_kernel(
+            taus, *flcore._gate_params(model), np.random.default_rng(6))
+        assert Z.tobytes() == kZ.tobytes() and I.tobytes() == kI.tobytes()
+        # deterministic compute keeps the scalar t0
+        assert np.full(taus.shape, kT_c).tobytes() == T_c.tobytes()
+        assert finish.tobytes() == (T_c + taus).tobytes()
+        assert 0 < I.sum() < Z.sum() < taus.size
 
     def test_draw_gates_consumes_one_uniform_per_user(self):
         model = DeadlineModel(T_d=1.0, p_s=0.5)
@@ -672,3 +718,20 @@ class TestLoopsMatchReference:
         records = run_afl(*args, **kw).records
         assert records
         assert _as_reprs(records) == _as_reprs(_ref_afl(*args, **kw))
+
+
+@pytest.mark.parametrize("b, c_q", [(1, 1e-20), (27, 1.0)])
+def test_loops_quantize_whenever_c_q_is_positive(b, c_q):
+    # alpha rounds to 1 at these specs, and the loops still quantize
+    problem, xs = _ref_problem(0)
+    spec, lossless = QuantizerSpec(b, c_q), QuantizerSpec(b, 0.0)
+    deadline = DeadlineModel(T_d=0.05)
+    for arch in (CONV, PA):
+        for loop, ref, args in (
+                (run_sfl, _ref_sfl, lambda q: (problem, xs, _REF_LINK, 7, 0.2,
+                                               q, 40, arch, 0)),
+                (run_afl, _ref_afl, lambda q: (problem, xs, _REF_LINK,
+                                               deadline, 0.2, q, 0.5, arch, 0))):
+            got = _as_reprs(loop(*args(spec)).records)
+            assert got == _as_reprs(ref(*args(spec)))
+            assert got != _as_reprs(loop(*args(lossless)).records)

@@ -50,7 +50,10 @@ def _row_blocks(trials):
 
 def _peak_blocks(run, width):
     """Peak memory that ``run()`` allocates, in blocks of 512 rows of
-    ``width`` doubles; numpy reports its buffers to tracemalloc."""
+    ``width`` doubles; numpy reports its buffers to tracemalloc.  A first,
+    untraced call keeps one-time allocations (numpy's and the interpreter's
+    caches) out, so the peak does not depend on which tests ran before."""
+    run()
     tracemalloc.start()
     try:
         run()
@@ -310,10 +313,11 @@ class TestEstimateCcdfs:
         # the one position an AFL trial draws.  An SFL run holds one block
         # buffer, and a mixture draw its coin mask and one numpy cast buffer
         # of at most a block.  An AFL block is one (b,) column, as is each
-        # temporary of the offset kernels, so those set its peak
+        # temporary of the offset kernels, so those set its peak; at K = M = 1
+        # they allocate no scratch column
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         K, M = 10, 3
-        bound = 6 if mode == "AFL" else 2 if spec is UNI else 3
+        bound = 5 if mode == "AFL" else 2 if spec is UNI else 3
         assert _peak_blocks(lambda: montecarlo.estimate_ccdfs(
             mode, ("CONV", "PA"), PHY, spec, K, M, 20_000, GRID, seed=0),
             K if mode == "SFL" else 1) < bound

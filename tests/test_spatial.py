@@ -1,6 +1,7 @@
 """Position sampling, bottleneck distances, and spacing geometry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ class TestScheduleRound:
                 schedule_round(np.zeros((2, 2)), 1, arch)
 
 
+def _peak_columns(run, n):
+    """Peak memory that ``run()`` allocates after a first, untraced call, in
+    columns of ``n`` doubles."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * 8)
+
+
 class TestBatchedBottlenecks:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 6), K=st.integers(1, 12), seed=st.integers(0, 10_000),
@@ -256,6 +270,17 @@ class TestBatchedBottlenecks:
             c_out = kernel(np.ascontiguousarray(xs), M)
             f_out = kernel(np.asfortranarray(xs), M)
             assert c_out.tobytes() == f_out.tobytes()
+
+    @pytest.mark.parametrize("K, M, columns", [(1, 1, 1), (5, 5, 1), (5, 2, 2)])
+    def test_scratch_only_for_a_second_window(self, K, M, columns):
+        # the result and, only when there is a second window or gap, one
+        # scratch column of the batch shape
+        xs = np.sort(np.random.default_rng(0).random((512, K)), axis=1)
+        for kernel in (lambda: pa_offsets(xs, M),
+                       lambda: sorted_conv_offsets(xs, M),
+                       # K - M + 1 points: an interior gap per extra window
+                       lambda: min_spacings(xs[:, :K - M + 1])):
+            assert columns <= _peak_columns(kernel, 512) < columns + 0.5
 
 
 class TestMinSimpleSpacing:

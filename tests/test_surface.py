@@ -46,6 +46,9 @@ def test_records_reject_non_finite_fields(record, name, bad):
 # public functions that no command reaches yet, each with its reason
 _WAITING = {
     "xi_safe": "the AFL step-size bound; ROADMAP item 8(a) gives it a consumer",
+    "draw_gates": "the validating entry of the gate, which the reference loop "
+                  "of the tests calls; run_afl calls its kernel, _gate_kernel, "
+                  "and ROADMAP item 8(a)'s gate ledger reads the same arrays",
 }
 
 
