@@ -38,6 +38,9 @@ from .spatial import (CONV, PA, UNIFORM, DistributionSpec, draw_positions,
 # finishing times in place and counts them per deadline; a run allocates
 # its block buffers once, at min(_BLOCK_ROWS, trials) rows
 _BLOCK_ROWS = 4096
+# windows per chunk of verify_bounds' scans: a (_BLOCK_ROWS, _SCAN_COLS)
+# chunk of costs, 256 KB, stays in L2 beside the block's column buffer
+_SCAN_COLS = 8
 
 SFL = "SFL"
 AFL = "AFL"
@@ -215,85 +218,105 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
     # an M is an integer >= 1; it is skipped for every K below it
     K_grid = [analytics.check_order(K)[0] for K in K_grid]
     M_grid = [analytics.check_order(M)[0] for M in M_grid]
-    uniform = DistributionSpec(kind=UNIFORM, D=D)
     verdicts: List[BoundVerdict] = []
     for K in K_grid:
-        conv_m = {M: _Moment() for M in M_grid if M <= K}
-        pa_m = {M: _Moment() for M in M_grid if M <= K}
-        span_mean = {M: _Moment() for M in M_grid if 2 <= M <= K}
-        tail_hits = {M: _Moment() for M in M_grid if M <= K}
-        # the mean M/(K+1) of U_(M): the tail centre of the M-th offset
-        p_dag = {M: analytics.order_stat_moments(K, M)[0] for M in conv_m}
-        minspace = _Moment()
-        violations = 0
-        # each block's rows are sorted, copied into one column-major buffer
-        # and scanned while the block is in cache; no array is run-sized
-        cols = np.empty((min(_BLOCK_ROWS, trials), K), order="F")
-        for block, _ in _blocks(uniform, K, trials, seed):
-            block.sort(axis=1)
-            # one column per order statistic: the windows, spacings and
-            # spans below reduce across K with contiguous inner loops
-            xs = cols[:len(block)]
-            np.copyto(xs, block)
-            for M in conv_m:
-                y, half = sorted_conv_offsets(xs, M), pa_offsets(xs, M)
-                conv_m[M].add(y**2)
-                pa_m[M].add(half**2)
-                violations += int(np.sum(half > y + 1e-12))
-                tail_hits[M].add(np.abs(y / (D / 2.0) - p_dag[M]) >= eps)
-            for M in span_mean:
-                span_mean[M].add((xs[:, M - 1] - xs[:, 0]) / D)
-            # normalised in place to u = (x + D/2) / D
-            xs += D / 2.0
-            xs /= D
-            minspace.add(min_spacings(xs) ** 2)
-        verdicts.append(BoundVerdict(
-            name=f"K={K} ordering pa<=conv", analytic=0.0,
-            empirical=float(violations), std_error=0.0,
-            passed=violations == 0, kind="exact",
-        ))
-        ms = analytics.min_spacing_second_moment(K)
-        verdicts.append(BoundVerdict(
-            name=f"K={K} min-spacing E[M*^2]", analytic=ms,
-            empirical=minspace.mean, std_error=minspace.std_error,
-            passed=abs(minspace.mean - ms) <= 3.0 * minspace.std_error,
-        ))
+        verdicts += _verify_one_k(K, [M for M in M_grid if M <= K], D, trials,
+                                  seed, eps)
+    return verdicts
+
+
+def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
+                  eps: float) -> List[BoundVerdict]:
+    """The verdicts of ``verify_bounds`` at one K, for M_grid <= K.  Its
+    block buffers are released on return, before the next K allocates its
+    own."""
+    conv_m = {M: _Moment() for M in M_grid}
+    pa_m = {M: _Moment() for M in M_grid}
+    span_mean = {M: _Moment() for M in M_grid if M >= 2}
+    tail_hits = dict.fromkeys(M_grid, 0)
+    # the mean M/(K+1) of U_(M): the tail centre of the M-th offset
+    p_dag = {M: analytics.order_stat_moments(K, M)[0] for M in M_grid}
+    minspace = _Moment()
+    violations = 0
+    # each block's rows are sorted, copied into one column-major buffer
+    # and scanned while the block is in cache; no array is run-sized
+    cols = np.empty((min(_BLOCK_ROWS, trials), K), order="F")
+    for block, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
+                            seed):
+        n = len(block)
+        block.sort(axis=1)
+        # one column per order statistic: the windows, spacings and
+        # spans below reduce across K with contiguous inner loops
+        xs = cols[:n]
+        np.copyto(xs, block)
+        # the block is dead until the next draw, so its first
+        # n * _SCAN_COLS values hold the scans' chunks of windows, and then
+        # each span column
+        work = block.reshape(-1)[:n * _SCAN_COLS]
         for M in conv_m:
-            rep = analytics.straggler_moments(K, M, D)
-            cm, pm = conv_m[M], pa_m[M]
+            y, half = (sorted_conv_offsets(xs, M, work),
+                       pa_offsets(xs, M, work))
+            violations += int(np.count_nonzero(half > y + 1e-12))
+            tail_hits[M] += np.count_nonzero(
+                np.abs(y / (D / 2.0) - p_dag[M]) >= eps)
+            conv_m[M].add(np.square(y, out=y))
+            pa_m[M].add(np.square(half, out=half))
+        for M in span_mean:
+            span = np.subtract(xs[:, M - 1], xs[:, 0], out=work[:n])
+            span /= D
+            span_mean[M].add(span)
+        # normalised in place to u = (x + D/2) / D
+        xs += D / 2.0
+        xs /= D
+        minspace.add(min_spacings(xs, work) ** 2)
+    verdicts = [BoundVerdict(
+        name=f"K={K} ordering pa<=conv", analytic=0.0,
+        empirical=float(violations), std_error=0.0,
+        passed=violations == 0, kind="exact",
+    )]
+    ms = analytics.min_spacing_second_moment(K)
+    verdicts.append(BoundVerdict(
+        name=f"K={K} min-spacing E[M*^2]", analytic=ms,
+        empirical=minspace.mean, std_error=minspace.std_error,
+        passed=abs(minspace.mean - ms) <= 3.0 * minspace.std_error,
+    ))
+    for M in conv_m:
+        rep = analytics.straggler_moments(K, M, D)
+        cm, pm = conv_m[M], pa_m[M]
+        verdicts.append(BoundVerdict(
+            name=f"K={K} M={M} conv E[Y^2]", analytic=rep.conv_E2,
+            empirical=cm.mean, std_error=cm.std_error,
+            passed=abs(cm.mean - rep.conv_E2) <= 3.0 * cm.std_error,
+        ))
+        verdicts.append(BoundVerdict(
+            name=f"K={K} M={M} pa upper", analytic=rep.pa_ub,
+            empirical=pm.mean, std_error=pm.std_error,
+            passed=pm.mean <= rep.pa_ub + 3.0 * pm.std_error, kind="upper",
+        ))
+        verdicts.append(BoundVerdict(
+            name=f"K={K} M={M} pa lower", analytic=rep.pa_lb,
+            empirical=pm.mean, std_error=pm.std_error,
+            passed=pm.mean >= rep.pa_lb - 3.0 * pm.std_error, kind="lower",
+        ))
+        if eps < min(p_dag[M], 1.0 - p_dag[M]):
+            hoeffding = analytics.hoeffding_tail(K, eps)
+            # a 0/1 statistic: its sum of squares is its count of hits
+            th = _Moment(trials, float(tail_hits[M]), float(tail_hits[M]))
             verdicts.append(BoundVerdict(
-                name=f"K={K} M={M} conv E[Y^2]", analytic=rep.conv_E2,
-                empirical=cm.mean, std_error=cm.std_error,
-                passed=abs(cm.mean - rep.conv_E2) <= 3.0 * cm.std_error,
+                name=f"K={K} M={M} hoeffding tail", analytic=hoeffding,
+                empirical=th.mean, std_error=th.std_error,
+                passed=th.mean <= hoeffding + 3.0 * th.std_error,
+                kind="upper",
             ))
+        if M >= 2:
+            # M-1 spacings span a Beta(M-1, K-M+2) length, as U_(M-1)
+            mean_th = analytics.order_stat_moments(K, M - 1)[0]
+            sm = span_mean[M]
             verdicts.append(BoundVerdict(
-                name=f"K={K} M={M} pa upper", analytic=rep.pa_ub,
-                empirical=pm.mean, std_error=pm.std_error,
-                passed=pm.mean <= rep.pa_ub + 3.0 * pm.std_error, kind="upper",
+                name=f"K={K} M={M} span mean", analytic=mean_th,
+                empirical=sm.mean, std_error=sm.std_error,
+                passed=abs(sm.mean - mean_th) <= 3.0 * sm.std_error,
             ))
-            verdicts.append(BoundVerdict(
-                name=f"K={K} M={M} pa lower", analytic=rep.pa_lb,
-                empirical=pm.mean, std_error=pm.std_error,
-                passed=pm.mean >= rep.pa_lb - 3.0 * pm.std_error, kind="lower",
-            ))
-            if eps < min(p_dag[M], 1.0 - p_dag[M]):
-                hoeffding = analytics.hoeffding_tail(K, eps)
-                th = tail_hits[M]
-                verdicts.append(BoundVerdict(
-                    name=f"K={K} M={M} hoeffding tail", analytic=hoeffding,
-                    empirical=th.mean, std_error=th.std_error,
-                    passed=th.mean <= hoeffding + 3.0 * th.std_error,
-                    kind="upper",
-                ))
-            if M >= 2:
-                # M-1 spacings span a Beta(M-1, K-M+2) length, as U_(M-1)
-                mean_th = analytics.order_stat_moments(K, M - 1)[0]
-                sm = span_mean[M]
-                verdicts.append(BoundVerdict(
-                    name=f"K={K} M={M} span mean", analytic=mean_th,
-                    empirical=sm.mean, std_error=sm.std_error,
-                    passed=abs(sm.mean - mean_th) <= 3.0 * sm.std_error,
-                ))
     return verdicts
 
 

@@ -111,23 +111,47 @@ def _spans(sorted_xs: np.ndarray, M: int) -> np.ndarray:
     return sorted_xs[..., M - 1:] - sorted_xs[..., : K - M + 1]
 
 
-def _window_min(sorted_xs: np.ndarray, M: int, cost) -> np.ndarray:
+def _window_min(sorted_xs: np.ndarray, M: int, cost, work=None) -> np.ndarray:
     """Smallest ``cost(first, last, out)`` over the M-windows of consecutive
     sorted positions (last axis), as a running minimum over the window start.
 
     ``cost`` writes the value of every row's window into ``out`` from the
-    window's first and last position.  Only two arrays of the batch shape
-    are allocated; on a Fortran-ordered batch each window reads two
-    contiguous columns.  Minima of the same values are exact, so the result
-    does not depend on the layout, bit for bit.
+    window's first and last position, for one window or for a chunk of
+    consecutive ones.  Without ``work`` the scan takes one window at a time;
+    given ``work``, a flat float buffer of at least one column of the batch,
+    it takes as many windows at a time as ``work`` holds columns, into a
+    Fortran-order view of ``work``, and folds each chunk's minimum into the
+    result.  Only two arrays of the batch shape are allocated, the second
+    only when there is a second window; on a Fortran-ordered batch each
+    window reads two contiguous columns.  Minima of the same values are
+    exact, so the result does not depend on the layout, bit for bit, nor on
+    the chunk width, but for the sign of a zero cost.
     """
     K = sorted_xs.shape[-1]
+    windows = K - M + 1
     best = np.empty(sorted_xs.shape[:-1])
-    cost(sorted_xs[..., 0], sorted_xs[..., M - 1], best)
-    scratch = np.empty_like(best) if K > M else None  # K == M: one window
-    for i in range(1, K - M + 1):
-        cost(sorted_xs[..., i], sorted_xs[..., i + M - 1], scratch)
-        np.minimum(best, scratch, out=best)
+    scratch = np.empty_like(best) if windows > 1 else None
+    if work is None:
+        cost(sorted_xs[..., 0], sorted_xs[..., M - 1], best)
+        for i in range(1, windows):
+            cost(sorted_xs[..., i], sorted_xs[..., i + M - 1], scratch)
+            np.minimum(best, scratch, out=best)
+        return best
+    n = best.size
+    if work.dtype != float or work.ndim != 1 or work.size < max(n, 1):
+        raise ParameterError("work must be a flat float buffer of at least "
+                             "one column of the batch")
+    width = min(windows, work.size // max(n, 1))
+    for i in range(0, windows, width):
+        c = min(width, windows - i)
+        chunk = work[:n * c].reshape(best.shape + (c,), order="F")
+        cost(sorted_xs[..., i:i + c], sorted_xs[..., i + M - 1:i + M - 1 + c],
+             chunk)
+        if i == 0:
+            np.minimum.reduce(chunk, axis=-1, out=best)
+        else:
+            np.minimum.reduce(chunk, axis=-1, out=scratch)
+            np.minimum(best, scratch, out=best)
     return best
 
 
@@ -141,24 +165,27 @@ def _width(first, last, out):
     np.subtract(last, first, out=out)
 
 
-def sorted_conv_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
+def sorted_conv_offsets(sorted_xs: np.ndarray, M: int,
+                        work=None) -> np.ndarray:
     """M-th smallest absolute offset of each sorted row (last axis).
 
     The M users nearest the origin are consecutive in a sorted row, so the
     offset is the smallest ``max(-x[i], x[i+M-1])`` over the M-windows.  It
     equals the M-th entry of the sorted ``|x|`` of the row, except that a
-    zero may come out as -0.0.
+    zero may come out as -0.0.  ``work``: see ``_window_min``.
     """
-    return _window_min(sorted_xs, M, _reach)
+    return _window_min(sorted_xs, M, _reach, work)
 
 
-def pa_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
+def pa_offsets(sorted_xs: np.ndarray, M: int, work=None) -> np.ndarray:
     """Half the span of the tightest M-window of each sorted row (last axis).
 
-    A running minimum over the window start: no (n, K) temporary, and the
-    result does not depend on the layout, bit for bit.
+    A running minimum over the window start, in chunks of windows if given
+    a flat float buffer ``work`` (see ``_window_min``): no (n, K)
+    temporary, and the result does not depend on the layout, bit for bit,
+    nor on the chunk width, unless a position is -0.0.
     """
-    half = _window_min(sorted_xs, M, _width)
+    half = _window_min(sorted_xs, M, _width, work)
     half /= 2.0
     return half
 
@@ -185,21 +212,22 @@ def schedule_round(xs: np.ndarray, M: int, arch: str):
     return np.sort(order[i:i + M]), float(0.5 * (srt[i] + srt[i + M - 1]))
 
 
-def min_spacings(sorted_u: np.ndarray) -> np.ndarray:
+def min_spacings(sorted_u: np.ndarray, work=None) -> np.ndarray:
     """Minimum of the K+1 spacings of each sorted row of points in [0, 1]
     (last axis): the K-1 interior gaps and the two edge gaps to 0 and 1.
 
-    A running minimum over the gaps: no (n, K) temporary, and on a
-    Fortran-ordered batch each gap is the difference of two contiguous
-    columns.  The result does not depend on the layout, bit for bit; a
-    single row gives a 0-d array.
+    The interior gaps are the spans of the 2-windows, scanned as
+    ``pa_offsets`` scans, in chunks if given ``work``: no (n, K) temporary,
+    and on a Fortran-ordered batch each gap is the difference of two
+    contiguous columns.  The result does not depend on the layout, bit for
+    bit, nor on the chunk width, unless a point is -0.0; a single row gives
+    a 0-d array.
     """
-    gap = np.empty(sorted_u.shape[:-1])
-    np.subtract(1.0, sorted_u[..., -1], out=gap)
+    if sorted_u.shape[-1] == 1:
+        gap = np.subtract(1.0, sorted_u[..., 0])
+    else:
+        # the right edge gap after the scan, in the column its scratch freed
+        gap = _window_min(sorted_u, 2, _width, work)
+        np.minimum(gap, np.subtract(1.0, sorted_u[..., -1]), out=gap)
     np.minimum(gap, sorted_u[..., 0], out=gap)
-    # a single point has no interior gap to hold
-    scratch = np.empty_like(gap) if sorted_u.shape[-1] > 1 else None
-    for j in range(1, sorted_u.shape[-1]):
-        np.subtract(sorted_u[..., j], sorted_u[..., j - 1], out=scratch)
-        np.minimum(gap, scratch, out=gap)
     return gap

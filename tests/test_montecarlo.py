@@ -409,6 +409,15 @@ class TestVerifyBounds:
         assert _peak_blocks(lambda: montecarlo.verify_bounds(
             [K], [2, 5, 7], 10.0, trials=20_000, seed=0), K) < 3
 
+    @pytest.mark.parametrize("K_grid", [[10, 10], [20, 10]],
+                             ids=["10-10", "20-10"])
+    def test_peak_memory_is_a_few_blocks_of_one_k(self, monkeypatch, K_grid):
+        # each K releases its two block buffers before the next K allocates
+        # its own, so the peak is that of the widest K alone
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
+        assert _peak_blocks(lambda: montecarlo.verify_bounds(
+            K_grid, [2, 5, 7], 10.0, trials=20_000, seed=0), max(K_grid)) < 3
+
     def test_matches_row_major_reference(self, monkeypatch):
         # several blocks, the last one partial
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 700)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, draw_positions, min_spacings,
-                             pa_offsets, sample_positions, schedule_round,
-                             sorted_conv_offsets)
+                             DistributionSpec, _spans, draw_positions,
+                             min_spacings, pa_offsets, sample_positions,
+                             schedule_round, sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
@@ -271,16 +271,77 @@ class TestBatchedBottlenecks:
             f_out = kernel(np.asfortranarray(xs), M)
             assert c_out.tobytes() == f_out.tobytes()
 
-    @pytest.mark.parametrize("K, M, columns", [(1, 1, 1), (5, 5, 1), (5, 2, 2)])
-    def test_scratch_only_for_a_second_window(self, K, M, columns):
+    @pytest.mark.parametrize("K, M, columns, chunk", [
+        pytest.param(1, 1, 1, None, id="1-1-1"),
+        pytest.param(5, 5, 1, None, id="5-5-1"),
+        pytest.param(5, 2, 2, None, id="5-2-2"),
+        # given ``work``, the chunks of windows go there, however wide
+        pytest.param(1, 1, 1, 8, id="work-1-1-1"),
+        pytest.param(5, 5, 1, 8, id="work-5-5-1"),
+        pytest.param(40, 7, 2, 1, id="work-40-7-2-chunk1"),
+        pytest.param(40, 7, 2, 8, id="work-40-7-2-chunk8"),
+        pytest.param(40, 7, 2, 1000, id="work-40-7-2-chunk1000"),
+    ])
+    def test_scratch_only_for_a_second_window(self, K, M, columns, chunk):
         # the result and, only when there is a second window or gap, one
         # scratch column of the batch shape
         xs = np.sort(np.random.default_rng(0).random((512, K)), axis=1)
-        for kernel in (lambda: pa_offsets(xs, M),
-                       lambda: sorted_conv_offsets(xs, M),
+        work = None
+        if chunk is not None:
+            # the layout the chunks are for: on C-order rows numpy buffers
+            # a chunk's strided reads
+            xs, work = np.asfortranarray(xs), np.empty(512 * chunk)
+        for kernel in (lambda: pa_offsets(xs, M, work),
+                       lambda: sorted_conv_offsets(xs, M, work),
                        # K - M + 1 points: an interior gap per extra window
-                       lambda: min_spacings(xs[:, :K - M + 1])):
+                       lambda: min_spacings(xs[:, :K - M + 1], work)):
             assert columns <= _peak_columns(kernel, 512) < columns + 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 20), K=st.integers(1, 12), M=st.integers(1, 12),
+           width=st.sampled_from(["1", "2", "3", "w-1", "w", "w+2"]),
+           order=st.sampled_from("CF"), seed=st.integers(0, 10_000))
+    @example(n=3, K=1, M=1, width="w+2", order="F", seed=0)
+    @example(n=4, K=6, M=6, width="w", order="C", seed=1)
+    @example(n=5, K=9, M=1, width="w-1", order="F", seed=2)
+    @example(n=1, K=12, M=3, width="3", order="F", seed=3)
+    def test_chunks_match_one_window_scan(self, n, K, M, width, order, seed):
+        M = min(M, K)
+
+        def work(windows):
+            # ``width`` windows per chunk: the buffer holds that many columns
+            w = max(windows, 1)
+            cols = {"w-1": max(w - 1, 1), "w": w, "w+2": w + 2}.get(width)
+            return np.empty(n * (int(width) if cols is None else cols))
+
+        rng = np.random.default_rng(seed)
+        # a coarse grid makes ties between windows common; + 0.0 clears the
+        # -0.0 that rounding leaves and no draw makes, whose sign in a zero
+        # span would depend on the order of the minima
+        xs = np.sort(np.round(rng.uniform(-5, 5, (n, K)), 1) + 0.0, axis=1)
+        xs = np.asarray(xs, order=order)
+        u = np.asarray((xs + 5.0) / 10.0, order=order)
+        windows = K - M + 1
+        half = pa_offsets(xs, M, work(windows))
+        conv = sorted_conv_offsets(xs, M, work(windows))
+        gap = min_spacings(u, work(K - 1))
+        assert half.tobytes() == pa_offsets(xs, M).tobytes()
+        # ``==``: a window may give -0.0 where another chunking gives 0.0
+        assert np.array_equal(conv, sorted_conv_offsets(xs, M))
+        assert gap.tobytes() == min_spacings(u).tobytes()
+        for i in range(n):
+            assert half[i] == _spans(xs[i], M).min() / 2.0
+            assert conv[i] == sorted(abs(x) for x in xs[i])[M - 1]
+            assert gap[i] == np.diff(u[i], prepend=0.0, append=1.0).min()
+
+    def test_work_must_hold_a_column_of_floats(self):
+        xs = np.sort(np.random.default_rng(0).random((4, 5)), axis=1)
+        for work in (np.empty(3), np.empty((4, 2)), np.empty(8, np.float32)):
+            for kernel in (lambda: pa_offsets(xs, 2, work),
+                           lambda: sorted_conv_offsets(xs, 2, work),
+                           lambda: min_spacings(xs, work)):
+                with pytest.raises(ParameterError):
+                    kernel()
 
 
 class TestMinSimpleSpacing:
