@@ -131,9 +131,19 @@ def quantize(v: np.ndarray, b: int) -> np.ndarray:
     A row whose grid step is zero (all zeros, or so small that the step
     underflows) is returned as is, with zeros as +0.  A row holding a NaN, an
     infinity or a scale above half the largest float, where 2 s overflows,
-    raises ParameterError, and so does a bit budget outside [1, MAX_BITS].
+    raises ParameterError, and so does a bit budget outside [1, MAX_BITS] or
+    a 0-d input, which has no last axis.
     """
-    return _quantize_kernel(np.asarray(v, dtype=float), *_grid(b))
+    return _quantize_kernel(_rows(v), *_grid(b))
+
+
+def _rows(v) -> np.ndarray:
+    """``v`` as a float array with a last axis to quantize along."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        raise ParameterError("quantizer input must have a last axis: a 0-d "
+                             "value is no row; pass it as a 1-element vector")
+    return v
 
 
 def _quantize_kernel(v: np.ndarray, top: float, half: float) -> np.ndarray:
@@ -151,26 +161,34 @@ def _quantize_kernel(v: np.ndarray, top: float, half: float) -> np.ndarray:
     exact = None if np.count_nonzero(step) == step.size else step == 0.0
     if exact is not None:
         step[exact] = 1.0
+    # scale and step expanded to q's shape once: on rows of a few entries a
+    # same-shape ufunc call costs a third of a (rows, 1) broadcast
+    s_full = np.empty_like(q)
+    np.copyto(s_full, s)
+    step_full = np.empty_like(q)
+    np.copyto(step_full, step)
     # quantize |v| on the symmetric grid in place, then restore signs; rounding
     # up on the magnitude axis is round-half-away-from-zero on the original axis
-    q += s
-    q /= step
+    q += s_full
+    q /= step_full
     q += 0.5
     np.floor(q, out=q)  # at least 0, so only the top level needs a clip
     np.minimum(q, top, out=q)
-    q *= step
-    q -= s
-    # negate where v < 0 rather than copysign, which would also flip -0.0 inputs
-    np.negative(q, out=q, where=v < 0)
+    q *= step_full
+    q -= s_full
+    # times the sign of v as an exact ±1, with -0.0 inputs counted as +0.0 so
+    # that they keep q's own sign.  Copying v's sign onto q instead would flip
+    # a zero entry's grid value, about ±step/2 by the rounding of s/step
+    q *= np.copysign(1.0, v + 0.0)
     return q if exact is None else np.where(exact, v + 0.0, q)
 
 
 def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
     """One error-feedback step: Y = Q(g + e), next residual is (g + e) - Y.
 
-    Rows of a (K, d) array are independent users."""
-    g = np.asarray(g, dtype=float)
-    e = np.asarray(e, dtype=float)
+    Rows of a (K, d) array are independent users; a 0-d input, which has
+    no last axis, raises ParameterError."""
+    g, e = _rows(g), _rows(e)
     if g.shape != e.shape:
         raise ParameterError("gradient and residual must share a shape")
     e_next = np.zeros_like(g)
@@ -207,8 +225,9 @@ def _ht_kernel(pi: np.ndarray, Y: np.ndarray, K: int) -> np.ndarray:
         raise ParameterError("included entry with zero inclusion probability")
     if not pi.size:
         return np.zeros(Y.shape[1:])
-    # cumsum adds row by row; sum(axis=0) may pair rows up and round differently
-    return np.cumsum((Y.T / pi).T, axis=0)[-1] / K
+    # accumulate adds row by row; sum(axis=0) may pair rows up and round
+    # differently
+    return np.add.accumulate((Y.T / pi).T, axis=0)[-1] / K
 
 
 def ht_second_moment_exact(Ys, pis, K: int) -> float:

@@ -125,9 +125,13 @@ def _window_min(sorted_xs: np.ndarray, M: int, cost, work=None) -> np.ndarray:
     only when there is a second window; on a Fortran-ordered batch each
     window reads two contiguous columns.  Minima of the same values are
     exact, so the result does not depend on the layout, bit for bit, nor on
-    the chunk width, but for the sign of a zero cost.
+    the chunk width, but for the sign of a zero cost.  M outside [1, K]
+    raises ParameterError.
     """
     K = sorted_xs.shape[-1]
+    if not 1 <= M <= K:
+        raise ParameterError(f"window of M={M} sorted positions: need "
+                             f"1 <= M <= K={K}")
     windows = K - M + 1
     best = np.empty(sorted_xs.shape[:-1])
     scratch = np.empty_like(best) if windows > 1 else None
@@ -223,6 +227,8 @@ def min_spacings(sorted_u: np.ndarray, work=None) -> np.ndarray:
     bit, nor on the chunk width, unless a point is -0.0; a single row gives
     a 0-d array.
     """
+    if sorted_u.shape[-1] < 1:
+        raise ParameterError("min_spacings needs at least one point per row")
     if sorted_u.shape[-1] == 1:
         gap = np.subtract(1.0, sorted_u[..., 0])
     else:

@@ -110,6 +110,30 @@ class TestQuantizer:
         column = np.ascontiguousarray(v.T)[:, 0]
         assert quantize(column, b).tobytes() == ref[0].tobytes()
 
+    @pytest.mark.parametrize("b", [13, 26, 52])
+    def test_zero_entries_keep_their_grid_sign(self, b):
+        # a zero entry lands about half a step off zero, on either side by
+        # the rounding of s / step: here below it, so a restore that copies
+        # v's sign onto q would move it above
+        rows = [[0.0, 3.0], [-0.0, 3.0], [0.0, -3.0]]
+        for row in rows:
+            y = quantize(np.array([row]), b)
+            ref = np.array([_quantize_row(row, b)])
+            assert y.tobytes() == ref.tobytes()
+            assert np.signbit(y[0, 0])
+            assert y[0, 0] != 0.0
+
+    def test_rejects_a_0d_input(self):
+        # a 0-d value has no last axis to take the row scale along
+        for v in (1.0, np.float64(-2.0), np.array(0.5)):
+            with pytest.raises(ParameterError, match="last axis"):
+                quantize(v, 3)
+            with pytest.raises(ParameterError, match="last axis"):
+                quantize_ef(v, 0.0, QuantizerSpec(b=3))
+            with pytest.raises(ParameterError, match="last axis"):
+                quantize_ef(v, 0.0, QuantizerSpec(b=3, c_q=0.0))
+        assert quantize([1.0], 3).tobytes() == np.array([1.0]).tobytes()
+
     def test_rejects_rows_that_would_overflow(self):
         # a NaN, an infinity or a scale whose 2 s overflows used to come back
         # as an all-NaN row

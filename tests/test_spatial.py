@@ -334,6 +334,27 @@ class TestBatchedBottlenecks:
             assert conv[i] == sorted(abs(x) for x in xs[i])[M - 1]
             assert gap[i] == np.diff(u[i], prepend=0.0, append=1.0).min()
 
+    @pytest.mark.parametrize("with_work", [False, True],
+                             ids=["one-window", "work"])
+    @pytest.mark.parametrize("kernel", [pa_offsets, sorted_conv_offsets],
+                             ids=["pa", "conv"])
+    @pytest.mark.parametrize("K, M", [(3, -1), (3, 0), (3, 4), (0, 1)],
+                             ids=["M-1", "M0", "M=K+1", "K0"])
+    def test_window_size_outside_one_to_k_rejected(self, K, M, kernel,
+                                                   with_work):
+        # M = -1 used to index the row from its end and return a value
+        xs = np.sort(np.random.default_rng(0).random((2, K)), axis=1)
+        work = np.empty(2 * 8) if with_work else None
+        with pytest.raises(ParameterError, match="M="):
+            kernel(xs, M, work)
+
+    @pytest.mark.parametrize("with_work", [False, True],
+                             ids=["one-window", "work"])
+    def test_spacings_of_rows_without_points_rejected(self, with_work):
+        work = np.empty(2 * 8) if with_work else None
+        with pytest.raises(ParameterError, match="at least one point"):
+            min_spacings(np.zeros((2, 0)), work)
+
     def test_work_must_hold_a_column_of_floats(self):
         xs = np.sort(np.random.default_rng(0).random((4, 5)), axis=1)
         for work in (np.empty(3), np.empty((4, 2)), np.empty(8, np.float32)):
