@@ -530,7 +530,6 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
     e = np.zeros_like(problem.centers)
     caches = np.tile(w, (K, 1))
-    cache_ver = np.zeros(K, dtype=int)
     busy_until = np.zeros(K)
     version = 0
     # the tick kernels' inputs, fixed for the run, and the gradient buffer
@@ -538,17 +537,18 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     gate = _gate_params(model)
     divisor = K if weighting == "HT" else None
     v = np.empty_like(centers)
-    # heap of (apply time, tick, batch latency, updates, their weights, their
-    # fetch versions), uploads in arrival order; the tick breaks ties
+    # heap of (apply time, tick, batch latency, updates, their weights, the
+    # version their caches fetched, which every uploader, being idle,
+    # refreshed that tick), uploads in arrival order; the tick breaks ties
     pending: list = []
     log = TrainLog()
 
     def apply_batches(up_to: float):
         nonlocal w, version
         while pending and pending[0][0] <= up_to:
-            apply_time, _, lat, Ys, up_w, fetch_vers = heapq.heappop(pending)
+            apply_time, _, lat, Ys, up_w, fetch_ver = heapq.heappop(pending)
             w = w - eta * _ht_kernel(up_w, Ys, divisor or len(Ys))
-            staleness = version - int(fetch_vers.min())
+            staleness = version - fetch_ver
             version += 1
             grad_norm2 = problem.grad_norm2(w)
             log.records.append(TrainRecord(
@@ -566,7 +566,6 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             apply_batches(t_tick)
         idle = (busy_until <= t_tick + 1e-12).nonzero()[0]
         caches[idle] = w
-        cache_ver[idle] = version
         _grads_kernel(caches, centers, scale, rng, v)
         v += e
         Ys = _ef_kernel(v, e, grid)
@@ -581,6 +580,6 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
                 raise ParameterError("upload from a zero-probability user")
             lat = up_finish[order[-1]]  # the last upload to land
             heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], weights[up],
-                                     cache_ver[up]))
+                                     version))
     apply_batches(horizon_s)
     return log

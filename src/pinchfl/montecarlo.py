@@ -28,8 +28,8 @@ from .errors import ParameterError
 from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
                             expected_participants)
 from .phy import PhyParams, upload_latency
-from .spatial import (CONV, PA, UNIFORM, DistributionSpec, draw_positions,
-                      min_spacings, pa_offsets, sorted_conv_offsets)
+from .spatial import (CONV, PA, UNIFORM, DistributionSpec, _min_spacing,
+                      draw_positions, pa_offsets, sorted_conv_offsets)
 
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
 # the SFL CCDF sorts its rows and scans its windows, one column per window
@@ -251,11 +251,16 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
         np.copyto(xs, block)
         # the block is dead until the next draw, so its first
         # n * _SCAN_COLS values hold the scans' chunks of windows, and then
-        # each span column
+        # the spacing's gaps and each span column
         work = block.reshape(-1)[:n * _SCAN_COLS]
+        # half the smallest gap of two neighbours, scanned once: PA at M=2,
+        # and, before the M loop squares it, part of the minimum spacing
+        half2 = pa_offsets(xs, 2, work) if K >= 2 else None
+        gap = _min_spacing(xs, half2, D, work)
+        minspace.add(np.square(gap, out=gap))
         for M in conv_m:
             y, half = (sorted_conv_offsets(xs, M, work),
-                       pa_offsets(xs, M, work))
+                       half2 if M == 2 else pa_offsets(xs, M, work))
             violations += int(np.count_nonzero(half > y + 1e-12))
             tail_hits[M] += np.count_nonzero(
                 np.abs(y / (D / 2.0) - p_dag[M]) >= eps)
@@ -265,10 +270,6 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
             span = np.subtract(xs[:, M - 1], xs[:, 0], out=work[:n])
             span /= D
             span_mean[M].add(span)
-        # normalised in place to u = (x + D/2) / D
-        xs += D / 2.0
-        xs /= D
-        minspace.add(min_spacings(xs, work) ** 2)
     verdicts = [BoundVerdict(
         name=f"K={K} ordering pa<=conv", analytic=0.0,
         empirical=float(violations), std_error=0.0,

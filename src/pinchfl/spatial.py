@@ -5,7 +5,7 @@ This module decides where the radiator sits: the fixed antenna stays at the
 origin, the pinched one moves to the midpoint of the tightest window of M
 consecutive sorted users.  Their bottlenecks are the M-th smallest absolute
 offset and half that window's span.  The minimum spacing of sorted
-unit-interval points is the smallest of their K+1 gaps, edge gaps included.
+positions is the smallest of their K+1 gaps, edge gaps included, over D.
 """
 
 from __future__ import annotations
@@ -169,6 +169,27 @@ def _width(first, last, out):
     np.subtract(last, first, out=out)
 
 
+def _min_spacing(sorted_xs, half2, D, work):
+    """Smallest of the K+1 gaps of each sorted row of an (n, K) batch on
+    [-D/2, D/2], edge gaps included, over D, written into ``work``, a flat
+    float buffer of two columns of the batch (one at K = 1).
+
+    ``half2`` is ``pa_offsets(sorted_xs, 2)``, half the smallest interior
+    gap, or None at K = 1.  min(x[0] + D/2, D/2 - x[-1]) is
+    D/2 - max(-x[0], x[-1]) bit for bit, as rounding is monotone, so the
+    result has the bits of the smallest ``np.diff`` of [-D/2, *x, D/2],
+    over D, unless a half gap is subnormal.
+    """
+    n = len(sorted_xs)
+    gap = work[:n]
+    _reach(sorted_xs[:, 0], sorted_xs[:, -1], gap)
+    np.subtract(D / 2.0, gap, out=gap)
+    if half2 is not None:
+        np.minimum(gap, np.multiply(half2, 2.0, out=work[n:2 * n]), out=gap)
+    gap /= D
+    return gap
+
+
 def sorted_conv_offsets(sorted_xs: np.ndarray, M: int,
                         work=None) -> np.ndarray:
     """M-th smallest absolute offset of each sorted row (last axis).
@@ -214,26 +235,3 @@ def schedule_round(xs: np.ndarray, M: int, arch: str):
     srt = xs[order]
     i = int(_spans(srt, M).argmin())
     return np.sort(order[i:i + M]), float(0.5 * (srt[i] + srt[i + M - 1]))
-
-
-def min_spacings(sorted_u: np.ndarray, work=None) -> np.ndarray:
-    """Minimum of the K+1 spacings of each sorted row of points in [0, 1]
-    (last axis): the K-1 interior gaps and the two edge gaps to 0 and 1.
-
-    The interior gaps are the spans of the 2-windows, scanned as
-    ``pa_offsets`` scans, in chunks if given ``work``: no (n, K) temporary,
-    and on a Fortran-ordered batch each gap is the difference of two
-    contiguous columns.  The result does not depend on the layout, bit for
-    bit, nor on the chunk width, unless a point is -0.0; a single row gives
-    a 0-d array.
-    """
-    if sorted_u.shape[-1] < 1:
-        raise ParameterError("min_spacings needs at least one point per row")
-    if sorted_u.shape[-1] == 1:
-        gap = np.subtract(1.0, sorted_u[..., 0])
-    else:
-        # the right edge gap after the scan, in the column its scratch freed
-        gap = _window_min(sorted_u, 2, _width, work)
-        np.minimum(gap, np.subtract(1.0, sorted_u[..., -1]), out=gap)
-    np.minimum(gap, sorted_u[..., 0], out=gap)
-    return gap

@@ -431,6 +431,17 @@ class TestVerifyBounds:
         for name, value in got.items():
             assert value == ref[name], name
 
+    @pytest.mark.parametrize("K", [1, 2, 10])
+    def test_min_spacing_does_not_depend_on_the_m_grid(self, monkeypatch, K):
+        # the interior gaps are scanned once per block whatever the M grid,
+        # and the spacing is taken before the M loop squares PA at M=2
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 700)
+        name = f"K={K} min-spacing E[M*^2]"
+        verdicts = {repr([v for v in montecarlo.verify_bounds(
+            [K], M_grid, 10.0, 1600, 2) if v.name == name])
+            for M_grid in ([2, 5, 7], [5, 7], [7], [1])}
+        assert len(verdicts) == 1 and name in verdicts.pop()
+
     def test_reused_buffers_match_fresh_draws(self, monkeypatch):
         # three blocks, the last one partial: a stale row of the reused
         # column buffer, or a wrong slice of it, changes a verdict
@@ -447,6 +458,14 @@ class TestVerifyBounds:
         args = ([1, 3, 10, 40], [1, 2, 5, 7], 10.0, trials, 4)
         assert (repr(montecarlo.verify_bounds(*args))
                 == repr(_fresh_draw_reference(*args, eps=0.1)))
+
+
+def _spacings(xs, D):
+    """The K+1 spacings of sorted rows of positions on [-D/2, D/2], edge
+    gaps included, as the gaps of [-D/2, *x, D/2] over D: a (n, K+1)
+    array."""
+    edges = np.full((len(xs), 1), D / 2.0)
+    return np.diff(np.hstack([-edges, xs, edges]), axis=1) / D
 
 
 def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
@@ -474,10 +493,7 @@ def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
                 tail[M].add((np.abs(y / (D / 2.0) - M / (K + 1)) >= eps)
                             .astype(float))
                 span[M].add((xs[:, M - 1] - xs[:, 0]) / D)
-            u = (xs + D / 2.0) / D
-            gap = np.diff(u, axis=1).min(axis=1, initial=np.inf)
-            minspace.add(np.minimum(np.minimum(gap, u[:, 0]), 1.0 - u[:, -1])
-                         ** 2)
+            minspace.add(_spacings(xs, D).min(axis=1) ** 2)
         verdicts.append(montecarlo.BoundVerdict(
             f"K={K} ordering pa<=conv", 0.0, float(violations), 0.0,
             violations == 0, "exact"))
@@ -531,10 +547,7 @@ def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
             xs = whole[rows]
             n = len(xs)
             abs_sorted = np.sort(np.abs(xs), axis=1)
-            unit = (xs + D / 2.0) / D
-            all_sp = np.column_stack([unit[:, 0], np.diff(unit, axis=1),
-                                      1.0 - unit[:, -1]])
-            minspace.add(all_sp.min(axis=1) ** 2)
+            minspace.add(_spacings(xs, D).min(axis=1) ** 2)
             for M in Ms:
                 y = abs_sorted[:, M - 1]
                 spans = xs[:, M - 1:] - xs[:, : K - M + 1]

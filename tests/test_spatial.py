@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, _spans, draw_positions,
-                             min_spacings, pa_offsets, sample_positions,
+                             DistributionSpec, _min_spacing, _spans,
+                             draw_positions, pa_offsets, sample_positions,
                              schedule_round, sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
@@ -283,8 +283,8 @@ class TestBatchedBottlenecks:
         pytest.param(40, 7, 2, 1000, id="work-40-7-2-chunk1000"),
     ])
     def test_scratch_only_for_a_second_window(self, K, M, columns, chunk):
-        # the result and, only when there is a second window or gap, one
-        # scratch column of the batch shape
+        # the result and, only when there is a second window, one scratch
+        # column of the batch shape
         xs = np.sort(np.random.default_rng(0).random((512, K)), axis=1)
         work = None
         if chunk is not None:
@@ -292,10 +292,19 @@ class TestBatchedBottlenecks:
             # a chunk's strided reads
             xs, work = np.asfortranarray(xs), np.empty(512 * chunk)
         for kernel in (lambda: pa_offsets(xs, M, work),
-                       lambda: sorted_conv_offsets(xs, M, work),
-                       # K - M + 1 points: an interior gap per extra window
-                       lambda: min_spacings(xs[:, :K - M + 1], work)):
+                       lambda: sorted_conv_offsets(xs, M, work)):
             assert columns <= _peak_columns(kernel, 512) < columns + 0.5
+
+    @pytest.mark.parametrize("K", [1, 2, 40])
+    def test_spacing_allocates_nothing(self, K):
+        # the edge gaps, twice the half gap and their minimum all go into
+        # the two columns of ``work``
+        xs = np.asfortranarray(np.sort(
+            np.random.default_rng(0).uniform(-5, 5, (512, K)), axis=1))
+        half2 = pa_offsets(xs, 2) if K >= 2 else None
+        work = np.empty(2 * 512)
+        assert _peak_columns(lambda: _min_spacing(xs, half2, 10.0, work),
+                             512) < 0.1
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 20), K=st.integers(1, 12), M=st.integers(1, 12),
@@ -320,19 +329,21 @@ class TestBatchedBottlenecks:
         # span would depend on the order of the minima
         xs = np.sort(np.round(rng.uniform(-5, 5, (n, K)), 1) + 0.0, axis=1)
         xs = np.asarray(xs, order=order)
-        u = np.asarray((xs + 5.0) / 10.0, order=order)
         windows = K - M + 1
         half = pa_offsets(xs, M, work(windows))
         conv = sorted_conv_offsets(xs, M, work(windows))
-        gap = min_spacings(u, work(K - 1))
+        # the spacing of the half gaps of a chunked scan
+        half2 = pa_offsets(xs, 2, work(K - 1)) if K >= 2 else None
+        gap = _min_spacing(xs, half2, 10.0, np.empty(2 * n))
         assert half.tobytes() == pa_offsets(xs, M).tobytes()
         # ``==``: a window may give -0.0 where another chunking gives 0.0
         assert np.array_equal(conv, sorted_conv_offsets(xs, M))
-        assert gap.tobytes() == min_spacings(u).tobytes()
+        assert gap.tobytes() == _spacing(xs, 10.0).tobytes()
         for i in range(n):
             assert half[i] == _spans(xs[i], M).min() / 2.0
             assert conv[i] == sorted(abs(x) for x in xs[i])[M - 1]
-            assert gap[i] == np.diff(u[i], prepend=0.0, append=1.0).min()
+            assert gap[i] == np.diff(xs[i], prepend=-5.0,
+                                     append=5.0).min() / 10.0
 
     @pytest.mark.parametrize("with_work", [False, True],
                              ids=["one-window", "work"])
@@ -348,52 +359,64 @@ class TestBatchedBottlenecks:
         with pytest.raises(ParameterError, match="M="):
             kernel(xs, M, work)
 
-    @pytest.mark.parametrize("with_work", [False, True],
-                             ids=["one-window", "work"])
-    def test_spacings_of_rows_without_points_rejected(self, with_work):
-        work = np.empty(2 * 8) if with_work else None
-        with pytest.raises(ParameterError, match="at least one point"):
-            min_spacings(np.zeros((2, 0)), work)
-
     def test_work_must_hold_a_column_of_floats(self):
         xs = np.sort(np.random.default_rng(0).random((4, 5)), axis=1)
         for work in (np.empty(3), np.empty((4, 2)), np.empty(8, np.float32)):
             for kernel in (lambda: pa_offsets(xs, 2, work),
-                           lambda: sorted_conv_offsets(xs, 2, work),
-                           lambda: min_spacings(xs, work)):
+                           lambda: sorted_conv_offsets(xs, 2, work)):
                 with pytest.raises(ParameterError):
                     kernel()
+
+
+def _spacing(sorted_xs, D):
+    """``_min_spacing`` of sorted rows as ``verify_bounds`` calls it: on half
+    the smallest interior gap, ``pa_offsets`` at M=2, and two columns of
+    ``work``."""
+    half2 = pa_offsets(sorted_xs, 2) if sorted_xs.shape[1] >= 2 else None
+    return _min_spacing(sorted_xs, half2, D, np.empty(2 * len(sorted_xs)))
 
 
 class TestMinSimpleSpacing:
     def test_range_bound(self):
         for seed in range(20):
-            u = np.sort(sample_positions(UNI, 10, seed=seed)) / 10.0 + 0.5
-            v = min_spacings(u[None, :])
+            xs = np.sort(sample_positions(UNI, 10, seed=seed))
+            v = _spacing(xs[None, :], 10.0)
             assert v.shape == (1,)
             assert 0.0 <= v[0] <= 1.0 / (10 + 1)
 
     def test_hand_case(self):
-        # points at u = 0.25, 0.5 leave gaps 0.25, 0.25, 0.5
-        assert min_spacings(np.array([[0.25, 0.5]]))[0] == 0.25
+        # points at -2.5 and 0 on [-5, 5] leave gaps 2.5, 2.5, 5; a point at
+        # 1 leaves 6 and 4
+        assert _spacing(np.array([[-2.5, 0.0]]), 10.0)[0] == 0.25
+        assert _spacing(np.array([[1.0]]), 10.0)[0] == 0.4
 
     def test_single_row_is_a_batch_of_one(self):
-        u = np.sort(np.random.default_rng(2).random((1, 9)), axis=1)
-        one = min_spacings(u[0])
-        assert one.shape == ()
-        assert one == min_spacings(u)[0]
+        # a row alone has the bits it has in a larger batch
+        xs = np.sort(np.random.default_rng(2).uniform(-5, 5, (6, 9)), axis=1)
+        for i in range(len(xs)):
+            one = _spacing(xs[i:i + 1], 10.0)
+            assert one.shape == (1,)
+            assert one.tobytes() == _spacing(xs, 10.0)[i:i + 1].tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 40), K=st.sampled_from([1, 2, 10]),
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), K=st.sampled_from([1, 2, 3, 10, 40]),
+           D=st.sampled_from([10.0, 1.0, 3.7, 1e3]),
            seed=st.integers(0, 10_000))
-    def test_rows_match_scalar_reference(self, n, K, seed):
+    @example(n=5, K=1, D=10.0, seed=0)
+    def test_rows_match_scalar_reference(self, n, K, D, seed):
         rng = np.random.default_rng(seed)
-        # a coarse grid makes equal points and zero gaps common
-        u = np.sort(np.round(rng.random((n, K)), 1), axis=1)
-        c_gap = min_spacings(np.ascontiguousarray(u))
-        f_gap = min_spacings(np.asfortranarray(u))
+        # a coarse grid makes equal points, zero gaps and points on the
+        # corridor's ends common; + 0.0 clears the -0.0 of rounding
+        grid = np.round(rng.uniform(-0.5, 0.5, (n, K)) * 10.0) * (D / 10.0)
+        xs = np.sort(np.clip(grid, -D / 2.0, D / 2.0) + 0.0, axis=1)
+        c_gap = _spacing(np.ascontiguousarray(xs), D)
+        f_gap = _spacing(np.asfortranarray(xs), D)
         assert c_gap.shape == (n,)
         assert c_gap.tobytes() == f_gap.tobytes()
-        for i, row in enumerate(u):
-            ref = np.diff(np.sort(row), prepend=0.0, append=1.0).min()
-            assert c_gap[i] == ref
+        edges = np.full((n, 1), D / 2.0)
+        ref = np.diff(np.hstack([-edges, xs, edges]), axis=1).min(axis=1) / D
+        assert c_gap.tobytes() == ref.tobytes()
+        # the gaps of the points rescaled to u = (x + D/2) / D on [0, 1]
+        u = (xs + D / 2.0) / D
+        via_u = np.diff(u, axis=1, prepend=0.0, append=1.0).min(axis=1)
+        assert np.all(np.abs(c_gap - via_u) <= 4 * 2.0**-53)
