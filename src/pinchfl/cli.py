@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,6 +43,8 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
 
 
+# parsing keeps no state in the parser, so one serves every call of a process
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value config file")

@@ -126,7 +126,7 @@ def _reads_m(cfg: RunConfig, command: Optional[str]) -> bool:
 def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
     """Full precondition check for the subcommand ``command``; raises
     ConfigError naming the offending key.  M is checked only where
-    ``command`` reads it."""
+    ``command`` reads it, and the seed only where it seeds a draw."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float):
@@ -156,6 +156,10 @@ def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
     _require(cfg.rounds >= 1, "rounds", "must be at least 1")
     _require(cfg.dim >= 1, "dim", "must be at least 1")
     _require(cfg.trials >= 1, "trials", "must be at least 1")
+    if command != "highsnr":
+        # numpy's SeedSequence takes only nonnegative integers; highsnr's
+        # outputs are closed forms, so it draws nothing
+        _require(cfg.seed >= 0, "seed", "must be nonnegative")
     _require(cfg.grid_points >= 2, "grid_points", "must be at least 2")
     _require(cfg.weighting in ("HT", "uniform"), "weighting",
              "must be 'HT' or 'uniform'")

@@ -9,7 +9,10 @@ size, and a run is a prefix of any longer run at the same (seed, K).
 Each run has one block workspace: ``_blocks`` draws every block into one
 buffer, and the runners overwrite it with latencies and finishing times,
 so the memory of a run is a few blocks whatever its trial count or its
-number of blocks.
+number of blocks.  ``verify_bounds`` holds one block, its column-major
+copy: ``_blocks`` draws each block in row chunks into a scan workspace of
+``_BLOCK_ROWS * _SCAN_COLS`` floats, which does not grow with K, and each
+sorted chunk is copied into its rows of the column block.
 Acceptance convention: two-sided checks pass within three standard errors;
 one-sided bounds get one-sided slack.
 """
@@ -33,13 +36,16 @@ from .spatial import (CONV, PA, UNIFORM, DistributionSpec, _min_spacing,
 
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
 # the SFL CCDF sorts its rows and scans its windows, one column per window
-# of its C-order rows, while verify_bounds sorts it, copies it into columns
-# and scans them, and while participation_sweep turns it into latencies and
-# finishing times in place and counts them per deadline; a run allocates
-# its block buffers once, at min(_BLOCK_ROWS, trials) rows
+# of its C-order rows, while verify_bounds scans the columns it copied the
+# block's sorted row chunks into, and while participation_sweep turns it
+# into latencies and finishing times in place and counts them per
+# deadline; a run allocates its block buffers once, at
+# min(_BLOCK_ROWS, trials) rows
 _BLOCK_ROWS = 4096
 # windows per chunk of verify_bounds' scans: a (_BLOCK_ROWS, _SCAN_COLS)
-# chunk of costs, 256 KB, stays in L2 beside the block's column buffer
+# chunk of costs, 256 KB, stays in L2 beside the block's column buffer.
+# The same workspace, which does not grow with K, first takes the block's
+# draws, as many whole rows at a time as it holds
 _SCAN_COLS = 8
 
 SFL = "SFL"
@@ -53,19 +59,34 @@ def _streams(seed: int, K: int):
     return [np.random.default_rng(child) for child in children]
 
 
-def _blocks(spec: DistributionSpec, K: int, trials: int, seed: int):
-    """Yield the run's (b, K) position blocks, b <= ``_BLOCK_ROWS``, with the
+def _blocks(spec: DistributionSpec, K: int, trials: int, seed: int,
+            chunk=None):
+    """Yield the run's position blocks of b <= ``_BLOCK_ROWS`` rows, with the
     run's compute-time generator.
 
-    Every block is a view of the first b rows of one buffer of the run,
-    drawn in place: a block is valid only until the next one is drawn, and
-    the caller may overwrite it.
+    Without ``chunk``, every block is a (b, K) view of the first b rows of
+    one buffer of the run, drawn in place: a block is valid only until the
+    next one is drawn, and the caller may overwrite it.  Given ``chunk``, a
+    C-order (c, K) float array of the caller, every block is instead an
+    iterator of (r, rows): its rows r to r + len(rows), drawn into the first
+    rows of ``chunk``, at most c at a time, each valid only until the next
+    is drawn.  A block's chunks are taken before the next block.  Each
+    stream is drawn in order, so the chunks are the same bits as the block.
     """
     positions, normals, compute = _streams(seed, K)
-    buffer = np.empty((min(_BLOCK_ROWS, trials), K))
+
+    def draw(xs):
+        return draw_positions(positions, spec, xs.shape, normals, out=xs)
+
+    if chunk is None:
+        buffer = np.empty((min(_BLOCK_ROWS, trials), K))
     for r in range(0, trials, _BLOCK_ROWS):
-        xs = buffer[:min(_BLOCK_ROWS, trials - r)]
-        yield draw_positions(positions, spec, xs.shape, normals, out=xs), compute
+        n = min(_BLOCK_ROWS, trials - r)
+        if chunk is None:
+            yield draw(buffer[:n]), compute
+        else:
+            yield ((i, draw(chunk[:min(len(chunk), n - i)]))
+                   for i in range(0, n, len(chunk))), compute
 
 
 def _trial_count(trials) -> int:
@@ -228,8 +249,8 @@ def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
 def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
                   eps: float) -> List[BoundVerdict]:
     """The verdicts of ``verify_bounds`` at one K, for M_grid <= K.  Its
-    block buffers are released on return, before the next K allocates its
-    own."""
+    column block and workspace are released on return, before the next K
+    allocates its own."""
     conv_m = {M: _Moment() for M in M_grid}
     pa_m = {M: _Moment() for M in M_grid}
     span_mean = {M: _Moment() for M in M_grid if M >= 2}
@@ -238,21 +259,26 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
     p_dag = {M: analytics.order_stat_moments(K, M)[0] for M in M_grid}
     minspace = _Moment()
     violations = 0
-    # each block's rows are sorted, copied into one column-major buffer
-    # and scanned while the block is in cache; no array is run-sized
+    # one column per order statistic: the windows, spacings and spans
+    # below reduce across K with contiguous inner loops.  Each block is
+    # drawn in row chunks into the workspace, whose rows are sorted there
+    # and copied into the block's columns; no array is run-sized, and only
+    # the column block grows with K
     cols = np.empty((min(_BLOCK_ROWS, trials), K), order="F")
+    space = np.empty(max(_BLOCK_ROWS * _SCAN_COLS, K))
+    chunk = space[:len(space) // K * K].reshape(-1, K)
     for block, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
-                            seed):
-        n = len(block)
-        block.sort(axis=1)
-        # one column per order statistic: the windows, spacings and
-        # spans below reduce across K with contiguous inner loops
+                            seed, chunk):
+        for r, rows in block:
+            rows.sort(axis=1)
+            cols[r:r + len(rows)] = rows
+        # the last chunk ends the block
+        n = r + len(rows)
         xs = cols[:n]
-        np.copyto(xs, block)
-        # the block is dead until the next draw, so its first
+        # the workspace is dead until the next draw, so its first
         # n * _SCAN_COLS values hold the scans' chunks of windows, and then
         # the spacing's gaps and each span column
-        work = block.reshape(-1)[:n * _SCAN_COLS]
+        work = space[:n * _SCAN_COLS]
         # half the smallest gap of two neighbours, scanned once: PA at M=2,
         # and, before the M loop squares it, part of the minimum spacing
         half2 = pa_offsets(xs, 2, work) if K >= 2 else None

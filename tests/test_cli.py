@@ -153,6 +153,32 @@ class TestExitCodes:
         assert "'bits'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["participation", "--trials", "10"],
+        ["verify", "--trials", "10"],
+        ["ccdf", "--trials", "10"],
+        ["train", "--rounds", "2"],
+    ], ids=["participation", "verify", "ccdf", "train"])
+    def test_negative_seed_rejected_before_artifacts(self, tmp_path, capsys,
+                                                     argv):
+        # numpy seeds only from nonnegative integers
+        rc = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_is_not_checked_where_nothing_is_drawn(self, tmp_path,
+                                                         capsys):
+        assert main(["highsnr", "--seed", "-1", "--out", str(tmp_path)]) == 0
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        # a usage error leaves the shared parser fit for the next call
+        assert _build_parser() is _build_parser()
+        assert main(["verify", "--bogus", "1"]) == 1
+        assert main(["verify", "--k", "3", "--m", "2", "--trials", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert main([]) == 1
+
     def test_sfl_accepts_zero_deadline(self):
         # a synchronous round waits for its slowest upload; no tick is involved
         assert load_config(None, {"mode": "sfl", "deadline": "0"}).deadline == 0.0

@@ -102,28 +102,53 @@ class TestBlocks:
     @settings(max_examples=100, deadline=None)
     @given(spec=st.sampled_from([UNI, GM]), trials=st.integers(1, 30),
            K=st.integers(1, 6), rows=st.integers(1, 8),
-           extra=st.integers(0, 9), seed=st.integers(0, 10_000))
+           chunk=st.none() | st.integers(1, 9), extra=st.integers(0, 9),
+           seed=st.integers(0, 10_000))
     # fewer trials than one block, a whole number of blocks, one trial more
     # than a block, one user per row
-    @example(spec=GM, trials=5, K=3, rows=8, extra=0, seed=1)
-    @example(spec=GM, trials=12, K=3, rows=4, extra=0, seed=2)
-    @example(spec=UNI, trials=12, K=3, rows=4, extra=5, seed=2)
-    @example(spec=GM, trials=5, K=2, rows=4, extra=1, seed=3)
-    @example(spec=GM, trials=9, K=1, rows=4, extra=0, seed=4)
-    @example(spec=UNI, trials=3, K=1, rows=8, extra=0, seed=5)
-    def test_blocks_are_one_whole_draw(self, spec, trials, K, rows, extra,
-                                       seed):
+    @example(spec=GM, trials=5, K=3, rows=8, chunk=None, extra=0, seed=1)
+    @example(spec=GM, trials=12, K=3, rows=4, chunk=None, extra=0, seed=2)
+    @example(spec=UNI, trials=12, K=3, rows=4, chunk=None, extra=5, seed=2)
+    @example(spec=GM, trials=5, K=2, rows=4, chunk=None, extra=1, seed=3)
+    @example(spec=GM, trials=9, K=1, rows=4, chunk=None, extra=0, seed=4)
+    @example(spec=UNI, trials=3, K=1, rows=8, chunk=None, extra=0, seed=5)
+    # row chunks that divide the block, that do not, of one row, and of
+    # more rows than a block; the last block partial
+    @example(spec=GM, trials=20, K=3, rows=8, chunk=4, extra=0, seed=6)
+    @example(spec=UNI, trials=20, K=3, rows=8, chunk=4, extra=2, seed=6)
+    @example(spec=GM, trials=20, K=3, rows=8, chunk=3, extra=0, seed=7)
+    @example(spec=UNI, trials=20, K=3, rows=8, chunk=3, extra=0, seed=7)
+    @example(spec=GM, trials=11, K=2, rows=4, chunk=1, extra=0, seed=8)
+    @example(spec=GM, trials=11, K=2, rows=4, chunk=9, extra=3, seed=9)
+    def test_blocks_are_one_whole_draw(self, spec, trials, K, rows, chunk,
+                                       extra, seed):
         # a run's blocks are one draw, and the first rows of a longer run's;
-        # each block is a view of the run's one buffer, so it is copied
-        # before the next is drawn
+        # each block, or each row chunk of one, is a view of one buffer, so
+        # it is copied before the next is drawn
         want, _ = _whole_draw(spec, K, trials + extra, seed)
+        buffer = None if chunk is None else np.empty((chunk, K))
         views, blocks = [], []
         with mock.patch.object(montecarlo, "_BLOCK_ROWS", rows):
-            for xs, compute in montecarlo._blocks(spec, K, trials, seed):
-                views.append(xs)
-                blocks.append((xs.copy(), compute))
-        # every block is drawn into the run's one buffer
+            for block, compute in montecarlo._blocks(spec, K, trials, seed,
+                                                     buffer):
+                if buffer is None:
+                    views.append(block)
+                    blocks.append((block.copy(), compute))
+                    continue
+                starts, parts = [], []
+                for r, xs in block:
+                    starts.append(r)
+                    views.append(xs)
+                    parts.append(xs.copy())
+                # full chunks from the block's first row, in order
+                sizes = [len(xs) for xs in parts]
+                assert starts == [i * chunk for i in range(len(parts))]
+                assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+                assert 1 <= sizes[-1] <= chunk
+                blocks.append((np.concatenate(parts), compute))
+        # every block or chunk is drawn into one buffer, the caller's if given
         assert all(np.shares_memory(xs, views[0]) for xs in views)
+        assert buffer is None or np.shares_memory(views[0], buffer)
         sizes = [len(xs) for xs, _ in blocks]
         assert sizes[:-1] == [rows] * (len(sizes) - 1)
         assert 1 <= sizes[-1] <= rows
@@ -402,8 +427,8 @@ class TestVerifyBounds:
 
     def test_peak_memory_is_a_few_blocks(self, monkeypatch):
         # 20000 trials are 40 blocks, the last one partial; an array of one
-        # value per trial would be 4 blocks.  The run holds its block
-        # buffer and its column-major copy
+        # value per trial would be 4 blocks.  The run holds its column block
+        # and a workspace of 512 * 8 values, 0.8 of a block at K = 10
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         K = 10
         assert _peak_blocks(lambda: montecarlo.verify_bounds(
@@ -412,11 +437,44 @@ class TestVerifyBounds:
     @pytest.mark.parametrize("K_grid", [[10, 10], [20, 10]],
                              ids=["10-10", "20-10"])
     def test_peak_memory_is_a_few_blocks_of_one_k(self, monkeypatch, K_grid):
-        # each K releases its two block buffers before the next K allocates
-        # its own, so the peak is that of the widest K alone
+        # each K releases its column block and its workspace before the
+        # next K allocates its own, so the peak is that of the widest K alone
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         assert _peak_blocks(lambda: montecarlo.verify_bounds(
             K_grid, [2, 5, 7], 10.0, trials=20_000, seed=0), max(K_grid)) < 3
+
+    @pytest.mark.parametrize("K,bound", [(40, 1.6), (200, 1.25)])
+    def test_peak_memory_is_one_column_block(self, monkeypatch, K, bound):
+        # the column block, the workspace of 512 * 8 values (a fifth of a
+        # block at K = 40, a 25th at K = 200) and a few columns of
+        # temporaries; a C-order copy of the block would add a whole block
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
+        assert _peak_blocks(lambda: montecarlo.verify_bounds(
+            [K], [2, 5, 7], 10.0, trials=20_000, seed=0), K) < bound
+
+    # the workspace holds 800 values: row chunks longer than a block (K = 1,
+    # 3), of exactly a block (8), that do not divide it (9) or do (40), and
+    # of one row, as K = 1000 exceeds the workspace
+    @pytest.mark.parametrize("K", [1, 3, 8, 9, 40, 1000])
+    def test_scanned_columns_are_the_sorted_draw(self, monkeypatch, K):
+        # 250 trials: two blocks of 100 rows and a partial one
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 100)
+        seen = []
+        min_spacing = montecarlo._min_spacing
+
+        def spy(sorted_xs, half2, D, work):
+            # one contiguous column per order statistic
+            assert sorted_xs.strides[0] == sorted_xs.itemsize
+            assert not np.shares_memory(sorted_xs, work)
+            seen.append(sorted_xs.copy())
+            return min_spacing(sorted_xs, half2, D, work)
+
+        monkeypatch.setattr(montecarlo, "_min_spacing", spy)
+        montecarlo.verify_bounds([K], [2, 5], 10.0, 250, 6)
+        assert [len(xs) for xs in seen] == [100, 100, 50]
+        want = np.sort(_whole_draw(_uniform(10.0), K, 250, 6)[0], axis=1)
+        assert np.array_equal(np.concatenate(seen).view(np.int64),
+                              want.view(np.int64))
 
     def test_matches_row_major_reference(self, monkeypatch):
         # several blocks, the last one partial
