@@ -27,19 +27,24 @@ from .phy import PhyParams, upload_latency
 from .spatial import CONV, PA, schedule_round
 
 _ALPHA_CAP = 1.0 - 1e-6
-_S_MAX = np.finfo(float).max / 2.0  # largest row scale whose 2 s is finite
+# largest row scale whose 2 s is finite
+_S_MAX = np.array(np.finfo(float).max / 2.0)
 MAX_BITS = 53  # the largest b whose top level index 2^b - 1 is an exact double
+# the per-step kernels' constant operands as 0-d float64 arrays: numpy 2 gives
+# a Python float weak-scalar promotion on every ufunc call, which costs more
+# than the arithmetic on a (40, 8) batch
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
 
 
 def _grid(b) -> tuple:
     """Top level index ``2^b - 1`` of a b-bit quantizer and half of it, as
-    floats; b must be an integer (an integral float counts) in
+    0-d float arrays; b must be an integer (an integral float counts) in
     [1, MAX_BITS]."""
     if not (1 <= b <= MAX_BITS and float(b).is_integer()):
         raise ParameterError(f"bit budget b={b!r}: need an integer with "
                              f"1 <= b <= {MAX_BITS}")
     top = float(2 ** int(b) - 1)
-    return top, top / 2.0
+    return np.array(top), np.array(top / 2.0)
 
 
 @dataclass(frozen=True)
@@ -103,17 +108,18 @@ def draw_gates(taus, model: DeadlineModel, rng):
 
 
 def _gate_params(model: DeadlineModel) -> tuple:
-    """``(p_s, t0, 1/rate, T_d)`` of ``model`` for ``_gate_kernel``, with
-    None for 1/rate under deterministic compute."""
+    """``(p_s, t0, 1/rate, T_d)`` of ``model`` for ``_gate_kernel``: p_s, t0
+    and T_d as 0-d float arrays, 1/rate a float for the generator or None
+    under deterministic compute."""
     scale = None if model.fc_kind == DETERMINISTIC else 1.0 / model.rate
-    return model.p_s, float(model.t0), scale, model.T_d
+    return (np.array(float(model.p_s)), np.array(float(model.t0)), scale,
+            np.array(float(model.T_d)))
 
 
-def _gate_kernel(taus: np.ndarray, p_s: float, t0: float, scale, T_d: float,
-                 rng):
+def _gate_kernel(taus: np.ndarray, p_s, t0, scale, T_d, rng):
     """``draw_gates`` on a float array, plus the finishing times T_c + tau.
 
-    Under deterministic compute (``scale`` None) T_c is the scalar t0."""
+    Under deterministic compute (``scale`` None) T_c is t0, 0-d."""
     Z = rng.random(taus.shape) < p_s
     if scale is None:
         T_c = t0
@@ -134,7 +140,8 @@ def quantize(v: np.ndarray, b: int) -> np.ndarray:
     raises ParameterError, and so does a bit budget outside [1, MAX_BITS] or
     a 0-d input, which has no last axis.
     """
-    return _quantize_kernel(_rows(v), *_grid(b))
+    v = _rows(v)
+    return _quantize_kernel(v, *_grid(b), _workspace(v.shape))
 
 
 def _rows(v) -> np.ndarray:
@@ -146,32 +153,41 @@ def _rows(v) -> np.ndarray:
     return v
 
 
-def _quantize_kernel(v: np.ndarray, top: float, half: float) -> np.ndarray:
-    """``quantize`` on a float array, with ``(top, half)`` from ``_grid``."""
-    q = np.abs(v)
+def _workspace(shape) -> tuple:
+    """Three float arrays of ``shape`` for ``_quantize_kernel``."""
+    return np.empty(shape), np.empty(shape), np.empty(shape)
+
+
+def _quantize_kernel(v: np.ndarray, top, half, work: tuple) -> np.ndarray:
+    """``quantize`` on a float array, with ``(top, half)`` from ``_grid``.
+
+    ``work`` is three float arrays of v's shape, from ``_workspace``, whose
+    contents do not matter.  The result is the first of them (a new array
+    when some row's grid step is zero), so the next call on the same
+    workspace overwrites it.  v itself is not written."""
+    q, s_full, step_full = work
+    np.abs(v, out=q)
     s = np.maximum.reduce(q, axis=-1, keepdims=True, initial=0.0)
-    # the largest scale decides, and a NaN fails the comparison too
-    if not np.maximum.reduce(s, axis=None, initial=0.0) <= _S_MAX:
+    # a NaN fails the comparison too
+    if np.count_nonzero(s <= _S_MAX) != s.size:
         raise ParameterError("quantizer input must be finite, with max|v| "
                              "at most half the largest float")
+    # scale and step at q's full shape: on rows of a few entries a same-shape
+    # ufunc call costs a third of a (rows, 1) broadcast
+    np.copyto(s_full, s)
     # 2 s / (n - 1) bit for bit, as 2 s and (n - 1) / 2 are both exact
-    step = s / half
+    np.divide(s_full, half, out=step_full)
     # a row whose step underflows to zero comes back as is; until then it
     # takes a unit step.  Most calls have no such row and build no mask
-    exact = None if np.count_nonzero(step) == step.size else step == 0.0
+    exact = (None if np.count_nonzero(step_full) == step_full.size
+             else step_full == 0.0)
     if exact is not None:
-        step[exact] = 1.0
-    # scale and step expanded to q's shape once: on rows of a few entries a
-    # same-shape ufunc call costs a third of a (rows, 1) broadcast
-    s_full = np.empty_like(q)
-    np.copyto(s_full, s)
-    step_full = np.empty_like(q)
-    np.copyto(step_full, step)
+        step_full[exact] = 1.0
     # quantize |v| on the symmetric grid in place, then restore signs; rounding
     # up on the magnitude axis is round-half-away-from-zero on the original axis
     q += s_full
     q /= step_full
-    q += 0.5
+    q += _HALF
     np.floor(q, out=q)  # at least 0, so only the top level needs a clip
     np.minimum(q, top, out=q)
     q *= step_full
@@ -179,7 +195,8 @@ def _quantize_kernel(v: np.ndarray, top: float, half: float) -> np.ndarray:
     # times the sign of v as an exact ±1, with -0.0 inputs counted as +0.0 so
     # that they keep q's own sign.  Copying v's sign onto q instead would flip
     # a zero entry's grid value, about ±step/2 by the rounding of s/step
-    q *= np.copysign(1.0, v + 0.0)
+    sign = np.add(v, _ZERO, out=s_full)
+    q *= np.copysign(_ONE, sign, out=sign)
     return q if exact is None else np.where(exact, v + 0.0, q)
 
 
@@ -192,37 +209,45 @@ def quantize_ef(g: np.ndarray, e: np.ndarray, spec: QuantizerSpec):
     if g.shape != e.shape:
         raise ParameterError("gradient and residual must share a shape")
     e_next = np.zeros_like(g)
-    return _ef_kernel(g + e, e_next, spec._ef_grid), e_next
+    return _ef_kernel(g + e, e_next, spec._ef_grid, _workspace(g.shape)), e_next
 
 
-def _ef_kernel(v: np.ndarray, e: np.ndarray, grid) -> np.ndarray:
-    """``quantize_ef`` on v = g + e: returns Y = Q(v) and writes the next
-    residual v - Y into ``e``.  With ``grid`` None (identity mode) Y is v
-    itself and ``e`` is left as it is."""
+def _ef_kernel(v: np.ndarray, e: np.ndarray, grid, work: tuple) -> np.ndarray:
+    """``quantize_ef`` on v = g + e: returns Y = Q(v), computed in the
+    quantizer workspace ``work``, and writes the next residual v - Y into
+    ``e``.  With ``grid`` None (identity mode) Y is v itself and ``e`` is
+    left as it is."""
     if grid is None:
         return v
-    Y = _quantize_kernel(v, *grid)
+    Y = _quantize_kernel(v, *grid, work)
     np.subtract(v, Y, out=e)
     return Y
 
 
 def ht_aggregate(entries, K: int) -> np.ndarray:
     """Inverse-probability aggregate (1/K) sum_i I_i Y_i / pi_i over
-    (I, pi, Y) entries, summed in entry order."""
+    (I, pi, Y) entries, summed in entry order.  An entry with I != 0 needs
+    pi in (0, 1]; an excluded one may have any pi."""
     if K < 1:
         raise ParameterError("K must be at least 1")
     if not entries:
         return np.zeros(0)
     I, pi, Y = (np.asarray(a, dtype=float) for a in zip(*entries))
     inc = I != 0
+    pi = pi[inc]
+    # a NaN fails the comparisons too
+    if not ((pi > 0) & (pi <= 1)).all():
+        raise ParameterError("an included entry needs an inclusion "
+                             "probability in (0, 1]")
     # I Y, then / pi, so every indicator value keeps the rounding of (I Y) / pi
-    return _ht_kernel(pi[inc], (I[inc] * Y[inc].T).T, K)
+    return _ht_kernel(pi, (I[inc] * Y[inc].T).T, K)
 
 
-def _ht_kernel(pi: np.ndarray, Y: np.ndarray, K: int) -> np.ndarray:
-    """``ht_aggregate`` over the included rows only: pi (n,), Y (n, ...)."""
-    if (pi <= 0).any():
-        raise ParameterError("included entry with zero inclusion probability")
+def _ht_kernel(pi: np.ndarray, Y: np.ndarray, K) -> np.ndarray:
+    """``ht_aggregate`` over the included rows only: pi (n,), Y (n, ...).
+
+    Every pi must lie in (0, 1]; the kernel does not check.
+    ``ht_aggregate`` checks each call, ``run_afl`` once per run."""
     if not pi.size:
         return np.zeros(Y.shape[1:])
     # accumulate adds row by row; sum(axis=0) may pair rows up and round
@@ -313,13 +338,13 @@ def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
 class SyntheticProblem:
     """K local quadratics f_i(w) = ||w - c_i||^2 / 2 with Gaussian gradient noise.
 
-    Smoothness and gradient-dominance constants are both exactly 1; the
-    heterogeneity level (mean squared center spread) is known exactly.
+    The smoothness constant is exactly 1, and so is the gradient-dominance
+    constant ``mu``; the heterogeneity level (mean squared center spread) is
+    known exactly.
     """
 
     centers: np.ndarray
     noise_sigma: float
-    L: float = 1.0
     mu: float = 1.0
 
     def __post_init__(self):
@@ -437,6 +462,24 @@ class TrainLog:
         return math.inf
 
 
+def _check_run(problem: SyntheticProblem, xs, eta, w0) -> tuple:
+    """Positions, stepsize and start point of a training run, validated:
+    ``(xs, eta, w)`` with eta a 0-d float array and w a private copy."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape != (problem.K,):
+        raise ParameterError(f"xs must be a ({problem.K},) array of positions")
+    if not 0 < eta < math.inf:
+        raise ParameterError(f"eta={eta!r}: the stepsize must be positive "
+                             f"and finite")
+    if w0 is None:
+        return xs, np.array(float(eta)), problem.initial_point()
+    w = np.array(w0, dtype=float)
+    if w.shape != (problem.d_w,) or not np.isfinite(w).all():
+        raise ParameterError(f"w0 must be a finite ({problem.d_w},) array, "
+                             f"got shape {w.shape}")
+    return xs, np.array(float(eta)), w
+
+
 def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             M: int, eta: float, spec: QuantizerSpec, rounds: int, arch: str,
             seed: int, w0: Optional[np.ndarray] = None) -> TrainLog:
@@ -447,11 +490,9 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     uniform 1/M weights.  The round time is the slowest scheduled upload.
     """
     _, M = check_order(problem.K, M)
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (problem.K,):
-        raise ParameterError(f"xs must be a ({problem.K},) array of positions")
-    if rounds < 1 or eta <= 0:
-        raise ParameterError("rounds must be >= 1 and eta positive")
+    xs, eta, w = _check_run(problem, xs, eta, w0)
+    if not (rounds >= 1 and float(rounds).is_integer()):
+        raise ParameterError(f"rounds={rounds!r}: need an integer >= 1")
     sched, z = schedule_round(xs, M, arch)
     taus = upload_latency(phy.c_round(M), xs[sched], z, phy.S, phy.d)
     round_time = float(np.max(taus))
@@ -459,21 +500,23 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     bottleneck = float(np.max(np.abs(xs[sched] - z)))
 
     rng = np.random.default_rng(seed)
-    w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
     e = np.zeros((M, problem.d_w))
     # the round kernels' inputs, fixed for the run, and their buffers
     centers, scale, grid = problem.centers, problem._noise_scale, spec._ef_grid
     grads = np.empty_like(centers)
     v = np.empty_like(e)
+    work = _workspace(e.shape)
+    divisor = np.array(float(M))
     log = TrainLog()
     t = 0.0
     grad_norm2 = problem.grad_norm2(w)
-    for rnd in range(rounds):
+    for rnd in range(int(rounds)):
         _grads_kernel(w, centers, scale, rng, grads)
         np.take(grads, sched, axis=0, out=v)
         v += e
         # the sum over rows divided by M is the bits of their mean
-        w = w - eta * (np.add.reduce(_ef_kernel(v, e, grid), axis=0) / M)
+        w = w - eta * (np.add.reduce(_ef_kernel(v, e, grid, work), axis=0)
+                       / divisor)
         t += round_time
         # this round's post-update norm is the next round's pre-update norm
         pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
@@ -500,16 +543,19 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     applied when the last of them arrives; users stay busy until their upload
     lands, so slow links carry stale caches.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (problem.K,):
-        raise ParameterError(f"xs must be a ({problem.K},) array of positions")
+    xs, eta, w = _check_run(problem, xs, eta, w0)
     if weighting not in ("HT", "uniform"):
         raise ParameterError(f"unknown weighting {weighting!r}")
-    if horizon_s <= 0 or eta <= 0:
-        raise ParameterError("horizon and eta must be positive")
+    if not 0 < horizon_s < math.inf:
+        raise ParameterError(f"horizon_s={horizon_s!r}: the horizon must be "
+                             f"positive and finite")
     T_p = model.T_d if tick_period is None else tick_period
-    if T_p <= 0:
-        raise ParameterError("tick period must be positive")
+    if not 0 < T_p < math.inf:
+        raise ParameterError(f"tick_period={T_p!r}: the tick period must be "
+                             f"positive and finite")
+    if not horizon_s / T_p < math.inf:
+        raise ParameterError(f"tick_period={T_p!r} is too small: horizon_s / "
+                             f"tick_period overflows")
 
     K = problem.K
     c = phy.c
@@ -523,23 +569,25 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     pis = inclusion_probability(taus, model)
     # HT divides each upload by its inclusion probability, uniform by 1
     weights = pis if weighting == "HT" else np.ones(K)
-    # pi is fixed for the run, so only a run with a zero one checks uploads
+    # pi is fixed for the run, so the kernel never checks it: only a run
+    # with a zero one checks its uploads
     check_pis = not (pis > 0).all()
 
     rng = np.random.default_rng(seed)
-    w = problem.initial_point() if w0 is None else np.asarray(w0, dtype=float).copy()
     e = np.zeros_like(problem.centers)
     caches = np.tile(w, (K, 1))
     busy_until = np.zeros(K)
     version = 0
-    # the tick kernels' inputs, fixed for the run, and the gradient buffer
+    # the tick kernels' inputs, fixed for the run, and their buffers
     centers, scale, grid = problem.centers, problem._noise_scale, spec._ef_grid
     gate = _gate_params(model)
-    divisor = K if weighting == "HT" else None
+    divisor = np.array(float(K)) if weighting == "HT" else None
     v = np.empty_like(centers)
+    work = _workspace(centers.shape)
     # heap of (apply time, tick, batch latency, updates, their weights, the
     # version their caches fetched, which every uploader, being idle,
-    # refreshed that tick), uploads in arrival order; the tick breaks ties
+    # refreshed that tick), uploads in arrival order; the tick breaks ties.
+    # The updates are a copy, not a view of the quantizer workspace
     pending: list = []
     log = TrainLog()
 
@@ -568,7 +616,7 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         caches[idle] = w
         _grads_kernel(caches, centers, scale, rng, v)
         v += e
-        Ys = _ef_kernel(v, e, grid)
+        Ys = _ef_kernel(v, e, grid, work)
         Z, T_c, I, finish = _gate_kernel(taus[idle], *gate, rng)
         # uploaders stay busy until their upload lands, the rest while computing
         busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
@@ -576,7 +624,7 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             up_finish = finish[I]
             order = up_finish.argsort(kind="stable")
             up = idle[I][order]
-            if check_pis and (pis[up] <= 0).any():
+            if check_pis and not (pis[up] > 0).all():
                 raise ParameterError("upload from a zero-probability user")
             lat = up_finish[order[-1]]  # the last upload to land
             heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], weights[up],

@@ -41,6 +41,30 @@ def _quantize_row(v, b):
     return out
 
 
+@st.composite
+def _batches(draw):
+    """A (K, d) batch, C or Fortran order, whose rows are zero (signed
+    zeros), subnormal, or entries in [-1, 1] with some ±0.0 among them, times
+    10^k for |k| <= 300.  Hypothesis picks the shape, each row's kind and
+    exponent, and the seed of the entries."""
+    K, d = draw(st.integers(1, 49)), draw(st.integers(1, 11))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["scaled", "zero", "subnormal"]), st.integers(-300, 300)),
+        min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(-1.0, 1.0, (K, d))
+    v[rng.random((K, d)) < 0.2] = 0.0
+    v[rng.random((K, d)) < 0.1] = -0.0
+    for row, (kind, k) in zip(v, rows):
+        if kind == "zero":
+            row[:] = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+        elif kind == "subnormal":
+            row[:] = rng.integers(-2**20, 2**20, d) * 5e-324
+        else:
+            row *= 10.0 ** k
+    return np.asfortranarray(v) if draw(st.booleans()) else v
+
+
 class TestQuantizer:
     def test_two_bit_grid(self):
         # b=2, v=[1, 0.5]: grid {-1, -1/3, 1/3, 1}; 0.5 rounds away from 0
@@ -133,6 +157,19 @@ class TestQuantizer:
             with pytest.raises(ParameterError, match="last axis"):
                 quantize_ef(v, 0.0, QuantizerSpec(b=3, c_q=0.0))
         assert quantize([1.0], 3).tobytes() == np.array([1.0]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(1, flcore.MAX_BITS), v=_batches())
+    @example(b=53, v=np.asfortranarray([[1e300, -0.0], [5e-324, 0.0]]))
+    def test_kernel_on_a_reused_workspace_matches_quantize(self, b, v):
+        # the training loops hand the kernel one workspace for the whole run:
+        # what a previous call left there, or NaN, must not leak into a result
+        work = tuple(np.full(v.shape, np.nan) for _ in range(3))
+        for x in (v, -v):
+            before = x.tobytes()
+            got = flcore._quantize_kernel(x, *flcore._grid(b), work).tobytes()
+            assert got == quantize(x, b).tobytes()
+            assert x.tobytes() == before, "the input must not be written"
 
     def test_rejects_rows_that_would_overflow(self):
         # a NaN, an infinity or a scale whose 2 s overflows used to come back
@@ -362,8 +399,15 @@ class TestGatesAndWeights:
             assert agg.tobytes() == ref.tobytes()
 
     def test_included_zero_probability_rejected(self):
-        with pytest.raises(ParameterError):
-            ht_aggregate([(1, 0.0, np.ones(2))], 1)
+        ones = np.ones(2)
+        for entries in ([(1, 0.0, ones)],
+                        [(1, 0.5, ones), (0, 0.0, ones), (1, 0.0, ones)],
+                        # NaN and a value above 1 are no probabilities
+                        [(1, math.nan, ones)], [(1, 1.5, ones)]):
+            with pytest.raises(ParameterError, match="inclusion probability"):
+                ht_aggregate(entries, 3)
+        # an excluded entry may have zero probability
+        assert ht_aggregate([(1, 0.5, ones), (0, 0.0, ones)], 2).tolist() == [1.0, 1.0]
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 4), K=st.integers(1, 60),
@@ -391,10 +435,10 @@ class TestGatesAndWeights:
             np.array([p for _, p, _ in inc]),
             np.array([[i * yj for yj in y] for i, _, y in inc]).reshape(-1, d), K)
         if any(i and p == 0.0 for i, p, _ in entries):
-            # an included entry must have a positive inclusion probability
-            for call in (wrapped, kernel):
-                with pytest.raises(ParameterError):
-                    call()
+            # an included entry must have a positive inclusion probability;
+            # ht_aggregate checks it, the kernel takes it as given
+            with pytest.raises(ParameterError):
+                wrapped()
             return
         # left-to-right scalar sum over the included entries; excluded ones,
         # zero probability allowed, add nothing
@@ -597,6 +641,23 @@ class TestRunAfl:
                     run_afl(p, bad, PHY, model, 0.05, QuantizerSpec(6),
                             horizon_s=model.T_d, arch=arch, seed=0)
 
+    def test_upload_from_a_zero_probability_user_rejected(self, monkeypatch):
+        # the HT kernel takes pi > 0 as given; a run in which some user's pi
+        # is zero checks each batch's uploaders instead
+        p, sample, model = self._setup()
+        real = flcore.inclusion_probability
+
+        def first_user_never_included(taus, model):
+            pis = real(taus, model)
+            pis[0] = 0.0
+            return pis
+
+        monkeypatch.setattr(flcore, "inclusion_probability",
+                            first_user_never_included)
+        with pytest.raises(ParameterError, match="zero-probability user"):
+            run_afl(p, sample, PHY, model, 0.05, QuantizerSpec(6),
+                    horizon_s=5 * model.T_d, arch=CONV, seed=0)
+
     def test_deterministic_rerun(self):
         p, sample, model = self._setup()
         kw = dict(eta=0.05, spec=QuantizerSpec(6), horizon_s=30 * model.T_d,
@@ -604,6 +665,44 @@ class TestRunAfl:
         a = run_afl(p, sample, PHY, model, **kw)
         b = run_afl(p, sample, PHY, model, **kw)
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
+
+
+_BAD_RUN_ARGS = [
+    ("sfl", "eta", math.nan), ("sfl", "eta", math.inf), ("sfl", "eta", 0.0),
+    ("sfl", "rounds", 2.5), ("sfl", "rounds", 0), ("sfl", "rounds", math.inf),
+    ("sfl", "w0", np.zeros(3)), ("sfl", "w0", np.zeros((1, 4))),
+    ("sfl", "w0", np.array([0.0, math.nan, 0.0, 0.0])),
+    ("afl", "eta", math.nan), ("afl", "eta", math.inf),
+    ("afl", "horizon_s", math.nan), ("afl", "horizon_s", math.inf),
+    ("afl", "horizon_s", 0.0),
+    ("afl", "tick_period", math.nan), ("afl", "tick_period", math.inf),
+    ("afl", "tick_period", -1.0),
+    ("afl", "tick_period", 1e-320),  # horizon_s / tick_period overflows
+    ("afl", "w0", np.zeros(5)), ("afl", "w0", np.array([math.inf, 0, 0, 0])),
+]
+
+
+@pytest.mark.parametrize("loop, key, value", _BAD_RUN_ARGS,
+                         ids=[f"{m}-{k}-{v!r}" for m, k, v in _BAD_RUN_ARGS])
+def test_bad_run_arguments_rejected_before_any_draw(loop, key, value,
+                                                     monkeypatch):
+    problem = make_synthetic_problem(8, 4, 0.02, 0.05, seed=0)
+    xs = sample_positions(UNI, 8, seed=0)
+    common = dict(problem=problem, xs=xs, phy=PHY, eta=0.1,
+                  spec=QuantizerSpec(6), arch=CONV, seed=0)
+    if loop == "sfl":
+        run, kw = run_sfl, dict(common, M=3, rounds=5)
+    else:
+        run, kw = run_afl, dict(common, model=DeadlineModel(T_d=0.05),
+                                horizon_s=0.5)
+    run(**kw)  # the valid call runs
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before validation")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ParameterError, match=key):
+        run(**dict(kw, **{key: value}))
 
 
 def _ref_sfl(problem, xs, phy, M, eta, spec, rounds, arch, seed):
@@ -707,6 +806,9 @@ _REF_MODELS = {
     # is applied before that tick refreshes the caches
     "tick-on-arrival": (DeadlineModel(T_d=0.05), upload_latency(
         _REF_LINK.c, 0.0, 0.0, _REF_LINK.S, _REF_LINK.d), 0.2),
+    # a batch waits several ticks, each of which quantizes into the run's
+    # one workspace, so a queued batch must not be a view of it
+    "pending-across-ticks": (DeadlineModel(T_d=0.05), 0.004, 0.2),
 }
 
 
