@@ -2,7 +2,8 @@
 subcommand, and writes CSV series plus a self-describing JSON summary.
 
 Exit codes: 0 success, 1 usage error, 2 config validation error, 3 runtime
-error (e.g. an infeasible link or out-of-regime request).
+error (e.g. an infeasible link or out-of-regime request). Only a run that
+exits 0 writes artifacts.
 """
 
 from __future__ import annotations
@@ -11,18 +12,20 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analytics, montecarlo
 from .config import RunConfig, load_config
 from .errors import ConfigError
-from .flcore import make_synthetic_problem, run_afl, run_sfl
+from .flcore import (TrainRecord, make_synthetic_problem, run_afl,
+                     run_sfl)
 from .participation import DETERMINISTIC, coverage_radius, expected_participants
 from .phy import (afl_gap_bracket, high_snr_constants, lambda_star,
                   remainder_envelope, upload_latency)
@@ -53,36 +56,33 @@ def _build_parser() -> _Parser:
         common.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     parser = _Parser(prog="pinchfl", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    commands = {
-        "ccdf": "empirical latency CCDF for both architectures",
-        "participation": "deadline sweep of expected participant counts",
-        "highsnr": "high-SNR expansion constants, envelope, and gap bracket",
-        "train": "synthetic-objective training run (SFL or AFL)",
-        "verify": "closed-form straggler moments; every bound vs Monte Carlo",
-    }
-    for name, help_text in commands.items():
-        sub.add_parser(name, help=help_text, parents=[common])
+    for name, cmd in _COMMANDS.items():
+        sub.add_parser(name, help=cmd.__doc__, parents=[common])
     return parser
 
 
-def _write_csv(path: str, fieldnames: Sequence[str], rows: List[dict]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
-                             for k, v in row.items()})
+def _write_artifacts(command: str, cfg: RunConfig, rows: List[Sequence],
+                     metrics: dict):
+    """Write ``<command>.csv`` (``rows``, header first, floats as ``repr``)
+    and ``<command>.json`` (config, seed and metrics) into ``cfg.out``.
 
-
-def _write_json(path: str, cfg: RunConfig, metrics: dict):
-    payload = {
-        "config": dataclasses.asdict(cfg),
-        "seed": cfg.seed,
-        "metrics": metrics,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    Both are serialized before the directory is made, so rows or metrics that
+    do not serialize, such as a NaN metric, leave no file and no directory.
+    """
+    table = io.StringIO()
+    csv.writer(table).writerows(
+        [repr(float(v)) if isinstance(v, float) else v for v in row]
+        for row in rows)
+    payload = {"config": dataclasses.asdict(cfg), "seed": cfg.seed,
+               "metrics": metrics}
+    texts = {"csv": table.getvalue(),
+             "json": json.dumps(payload, indent=2, sort_keys=True,
+                                allow_nan=False) + "\n"}
+    os.makedirs(cfg.out, exist_ok=True)
+    for ext, text in texts.items():
+        path = os.path.join(cfg.out, f"{command}.{ext}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _reach(cfg: RunConfig) -> float:
@@ -100,20 +100,20 @@ def _latency_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
 
 
-def _cmd_ccdf(cfg: RunConfig, out: str) -> dict:
+_Artifacts = Tuple[List[Sequence], dict]
+
+
+def _cmd_ccdf(cfg: RunConfig) -> _Artifacts:
+    """empirical latency CCDF for both architectures"""
     phy, spec = cfg.phy(), cfg.dist_spec()
     grid = _latency_grid(cfg)
     mode = montecarlo.SFL if cfg.mode == "sfl" else montecarlo.AFL
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
     series = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, cfg.m,
                                        cfg.trials, grid, cfg.seed)
-    rows = []
-    for i, t in enumerate(grid):
-        row = {"t": float(t)}
-        for arch in archs:
-            row[f"ccdf_{arch.lower()}"] = float(series[arch].ccdf[i])
-        rows.append(row)
-    _write_csv(os.path.join(out, "ccdf.csv"), list(rows[0]), rows)
+    columns = [series[arch].ccdf.tolist() for arch in archs]
+    rows = [["t", *(f"ccdf_{arch.lower()}" for arch in archs)],
+            *zip(grid.tolist(), *columns)]
     metrics: Dict[str, object] = {"mode": cfg.mode, "trials": cfg.trials,
                                   "grid_points": cfg.grid_points}
     for arch in archs:
@@ -122,63 +122,60 @@ def _cmd_ccdf(cfg: RunConfig, out: str) -> dict:
         gap = series[CONV].ccdf - series[PA].ccdf
         metrics["min_ccdf_gap_conv_minus_pa"] = float(gap.min())
         metrics["pa_dominates"] = bool(gap.min() >= -3.0 / math.sqrt(cfg.trials))
-    _write_json(os.path.join(out, "ccdf.json"), cfg, metrics)
-    return metrics
+    return rows, metrics
 
 
-def _cmd_participation(cfg: RunConfig, out: str) -> dict:
+def _cmd_participation(cfg: RunConfig) -> _Artifacts:
+    """deadline sweep of expected participant counts"""
     phy, spec, model = cfg.phy(), cfg.dist_spec(), cfg.deadline_model()
     t_lo = cfg.t0 + upload_latency(0.98 * phy.c, 0.0, 0.0, phy.S, phy.d)
     t_hi = cfg.t0 + upload_latency(1.10 * phy.c, _reach(cfg), 0.0, phy.S, phy.d)
     if cfg.fc_kind != DETERMINISTIC and cfg.rate > 0:
         t_hi += 3.0 / cfg.rate
     grid = np.linspace(t_lo, t_hi, cfg.grid_points)
-    rows = montecarlo.participation_sweep(cfg.k, grid, model, spec, phy,
-                                          cfg.trials, cfg.seed)
-    _write_csv(os.path.join(out, "participation.csv"), list(rows[0]), rows)
+    sweep = montecarlo.participation_sweep(cfg.k, grid, model, spec, phy,
+                                           cfg.trials, cfg.seed)
     report = expected_participants(cfg.k, cfg.deadline, model, spec, phy)
     metrics = {
         "n_conv_at_deadline": report.n_conv,
         "n_pa_at_deadline": report.n_pa,
         "gap_at_deadline": report.gap,
-        "min_gap_over_sweep": min(r["gap"] for r in rows),
+        "min_gap_over_sweep": min(r["gap"] for r in sweep),
     }
     if cfg.dist == UNIFORM and cfg.fc_kind == DETERMINISTIC:
         cov = coverage_radius(cfg.deadline, model, phy)
         metrics.update(rho=cov.rho, T_min=cov.T_min, T_max=cov.T_max,
                        kappa=cov.kappa)
-    _write_json(os.path.join(out, "participation.json"), cfg, metrics)
-    return metrics
+    return [list(sweep[0]), *(list(r.values()) for r in sweep)], metrics
 
 
-def _cmd_highsnr(cfg: RunConfig, out: str) -> dict:
+def _cmd_highsnr(cfg: RunConfig) -> _Artifacts:
+    """high-SNR expansion constants, envelope, and gap bracket"""
     consts = high_snr_constants(cfg.corridor, cfg.height)
     lam_star = lambda_star(consts)
-    rows = []
+    rows: List[Sequence] = [["Lambda", "envelope", "gap_bracket"]]
     for lam in (consts.Lambda0, 2 * consts.Lambda0, 10 * consts.Lambda0,
                 lam_star, 2 * lam_star):
-        rows.append({
-            "Lambda": float(lam),
-            "envelope": remainder_envelope(lam, consts),
-            "gap_bracket": afl_gap_bracket(lam, consts),
-        })
-    _write_csv(os.path.join(out, "highsnr.csv"), list(rows[0]), rows)
+        rows.append([float(lam), remainder_envelope(lam, consts),
+                     afl_gap_bracket(lam, consts)])
     metrics = dict(dataclasses.asdict(consts))
     metrics["lambda_star"] = lam_star
     metrics["bracket_positive_at_lambda_star"] = bool(
         afl_gap_bracket(lam_star, consts) > 0
     )
-    _write_json(os.path.join(out, "highsnr.json"), cfg, metrics)
-    return metrics
+    return rows, metrics
 
 
-def _cmd_train(cfg: RunConfig, out: str) -> dict:
+def _cmd_train(cfg: RunConfig) -> _Artifacts:
+    """synthetic-objective training run (SFL or AFL)"""
     problem = make_synthetic_problem(cfg.k, cfg.dim, cfg.delta2,
                                      cfg.sigma_grad, cfg.seed)
     xs = sample_positions(cfg.dist_spec(), cfg.k, cfg.seed)
     phy, spec, model = cfg.phy(), cfg.quantizer(), cfg.deadline_model()
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
-    rows, metrics = [], {}
+    header = [f.name for f in dataclasses.fields(TrainRecord)]
+    rows: List[Sequence] = [header]
+    metrics = {}
     for arch in archs:
         if cfg.mode == "sfl":
             log = run_sfl(problem, xs, phy, cfg.m, cfg.eta, spec,
@@ -189,9 +186,8 @@ def _cmd_train(cfg: RunConfig, out: str) -> dict:
                           weighting=cfg.weighting,
                           tick_period=cfg.tick_period())
         for rec in log.records:
-            row = dict(vars(rec))
-            row["scheduled"] = " ".join(str(i) for i in rec.scheduled)
-            rows.append(row)
+            row = vars(rec) | {"scheduled": " ".join(map(str, rec.scheduled))}
+            rows.append([row[name] for name in header])
         # strict JSON has no NaN or Infinity: no events or an unreached
         # target are null
         final = log.records[-1].loss if log.records else None
@@ -203,27 +199,26 @@ def _cmd_train(cfg: RunConfig, out: str) -> dict:
             "max_staleness": log.max_staleness,
             "events": len(log.records),
         }
-    fieldnames = list(rows[0]) if rows else ["time"]
-    _write_csv(os.path.join(out, "train.csv"), fieldnames, rows)
-    _write_json(os.path.join(out, "train.json"), cfg, metrics)
-    return metrics
+    return rows, metrics
 
 
-def _cmd_verify(cfg: RunConfig, out: str) -> dict:
+def _cmd_verify(cfg: RunConfig) -> _Artifacts:
+    """closed-form straggler moments; every bound vs Monte Carlo"""
     verdicts = montecarlo.verify_bounds([cfg.k], [cfg.m], cfg.corridor,
                                         cfg.trials, cfg.seed)
-    rows = [dataclasses.asdict(v) for v in verdicts]
-    _write_csv(os.path.join(out, "verify.csv"), list(rows[0]), rows)
+    rows = [[f.name for f in dataclasses.fields(montecarlo.BoundVerdict)],
+            *map(dataclasses.astuple, verdicts)]
     metrics = {
         "all_passed": bool(all(v.passed for v in verdicts)),
         "checks": {v.name: v.passed for v in verdicts},
         "moments": dataclasses.asdict(
             analytics.straggler_moments(cfg.k, cfg.m, cfg.corridor)),
     }
-    _write_json(os.path.join(out, "verify.json"), cfg, metrics)
-    return metrics
+    return rows, metrics
 
 
+# the one command table: the parser's subcommands, their help (each
+# command's docstring) and the dispatch of ``main``
 _COMMANDS = {
     "ccdf": _cmd_ccdf,
     "participation": _cmd_participation,
@@ -251,15 +246,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = cfg.out
     try:
-        os.makedirs(out, exist_ok=True)
-        metrics = _COMMANDS[args.command](cfg, out)
+        rows, metrics = _COMMANDS[args.command](cfg)
+        _write_artifacts(args.command, cfg, rows, metrics)
     except Exception as exc:  # runtime failures map to a distinct exit code
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(json.dumps({"command": args.command, "metrics": metrics},
-                     indent=2, sort_keys=True, default=str))
+                     indent=2, sort_keys=True))
     return 0
 
 

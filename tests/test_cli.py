@@ -1,6 +1,8 @@
 """Config parsing and the command-line contract: exit codes, artifacts,
 byte-identical reruns."""
 
+import argparse
+import builtins
 import csv
 import dataclasses
 import json
@@ -12,9 +14,10 @@ import pytest
 
 import pinchfl
 from pinchfl.analytics import straggler_moments
-from pinchfl.cli import _FLAG_KEYS, _build_parser, main
+from pinchfl.cli import _COMMANDS, _FLAG_KEYS, _build_parser, main
 from pinchfl.config import RunConfig, load_config
 from pinchfl.errors import ConfigError
+from pinchfl.flcore import TrainRecord
 
 
 class TestLoadConfig:
@@ -198,6 +201,32 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "runtime error: InfeasibleLinkError:" in err, argv
 
+    @pytest.mark.parametrize("argv", [
+        # an SNR scale this small rounds every rate to zero
+        ["train", "--mode", "sfl", "--k", "5", "--m", "2", "--rounds", "2",
+         "--snr", "1e-30"],
+        ["train", "--mode", "afl", "--arch", "CONV", "--k", "5", "--m", "2",
+         "--rounds", "2", "--snr", "1e-30"],
+        ["train", "--mode", "afl", "--arch", "PA", "--k", "5", "--m", "2",
+         "--rounds", "2", "--snr", "1e-30"],
+        ["ccdf", "--k", "5", "--m", "2", "--trials", "100", "--snr", "1e-30"],
+        ["participation", "--k", "5", "--m", "2", "--trials", "100",
+         "--snr", "1e-30"],
+        # a step this large diverges to NaN losses, which strict JSON rejects
+        ["train", "--mode", "sfl", "--c-q", "0", "--eta", "1e155",
+         "--rounds", "5"],
+        ["train", "--mode", "afl", "--c-q", "0", "--eta", "1e155",
+         "--rounds", "5"],
+    ], ids=["train-sfl-dead", "train-afl-conv-dead", "train-afl-pa-dead",
+            "ccdf-dead", "participation-dead", "train-sfl-nan",
+            "train-afl-nan"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_runtime_error_leaves_no_artifact(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "runtime error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_writes_artifacts(self, tmp_path, capsys):
         rc = main(["verify", "--k", "8", "--m", "2", "--trials", "2000",
                    "--seed", "1", "--out", str(tmp_path)])
@@ -257,6 +286,18 @@ class TestArtifacts:
         for arch in ("CONV", "PA"):
             assert payload["metrics"][arch]["time_to_target"] is None
 
+    def test_empty_train_log_writes_the_full_header(self, tmp_path, capsys):
+        # at p_s = 0.001 no user of three triggers within one round
+        assert main(["train", "--mode", "afl", "--p-s", "0.001", "--k", "3",
+                     "--m", "1", "--rounds", "1", "--out", str(tmp_path)]) == 0
+        header = ",".join(f.name for f in dataclasses.fields(TrainRecord))
+        assert (tmp_path / "train.csv").read_bytes() == \
+            f"{header}\r\n".encode()
+        payload = json.loads((tmp_path / "train.json").read_text())
+        for arch in ("CONV", "PA"):
+            assert payload["metrics"][arch]["final_loss"] is None
+            assert payload["metrics"][arch]["events"] == 0
+
     def test_ccdf_csv_matches_summary_keys(self, tmp_path, capsys):
         main(["ccdf", "--k", "10", "--m", "3", "--trials", "2000",
               "--grid-points", "12", "--out", str(tmp_path)])
@@ -265,6 +306,48 @@ class TestArtifacts:
         assert header == ["t", "ccdf_conv", "ccdf_pa"]
         payload = json.loads((tmp_path / "ccdf.json").read_text())
         assert payload["metrics"]["pa_dominates"] in (True, False)
+
+
+class TestCommandTable:
+    ARGVS = {
+        "ccdf": ["--k", "10", "--m", "3", "--trials", "2000",
+                 "--grid-points", "12"],
+        "participation": ["--trials", "2000", "--grid-points", "12"],
+        "highsnr": [],
+        "train": ["--mode", "afl", "--arch", "both", "--k", "10",
+                  "--rounds", "5"],
+        "verify": ["--k", "8", "--m", "2", "--trials", "2000"],
+    }
+
+    def test_parser_reads_the_table(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(_COMMANDS) == list(self.ARGVS)
+
+    @pytest.mark.parametrize("name", list(ARGVS))
+    def test_command_does_no_io_and_main_writes_what_it_returns(
+            self, tmp_path, capsys, monkeypatch, name):
+        out = tmp_path / "out"
+        argv = [*self.ARGVS[name], "--out", str(out)]
+        cfg = load_config(None, {a[2:].replace("-", "_"): b for a, b in
+                                 zip(argv[::2], argv[1::2])}, name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} touched the file system")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", refuse)
+            patch.setattr(os, "makedirs", refuse)
+            rows, metrics = _COMMANDS[name](cfg)
+        assert not out.exists()
+        assert main([name, *argv]) == 0
+        with open(out / f"{name}.csv", encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == list(rows[0])
+        assert len(table) == len(rows) > 1
+        payload = json.loads((out / f"{name}.json").read_text())
+        assert payload["metrics"] == metrics
 
 
 def _python(code):
