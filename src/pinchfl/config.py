@@ -154,6 +154,10 @@ def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
         _require(cfg.mu > 0, "mu", "must be positive")
         _require(cfg.sigma_x > 0, "sigma_x", "must be positive")
     _require(cfg.rounds >= 1, "rounds", "must be at least 1")
+    if command in (None, "train"):
+        _require(cfg.k >= 2 or cfg.delta2 == 0, "delta2",
+                 "must be 0 with k=1: one user's centre is the mean, with no "
+                 "spread to scale")
     _require(cfg.dim >= 1, "dim", "must be at least 1")
     _require(cfg.trials >= 1, "trials", "must be at least 1")
     if command != "highsnr":

@@ -13,6 +13,10 @@ class InfeasibleLinkError(RuntimeError):
     """Spectral efficiency is zero or negative; no finite upload time exists."""
 
 
+class DivergenceError(RuntimeError):
+    """A training run's loss became non-finite."""
+
+
 class OutOfRegimeError(ParameterError):
     """A high-SNR expansion was evaluated below its validity threshold."""
 

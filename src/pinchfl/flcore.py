@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from .analytics import check_order
-from .errors import ParameterError
+from .errors import DivergenceError, ParameterError
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
 from .spatial import CONV, PA, schedule_round
@@ -412,6 +412,9 @@ def make_synthetic_problem(K: int, d_w: int, delta2_target: float,
         raise ParameterError("K and d_w must be at least 1")
     if delta2_target < 0:
         raise ParameterError("delta2_target must be nonnegative")
+    if delta2_target > 0 and K == 1:
+        raise ParameterError("delta2_target > 0 needs K >= 2: one user's "
+                             "centre is the mean, with no spread to scale")
     rng = np.random.default_rng(seed)
     if delta2_target == 0.0:
         centers = np.zeros((K, d_w))
@@ -468,6 +471,8 @@ def _check_run(problem: SyntheticProblem, xs, eta, w0) -> tuple:
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (problem.K,):
         raise ParameterError(f"xs must be a ({problem.K},) array of positions")
+    if not np.isfinite(xs).all():
+        raise ParameterError("xs must hold finite positions")
     if not 0 < eta < math.inf:
         raise ParameterError(f"eta={eta!r}: the stepsize must be positive "
                              f"and finite")
@@ -520,11 +525,14 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         t += round_time
         # this round's post-update norm is the next round's pre-update norm
         pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
+        loss = 0.5 * grad_norm2
+        if not math.isfinite(loss):
+            raise DivergenceError(f"round {rnd} at t={t!r} s: loss {loss!r} "
+                                  f"with eta={float(eta)!r}")
         log.records.append(TrainRecord(
             time=t, index=rnd, arch=arch, scheduled=scheduled,
             z=float(z), bottleneck=bottleneck, latency=round_time,
-            participants=M, staleness=0, loss=0.5 * grad_norm2,
-            grad_norm2=pre,
+            participants=M, staleness=0, loss=loss, grad_norm2=pre,
         ))
     return log
 
@@ -599,12 +607,17 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             staleness = version - fetch_ver
             version += 1
             grad_norm2 = problem.grad_norm2(w)
+            loss = 0.5 * grad_norm2
+            if not math.isfinite(loss):
+                raise DivergenceError(f"event {version} at "
+                                      f"t={float(apply_time)!r} s: loss "
+                                      f"{loss!r} with eta={float(eta)!r}")
             log.records.append(TrainRecord(
                 time=apply_time, index=version, arch=arch,
                 scheduled=(), z=0.0 if arch == CONV else math.nan,
                 bottleneck=math.nan, latency=lat,
                 participants=len(Ys), staleness=staleness,
-                loss=0.5 * grad_norm2, grad_norm2=grad_norm2,
+                loss=loss, grad_norm2=grad_norm2,
             ))
 
     n_ticks = int(math.ceil(horizon_s / T_p))

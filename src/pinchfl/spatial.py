@@ -3,9 +3,10 @@
 A position sample is a plain (K,) array on a 1-D corridor, a batch (n, K).
 This module decides where the radiator sits: the fixed antenna stays at the
 origin, the pinched one moves to the midpoint of the tightest window of M
-consecutive sorted users.  Their bottlenecks are the M-th smallest absolute
-offset and half that window's span.  The minimum spacing of sorted
-positions is the smallest of their K+1 gaps, edge gaps included, over D.
+consecutive sorted users.  Their bottlenecks, the M-th smallest absolute
+offset and half that window's span, are the least cost of an M-window of the
+sorted row; the schedule takes the lowest window start of that cost.  The
+minimum spacing is the smallest of the K+1 gaps, edge gaps included, over D.
 """
 
 from __future__ import annotations
@@ -102,13 +103,6 @@ def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:
     """Draw K i.i.d. user positions from ``spec`` with a fixed seed: a (K,) array."""
     K, _ = check_order(K)
     return draw_positions(np.random.default_rng(seed), spec, K)
-
-
-def _spans(sorted_xs: np.ndarray, M: int) -> np.ndarray:
-    """Span of every M-window of consecutive sorted positions (last axis),
-    one entry per start index.  The result keeps the input's memory layout."""
-    K = sorted_xs.shape[-1]
-    return sorted_xs[..., M - 1:] - sorted_xs[..., : K - M + 1]
 
 
 def _window_min(sorted_xs: np.ndarray, M: int, cost, work=None) -> np.ndarray:
@@ -218,20 +212,25 @@ def pa_offsets(sorted_xs: np.ndarray, M: int, work=None) -> np.ndarray:
 def schedule_round(xs: np.ndarray, M: int, arch: str):
     """Scheduled user indices (ascending) and radiator position for one round.
 
-    Fixed antenna: the M smallest absolute offsets, radiator at the origin.
-    Pinched antenna: the tightest window of M consecutive sorted positions,
-    radiator at its midpoint; ties between windows go to the lowest start.
-    For M=1 the window is degenerate and the radiator sits on the user.
+    The M consecutive users of the stably sorted row whose window costs
+    least, ties going to the lowest window start.  Fixed antenna: cost
+    ``_reach``, radiator at the origin; at an exact tie |x| = |y| at the
+    M-th place the negative user, which sorts first, wins.  Pinched antenna:
+    cost ``_width``, radiator at the window's midpoint.  Non-finite
+    positions raise ParameterError.
     """
     if arch not in (CONV, PA):
         raise ParameterError(f"unknown architecture {arch!r}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ParameterError("xs must be a 1-D array")
-    _, M = check_order(xs.size, M)
-    if arch == CONV:
-        return np.sort(np.argsort(np.abs(xs), kind="stable")[:M]), 0.0
+    if not np.isfinite(xs).all():
+        raise ParameterError("xs must hold finite positions")
+    K, M = check_order(xs.size, M)
     order = np.argsort(xs, kind="stable")
     srt = xs[order]
-    i = int(_spans(srt, M).argmin())
-    return np.sort(order[i:i + M]), float(0.5 * (srt[i] + srt[i + M - 1]))
+    cost = np.empty(K - M + 1)
+    (_reach if arch == CONV else _width)(srt[:K - M + 1], srt[M - 1:], cost)
+    i = int(cost.argmin())
+    z = 0.0 if arch == CONV else float(0.5 * (srt[i] + srt[i + M - 1]))
+    return np.sort(order[i:i + M]), z

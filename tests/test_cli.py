@@ -170,6 +170,19 @@ class TestExitCodes:
         assert "'seed'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["sfl", "afl"])
+    def test_heterogeneity_of_one_user_rejected_before_artifacts(
+            self, tmp_path, capsys, mode):
+        # one user's centre is the mean, so there is no spread to scale
+        rc = main(["train", "--mode", mode, "--k", "1", "--m", "1",
+                   "--delta2", "0.05", "--rounds", "2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'delta2'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["train", "--mode", mode, "--k", "1", "--m", "1",
+                     "--rounds", "2", "--out", str(tmp_path / "out")]) == 0
+
     def test_seed_is_not_checked_where_nothing_is_drawn(self, tmp_path,
                                                          capsys):
         assert main(["highsnr", "--seed", "-1", "--out", str(tmp_path)]) == 0
@@ -212,19 +225,28 @@ class TestExitCodes:
         ["ccdf", "--k", "5", "--m", "2", "--trials", "100", "--snr", "1e-30"],
         ["participation", "--k", "5", "--m", "2", "--trials", "100",
          "--snr", "1e-30"],
-        # a step this large diverges to NaN losses, which strict JSON rejects
+        # a step this large diverges to a non-finite loss, with and without
+        # the quantizer
         ["train", "--mode", "sfl", "--c-q", "0", "--eta", "1e155",
          "--rounds", "5"],
         ["train", "--mode", "afl", "--c-q", "0", "--eta", "1e155",
          "--rounds", "5"],
+        ["train", "--mode", "sfl", "--c-q", "1", "--eta", "1e155",
+         "--rounds", "5"],
+        ["train", "--mode", "afl", "--c-q", "1", "--eta", "1e155",
+         "--rounds", "5"],
     ], ids=["train-sfl-dead", "train-afl-conv-dead", "train-afl-pa-dead",
             "ccdf-dead", "participation-dead", "train-sfl-nan",
-            "train-afl-nan"])
+            "train-afl-nan", "train-sfl-diverged-cq1",
+            "train-afl-diverged-cq1"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_error_leaves_no_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 3
-        assert "runtime error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime error:" in err
+        if "--eta" in argv:
+            assert "runtime error: DivergenceError:" in err
         assert not out.exists()
 
     def test_success_writes_artifacts(self, tmp_path, capsys):

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchfl import flcore
-from pinchfl.errors import InfeasibleLinkError, ParameterError
+from pinchfl.errors import (DivergenceError, InfeasibleLinkError,
+                            ParameterError)
 from pinchfl.flcore import (CONV, PA, QuantizerSpec, SyntheticProblem,
                             TrainRecord, convergence_constants, draw_gates,
                             ht_aggregate, ht_second_moment_exact,
@@ -510,6 +511,13 @@ class TestSyntheticProblem:
         assert p.w_star.tobytes() == p.centers.mean(axis=0).tobytes() == mean.tobytes()
         assert 0.5 * p.grad_norm2(p.w_star) == 0.0 and p.w_star is p.w_star
 
+    def test_one_user_has_no_heterogeneity(self):
+        # its one centre is the mean: there is no spread to scale, where a
+        # draw used to be divided by zero into NaN centres
+        assert make_synthetic_problem(1, 3, 0.0, 0.1, seed=0).delta2 == 0.0
+        with pytest.raises(ParameterError, match="K"):
+            make_synthetic_problem(1, 3, 0.05, 0.0, seed=0)
+
     def test_noise_statistics(self):
         p = make_synthetic_problem(3, 4, 0.0, noise_sigma=0.5, seed=0)
         rng = np.random.default_rng(1)
@@ -555,6 +563,15 @@ class TestRunSfl:
         for bad in (xs[None, :], xs[:3], np.tile(xs, 2).reshape(2, 4)):
             with pytest.raises(ParameterError):
                 run_sfl(p, bad, PHY, 2, 0.1, QuantizerSpec(6), 1, CONV, 0)
+
+    @pytest.mark.parametrize("c_q", [0.0, 1.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_round(self, c_q):
+        p = make_synthetic_problem(8, 4, 0.0, 0.0, seed=0)
+        xs = sample_positions(UNI, 8, seed=0)
+        with pytest.raises(DivergenceError,
+                           match=r"^round 0 at t=.* loss inf with eta=1e\+155$"):
+            run_sfl(p, xs, PHY, 3, 1e155, QuantizerSpec(6, c_q), 5, CONV, 0)
 
     def test_integral_float_m_is_an_int(self):
         p = make_synthetic_problem(8, 4, 0.1, 0.3, seed=0)
@@ -641,6 +658,15 @@ class TestRunAfl:
                     run_afl(p, bad, PHY, model, 0.05, QuantizerSpec(6),
                             horizon_s=model.T_d, arch=arch, seed=0)
 
+    @pytest.mark.parametrize("c_q", [0.0, 1.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_event(self, c_q):
+        p, sample, model = self._setup()
+        with pytest.raises(DivergenceError,
+                           match=r"^event 1 at t=.* loss inf with eta=1e\+155$"):
+            run_afl(p, sample, PHY, model, 1e155, QuantizerSpec(6, c_q),
+                    horizon_s=5 * model.T_d, arch=CONV, seed=0)
+
     def test_upload_from_a_zero_probability_user_rejected(self, monkeypatch):
         # the HT kernel takes pi > 0 as given; a run in which some user's pi
         # is zero checks each batch's uploaders instead
@@ -679,6 +705,10 @@ _BAD_RUN_ARGS = [
     ("afl", "tick_period", -1.0),
     ("afl", "tick_period", 1e-320),  # horizon_s / tick_period overflows
     ("afl", "w0", np.zeros(5)), ("afl", "w0", np.array([math.inf, 0, 0, 0])),
+    # a NaN position used to win PA's window and make every logged time NaN
+    # under SFL, and get pi = 1 but never upload under AFL at CONV
+    *((loop, "xs", np.array([0.1, bad, -0.3, 2.0] * 2))
+      for loop in ("sfl", "afl") for bad in (math.nan, math.inf, -math.inf)),
 ]
 
 

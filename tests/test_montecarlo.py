@@ -15,7 +15,7 @@ from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
                                    DeadlineModel)
 from pinchfl.phy import PhyParams, upload_latency
 from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
-                             _spans, draw_positions)
+                             draw_positions)
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
@@ -288,7 +288,8 @@ def _fresh_latencies(mode, arch, spec, K, M, trials, seed):
     if arch == "CONV":
         offset = np.sort(np.abs(xs), axis=1)[:, M - 1]
     else:
-        offset = _spans(np.sort(xs, axis=1), M).min(axis=1) / 2
+        srt = np.sort(xs, axis=1)
+        offset = (srt[:, M - 1:] - srt[:, :K - M + 1]).min(axis=1) / 2
     return upload_latency(PHY.c_round(M), offset, 0.0, PHY.S, PHY.d)
 
 
@@ -544,7 +545,7 @@ def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
             abs_sorted = np.sort(np.abs(xs), axis=1)
             for M in Ms:
                 y = abs_sorted[:, M - 1]
-                half = _spans(xs, M).min(axis=1) / 2.0
+                half = (xs[:, M - 1:] - xs[:, :K - M + 1]).min(axis=1) / 2.0
                 conv[M].add(y**2)
                 pa[M].add(half**2)
                 violations += int(np.sum(half > y + 1e-12))

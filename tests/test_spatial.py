@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, _min_spacing, _spans,
+                             DistributionSpec, _min_spacing,
                              draw_positions, pa_offsets, sample_positions,
                              schedule_round, sorted_conv_offsets)
 
@@ -206,6 +206,13 @@ class TestScheduleRound:
         assert list(sched) == [1, 3]
         assert z == -0.5
 
+    def test_conv_tie_at_the_mth_place_takes_the_negative_user(self):
+        # |1.0| = |-1.0| at the second place: the window [-1.0, 0.5] starts
+        # lowest in the sorted row, so it wins over the lower index 0
+        sched, z = schedule_round(np.array([1.0, 0.5, -1.0, 3.0]), 2, CONV)
+        assert list(sched) == [1, 2]
+        assert z == 0.0
+
     def test_rejects_bad_input(self):
         xs = np.array([-1.0, 0.0, 1.0])
         with pytest.raises(ParameterError):
@@ -215,6 +222,10 @@ class TestScheduleRound:
                 schedule_round(xs[None, :], 2, arch)
             with pytest.raises(ParameterError):
                 schedule_round(np.zeros((2, 2)), 1, arch)
+            # a NaN's window used to win PA's argmin
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match="xs"):
+                    schedule_round(np.array([0.1, bad, -0.3, 2.0]), 2, arch)
 
 
 def _peak_columns(run, n):
@@ -246,18 +257,31 @@ class TestBatchedBottlenecks:
         for i, row in enumerate(xs.tolist()):
             srt = sorted(row)
             spans = [srt[j + M - 1] - srt[j] for j in range(K - M + 1)]
-            start = spans.index(min(spans))
             assert conv[i] == sorted(abs(x) for x in row)[M - 1]
             # ``==``: a window may give -0.0 where the reference has 0.0
             assert sorted_conv[i] == conv[i]
             assert half[i] == min(spans) / 2.0
             assert half[i] <= conv[i]
             assert conv[i] == np.sort(np.abs(np.array(row)))[M - 1]
-            # the window: the stable sort order of the row, from ``start``
+            # the windows: the stable sort order of the row, from the first
+            # start of the least cost, and that cost is the kernel's on the
+            # (1, K) batch, bit for bit but for the sign of a zero: the
+            # running minimum keeps the last of tied windows
             order = sorted(range(K), key=row.__getitem__)
-            sched, z = schedule_round(np.array(row), M, PA)
-            assert list(sched) == sorted(order[start:start + M])
-            assert z == 0.5 * (srt[start] + srt[start + M - 1])
+            reach = np.maximum(-np.array(srt[:K - M + 1]),
+                               srt[M - 1:]).tolist()
+            for arch, costs, kernel, scale in (
+                    (CONV, reach, sorted_conv_offsets, 1.0),
+                    (PA, spans, pa_offsets, 2.0)):
+                start = costs.index(min(costs))
+                sched, z = schedule_round(np.array(row), M, arch)
+                assert list(sched) == sorted(order[start:start + M])
+                assert z == (0.0 if arch == CONV else
+                             0.5 * (srt[start] + srt[start + M - 1]))
+                cost = np.float64(costs[start] / scale)
+                got = kernel(np.array([srt]), M)
+                assert got == cost
+                assert cost == 0 or got.tobytes() == cost.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 40), K=st.integers(1, 12), seed=st.integers(0, 10_000),
@@ -340,7 +364,7 @@ class TestBatchedBottlenecks:
         assert np.array_equal(conv, sorted_conv_offsets(xs, M))
         assert gap.tobytes() == _spacing(xs, 10.0).tobytes()
         for i in range(n):
-            assert half[i] == _spans(xs[i], M).min() / 2.0
+            assert half[i] == (xs[i, M - 1:] - xs[i, :K - M + 1]).min() / 2.0
             assert conv[i] == sorted(abs(x) for x in xs[i])[M - 1]
             assert gap[i] == np.diff(xs[i], prepend=-5.0,
                                      append=5.0).min() / 10.0
