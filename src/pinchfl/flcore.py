@@ -268,31 +268,25 @@ def ht_second_moment_exact(Ys, pis, K: int) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Stepsize bounds, contraction constants, and error floors."""
+    """Stepsize bounds and error floors."""
 
     xi_safe: float
     eta_max: float
-    rho_b: float
-    A_plus: float
-    lambda_min: float
     variance_floor: float
-    variance_floor_avg: float
     ef_floor: float
-    pl_rate: Optional[float] = None
-    pl_lambda_min: Optional[float] = None
     eta_max_stale: Optional[float] = None
 
 
 def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
                           sigma2: float = 0.0, delta2: float = 0.0,
-                          G2: float = 0.0, mu: Optional[float] = None,
-                          delta_max: Optional[float] = None,
+                          G2: float = 0.0, delta_max: Optional[float] = None,
                           c0: float = 0.25) -> ConvergenceReport:
-    """All Lyapunov-descent constants for one operating point.
+    """Lyapunov-descent constants for one operating point.
 
-    ``sigma2``/``delta2``/``G2`` feed the variance and error-feedback floors;
-    ``mu`` adds the gradient-dominated linear-rate constants and ``delta_max``
-    the staleness-limited stepsize bound.
+    ``sigma2``/``delta2``/``G2`` feed the variance and error-feedback floors,
+    and ``delta_max`` adds the staleness-limited stepsize bound.  The
+    error-feedback floor goes through the compression contraction rho_b and
+    the Lyapunov weights A_plus and lambda_min.
     """
     if L <= 0 or eta <= 0:
         raise ParameterError("L and eta must be positive")
@@ -303,22 +297,9 @@ def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
         raise ParameterError("quantizer fidelity must be positive")
     rho_b = (1.0 - alpha) * (1.0 + alpha / 2.0)
     c1 = 1.0 + 2.0 / alpha
-    eta_max = 1.0 / (L * (1.0 + 3.0 * xi))
     A_plus = 1.0 / L + 1.5 * L * eta**2 * xi
     lambda_min = A_plus * (1.0 + rho_b) / (1.0 - rho_b)
-    variance_floor = 1.5 * L * eta**2 * xi * (sigma2 + delta2)
-    variance_floor_avg = 3.0 * L * eta * xi * (sigma2 + delta2)
-    ef_floor = (lambda_min + A_plus) * c1 * (1.0 - alpha) * (G2 + sigma2)
-    pl_rate = pl_lambda_min = eta_max_stale = None
-    if mu is not None:
-        if mu <= 0:
-            raise ParameterError("mu must be positive")
-        if eta * mu >= 1.0 - rho_b:
-            raise ParameterError(
-                "eta * mu must stay below 1 - rho_b for the linear-rate regime"
-            )
-        pl_rate = 1.0 - eta * mu
-        pl_lambda_min = A_plus * (1.0 + rho_b) / (1.0 - rho_b - eta * mu)
+    eta_max_stale = None
     if delta_max is not None:
         if delta_max < 0:
             raise ParameterError("delta_max must be nonnegative")
@@ -326,10 +307,9 @@ def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
             raise ParameterError("c0 must lie in (0, 1]")
         eta_max_stale = c0 / (L * (1.0 + delta_max))
     return ConvergenceReport(
-        xi_safe=xi, eta_max=eta_max, rho_b=rho_b, A_plus=A_plus,
-        lambda_min=lambda_min, variance_floor=variance_floor,
-        variance_floor_avg=variance_floor_avg, ef_floor=ef_floor,
-        pl_rate=pl_rate, pl_lambda_min=pl_lambda_min,
+        xi_safe=xi, eta_max=1.0 / (L * (1.0 + 3.0 * xi)),
+        variance_floor=1.5 * L * eta**2 * xi * (sigma2 + delta2),
+        ef_floor=(lambda_min + A_plus) * c1 * (1.0 - alpha) * (G2 + sigma2),
         eta_max_stale=eta_max_stale,
     )
 
@@ -339,8 +319,9 @@ class SyntheticProblem:
     """K local quadratics f_i(w) = ||w - c_i||^2 / 2 with Gaussian gradient noise.
 
     The smoothness constant is exactly 1, and so is the gradient-dominance
-    constant ``mu``; the heterogeneity level (mean squared center spread) is
-    known exactly.
+    constant ``mu``.  A user's noisy gradient at w is (w - c_i) plus
+    N(0, noise_sigma^2 / d_w) in each coordinate, drawn by the training
+    loops through ``_grads_kernel``.
     """
 
     centers: np.ndarray
@@ -371,11 +352,6 @@ class SyntheticProblem:
         w_star.flags.writeable = False
         return w_star
 
-    @property
-    def delta2(self) -> float:
-        diff = self.centers - self.w_star
-        return float(np.mean(np.sum(diff**2, axis=1)))
-
     def grad_norm2(self, w: np.ndarray) -> float:
         diff = np.asarray(w) - self.w_star
         return float(np.dot(diff, diff))
@@ -385,12 +361,6 @@ class SyntheticProblem:
         """Standard deviation of each gradient coordinate's noise."""
         return self.noise_sigma / math.sqrt(self.d_w)
 
-    def stochastic_grads(self, ws: np.ndarray, rng) -> np.ndarray:
-        """Per-user noisy gradients; ``ws`` is (K, d_w) or a single point."""
-        ws = np.asarray(ws, dtype=float)  # a single (d_w,) point broadcasts
-        return _grads_kernel(ws, self.centers, self._noise_scale, rng,
-                             np.empty(self.centers.shape))
-
     def initial_point(self, gap: float = 1.0) -> np.ndarray:
         """A start with F(w0) - F* equal to ``gap`` exactly."""
         return self.w_star + math.sqrt(2.0 * gap / self.d_w) * np.ones(self.d_w)
@@ -398,7 +368,8 @@ class SyntheticProblem:
 
 def _grads_kernel(ws: np.ndarray, centers: np.ndarray, scale: float, rng,
                   out: np.ndarray) -> np.ndarray:
-    """``stochastic_grads`` into ``out``: (ws - centers) + noise."""
+    """Every user's noisy gradient (ws - centers) + noise into ``out``; ws
+    is (K, d_w) or a single point that broadcasts."""
     noise = rng.normal(0.0, scale, size=centers.shape)
     np.subtract(ws, centers, out=out)
     out += noise
@@ -515,25 +486,27 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     log = TrainLog()
     t = 0.0
     grad_norm2 = problem.grad_norm2(w)
-    for rnd in range(int(rounds)):
-        _grads_kernel(w, centers, scale, rng, grads)
-        np.take(grads, sched, axis=0, out=v)
-        v += e
-        # the sum over rows divided by M is the bits of their mean
-        w = w - eta * (np.add.reduce(_ef_kernel(v, e, grid, work), axis=0)
-                       / divisor)
-        t += round_time
-        # this round's post-update norm is the next round's pre-update norm
-        pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
-        loss = 0.5 * grad_norm2
-        if not math.isfinite(loss):
-            raise DivergenceError(f"round {rnd} at t={t!r} s: loss {loss!r} "
-                                  f"with eta={float(eta)!r}")
-        log.records.append(TrainRecord(
-            time=t, index=rnd, arch=arch, scheduled=scheduled,
-            z=float(z), bottleneck=bottleneck, latency=round_time,
-            participants=M, staleness=0, loss=loss, grad_norm2=pre,
-        ))
+    # an overflow shows as a non-finite loss, which raises DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rnd in range(int(rounds)):
+            _grads_kernel(w, centers, scale, rng, grads)
+            np.take(grads, sched, axis=0, out=v)
+            v += e
+            # the sum over rows divided by M is the bits of their mean
+            w = w - eta * (np.add.reduce(_ef_kernel(v, e, grid, work), axis=0)
+                           / divisor)
+            t += round_time
+            # this round's post-update norm is the next round's pre-update norm
+            pre, grad_norm2 = grad_norm2, problem.grad_norm2(w)
+            loss = 0.5 * grad_norm2
+            if not math.isfinite(loss):
+                raise DivergenceError(f"round {rnd} at t={t!r} s: loss "
+                                      f"{loss!r} with eta={float(eta)!r}")
+            log.records.append(TrainRecord(
+                time=t, index=rnd, arch=arch, scheduled=scheduled,
+                z=float(z), bottleneck=bottleneck, latency=round_time,
+                participants=M, staleness=0, loss=loss, grad_norm2=pre,
+            ))
     return log
 
 
@@ -621,26 +594,29 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             ))
 
     n_ticks = int(math.ceil(horizon_s / T_p))
-    for n in range(n_ticks):
-        t_tick = n * T_p
-        if pending and pending[0][0] <= t_tick:
-            apply_batches(t_tick)
-        idle = (busy_until <= t_tick + 1e-12).nonzero()[0]
-        caches[idle] = w
-        _grads_kernel(caches, centers, scale, rng, v)
-        v += e
-        Ys = _ef_kernel(v, e, grid, work)
-        Z, T_c, I, finish = _gate_kernel(taus[idle], *gate, rng)
-        # uploaders stay busy until their upload lands, the rest while computing
-        busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
-        if np.count_nonzero(I):
-            up_finish = finish[I]
-            order = up_finish.argsort(kind="stable")
-            up = idle[I][order]
-            if check_pis and not (pis[up] > 0).all():
-                raise ParameterError("upload from a zero-probability user")
-            lat = up_finish[order[-1]]  # the last upload to land
-            heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up], weights[up],
-                                     version))
-    apply_batches(horizon_s)
+    # as in run_sfl, an overflow shows as a non-finite loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_ticks):
+            t_tick = n * T_p
+            if pending and pending[0][0] <= t_tick:
+                apply_batches(t_tick)
+            idle = (busy_until <= t_tick + 1e-12).nonzero()[0]
+            caches[idle] = w
+            _grads_kernel(caches, centers, scale, rng, v)
+            v += e
+            Ys = _ef_kernel(v, e, grid, work)
+            Z, T_c, I, finish = _gate_kernel(taus[idle], *gate, rng)
+            # uploaders stay busy until their upload lands, the rest while
+            # computing
+            busy_until[idle[Z]] = t_tick + np.where(I, finish, T_c)[Z]
+            if np.count_nonzero(I):
+                up_finish = finish[I]
+                order = up_finish.argsort(kind="stable")
+                up = idle[I][order]
+                if check_pis and not (pis[up] > 0).all():
+                    raise ParameterError("upload from a zero-probability user")
+                lat = up_finish[order[-1]]  # the last upload to land
+                heapq.heappush(pending, (t_tick + lat, n, lat, Ys[up],
+                                         weights[up], version))
+        apply_batches(horizon_s)
     return log

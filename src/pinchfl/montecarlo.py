@@ -153,16 +153,10 @@ class _Moment:
 
 @dataclass(frozen=True)
 class CcdfSeries:
-    """Empirical exceedance probabilities on an ascending latency grid."""
+    """Empirical exceedance probabilities, one per point of the caller's
+    ascending latency grid."""
 
-    grid: np.ndarray
     ccdf: np.ndarray
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        object.__setattr__(self, "ccdf", np.asarray(self.ccdf, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -210,8 +204,7 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
             lat = upload_latency(phy.c_round(M), offsets, 0.0, phy.S, phy.d,
                                  out=offsets)
             exceed[arch] += len(xs) - _met_counts(grid, lat[:, None])[0]
-    return {arch: CcdfSeries(grid=grid, ccdf=exceed[arch] / trials,
-                             trials=trials, seed=seed) for arch in archs}
+    return {arch: CcdfSeries(exceed[arch] / trials) for arch in archs}
 
 
 def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,

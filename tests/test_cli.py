@@ -239,7 +239,6 @@ class TestExitCodes:
             "ccdf-dead", "participation-dead", "train-sfl-nan",
             "train-afl-nan", "train-sfl-diverged-cq1",
             "train-afl-diverged-cq1"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_error_leaves_no_artifact(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 3

@@ -314,7 +314,6 @@ class TestEstimateCcdfs:
             assert np.array_equal(paired[arch].ccdf, single.ccdf)
             met = np.searchsorted(np.sort(lat), grid, side="right")
             assert np.array_equal(paired[arch].ccdf, (trials - met) / trials)
-            assert paired[arch].trials == trials and paired[arch].seed == seed
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     def test_many_row_blocks_match_fresh_draws(self, monkeypatch, spec):
