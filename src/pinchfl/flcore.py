@@ -62,8 +62,9 @@ class QuantizerSpec:
 
     def __post_init__(self):
         _grid(self.b)
-        if not self.c_q >= 0:
-            raise ParameterError("high-rate constant c_q must be nonnegative")
+        if not 0 <= self.c_q < math.inf:
+            raise ParameterError("high-rate constant c_q must be nonnegative "
+                                 "and finite")
 
     @property
     def alpha(self) -> float:
@@ -256,10 +257,17 @@ def _ht_kernel(pi: np.ndarray, Y: np.ndarray, K) -> np.ndarray:
 
 
 def ht_second_moment_exact(Ys, pis, K: int) -> float:
-    """Exact conditional second moment of the aggregate for fixed updates."""
+    """Exact conditional second moment of the aggregate for fixed updates,
+    one inclusion probability in (0, 1] per update."""
+    if K < 1:
+        raise ParameterError("K must be at least 1")
     Ys = [np.asarray(Y, dtype=float) for Y in Ys]
     pis = np.asarray(pis, dtype=float)
-    if np.any(pis <= 0) or np.any(pis > 1):
+    if pis.shape != (len(Ys),):
+        raise ParameterError(f"need one inclusion probability per update: "
+                             f"{len(Ys)} updates, pis of shape {pis.shape}")
+    # a NaN fails the comparisons too
+    if not ((pis > 0) & (pis <= 1)).all():
         raise ParameterError("inclusion probabilities must lie in (0, 1]")
     total = np.sum(Ys, axis=0)
     norms = np.array([float(np.dot(Y, Y)) for Y in Ys])
@@ -279,14 +287,15 @@ class ConvergenceReport:
 
 def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
                           sigma2: float = 0.0, delta2: float = 0.0,
-                          G2: float = 0.0, delta_max: Optional[float] = None,
-                          c0: float = 0.25) -> ConvergenceReport:
+                          G2: float = 0.0, delta_max: Optional[float] = None
+                          ) -> ConvergenceReport:
     """Lyapunov-descent constants for one operating point.
 
     ``sigma2``/``delta2``/``G2`` feed the variance and error-feedback floors,
-    and ``delta_max`` adds the staleness-limited stepsize bound.  The
-    error-feedback floor goes through the compression contraction rho_b and
-    the Lyapunov weights A_plus and lambda_min.
+    and ``delta_max`` adds the staleness-limited stepsize bound
+    0.25 / (L (1 + delta_max)).  The error-feedback floor goes through the
+    compression contraction rho_b and the Lyapunov weights A_plus and
+    lambda_min.
     """
     if L <= 0 or eta <= 0:
         raise ParameterError("L and eta must be positive")
@@ -303,9 +312,7 @@ def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
     if delta_max is not None:
         if delta_max < 0:
             raise ParameterError("delta_max must be nonnegative")
-        if not 0 < c0 <= 1:
-            raise ParameterError("c0 must lie in (0, 1]")
-        eta_max_stale = c0 / (L * (1.0 + delta_max))
+        eta_max_stale = 0.25 / (L * (1.0 + delta_max))
     return ConvergenceReport(
         xi_safe=xi, eta_max=1.0 / (L * (1.0 + 3.0 * xi)),
         variance_floor=1.5 * L * eta**2 * xi * (sigma2 + delta2),
@@ -319,14 +326,14 @@ class SyntheticProblem:
     """K local quadratics f_i(w) = ||w - c_i||^2 / 2 with Gaussian gradient noise.
 
     The smoothness constant is exactly 1, and so is the gradient-dominance
-    constant ``mu``.  A user's noisy gradient at w is (w - c_i) plus
-    N(0, noise_sigma^2 / d_w) in each coordinate, drawn by the training
-    loops through ``_grads_kernel``.
+    constant ``mu``, a class constant.  A user's noisy gradient at w is
+    (w - c_i) plus N(0, noise_sigma^2 / d_w) in each coordinate, drawn by the
+    training loops through ``_grads_kernel``.
     """
 
     centers: np.ndarray
     noise_sigma: float
-    mu: float = 1.0
+    mu = 1.0
 
     def __post_init__(self):
         # a private read-only copy, so the cached w_star cannot go stale
@@ -335,8 +342,8 @@ class SyntheticProblem:
         object.__setattr__(self, "centers", centers)
         if self.centers.ndim != 2:
             raise ParameterError("centers must be a (K, d_w) array")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ParameterError("noise_sigma must be nonnegative and finite")
 
     @property
     def K(self) -> int:
@@ -361,9 +368,9 @@ class SyntheticProblem:
         """Standard deviation of each gradient coordinate's noise."""
         return self.noise_sigma / math.sqrt(self.d_w)
 
-    def initial_point(self, gap: float = 1.0) -> np.ndarray:
-        """A start with F(w0) - F* equal to ``gap`` exactly."""
-        return self.w_star + math.sqrt(2.0 * gap / self.d_w) * np.ones(self.d_w)
+    def initial_point(self) -> np.ndarray:
+        """The training loops' start, with F(w) - F* equal to 1 exactly."""
+        return self.w_star + math.sqrt(2.0 / self.d_w) * np.ones(self.d_w)
 
 
 def _grads_kernel(ws: np.ndarray, centers: np.ndarray, scale: float, rng,
@@ -436,9 +443,10 @@ class TrainLog:
         return math.inf
 
 
-def _check_run(problem: SyntheticProblem, xs, eta, w0) -> tuple:
-    """Positions, stepsize and start point of a training run, validated:
-    ``(xs, eta, w)`` with eta a 0-d float array and w a private copy."""
+def _check_run(problem: SyntheticProblem, xs, eta) -> tuple:
+    """Positions and stepsize of a training run, validated, and its start
+    point: ``(xs, eta, w)`` with eta a 0-d float array and w
+    ``problem.initial_point()``."""
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (problem.K,):
         raise ParameterError(f"xs must be a ({problem.K},) array of positions")
@@ -447,18 +455,12 @@ def _check_run(problem: SyntheticProblem, xs, eta, w0) -> tuple:
     if not 0 < eta < math.inf:
         raise ParameterError(f"eta={eta!r}: the stepsize must be positive "
                              f"and finite")
-    if w0 is None:
-        return xs, np.array(float(eta)), problem.initial_point()
-    w = np.array(w0, dtype=float)
-    if w.shape != (problem.d_w,) or not np.isfinite(w).all():
-        raise ParameterError(f"w0 must be a finite ({problem.d_w},) array, "
-                             f"got shape {w.shape}")
-    return xs, np.array(float(eta)), w
+    return xs, np.array(float(eta)), problem.initial_point()
 
 
 def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             M: int, eta: float, spec: QuantizerSpec, rounds: int, arch: str,
-            seed: int, w0: Optional[np.ndarray] = None) -> TrainLog:
+            seed: int) -> TrainLog:
     """Synchronous training: M scheduled users, bandwidth split 1/M.
 
     Every user's gradient noise is drawn each round, but only the scheduled
@@ -466,7 +468,7 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     uniform 1/M weights.  The round time is the slowest scheduled upload.
     """
     _, M = check_order(problem.K, M)
-    xs, eta, w = _check_run(problem, xs, eta, w0)
+    xs, eta, w = _check_run(problem, xs, eta)
     if not (rounds >= 1 and float(rounds).is_integer()):
         raise ParameterError(f"rounds={rounds!r}: need an integer >= 1")
     sched, z = schedule_round(xs, M, arch)
@@ -513,8 +515,7 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
 def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
             model: DeadlineModel, eta: float, spec: QuantizerSpec,
             horizon_s: float, arch: str, seed: int, weighting: str = "HT",
-            tick_period: Optional[float] = None,
-            w0: Optional[np.ndarray] = None) -> TrainLog:
+            tick_period: Optional[float] = None) -> TrainLog:
     """Asynchronous training driven by a periodic trigger.
 
     Each tick, idle users refresh their model cache, every user runs the
@@ -524,7 +525,7 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     applied when the last of them arrives; users stay busy until their upload
     lands, so slow links carry stale caches.
     """
-    xs, eta, w = _check_run(problem, xs, eta, w0)
+    xs, eta, w = _check_run(problem, xs, eta)
     if weighting not in ("HT", "uniform"):
         raise ParameterError(f"unknown weighting {weighting!r}")
     if not 0 < horizon_s < math.inf:

@@ -3,18 +3,19 @@
 One RNG contract serves every runner: a run at K users draws from three
 generators spawned from ``SeedSequence([seed, K])``, one for the uniforms
 and mixture coins of the positions, one for the mixture's normals and one
-for compute times.  ``_blocks`` draws each stream in order, one block of
-rows at a time, so a run's trials are the same bits whatever the block
-size, and a run is a prefix of any longer run at the same (seed, K).
-Each run has one block workspace: ``_blocks`` draws every block into one
-buffer, and the runners overwrite it with latencies and finishing times,
-so the memory of a run is a few blocks whatever its trial count or its
-number of blocks.  ``verify_bounds`` holds one block, its column-major
-copy: ``_blocks`` draws each block in row chunks into a scan workspace of
-``_BLOCK_ROWS * _SCAN_COLS`` floats, which does not grow with K, and each
-sorted chunk is copied into its rows of the column block.
-Acceptance convention: two-sided checks pass within three standard errors;
-one-sided bounds get one-sided slack.
+for compute times.  ``_blocks`` draws each stream in order, into the
+caller's buffer, one chunk of its rows at a time, so a run's trials are the
+same bits whatever the chunk size, and a run is a prefix of any longer run
+at the same (seed, K).  ``estimate_ccdfs`` and ``participation_sweep`` lend
+it a block buffer of ``_BLOCK_ROWS`` rows and overwrite each block with
+latencies and finishing times, so the memory of a run is a few blocks
+whatever its trial count.  ``verify_bounds`` holds one block, its
+column-major copy: it lends ``_blocks`` a scan workspace of
+``_BLOCK_ROWS * _SCAN_COLS`` floats, which does not grow with K, as chunks
+of rows that divide the block, and copies each sorted chunk into its rows
+of the column block.
+Acceptance convention (``_verdict``): two-sided checks pass within three
+standard errors; one-sided bounds get that slack on their own side.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _BLOCK_ROWS = 4096
 # windows per chunk of verify_bounds' scans: a (_BLOCK_ROWS, _SCAN_COLS)
 # chunk of costs, 256 KB, stays in L2 beside the block's column buffer.
 # The same workspace, which does not grow with K, first takes the block's
-# draws, as many whole rows at a time as it holds
+# draws, in the largest chunks of rows that divide the block and fit in it
 _SCAN_COLS = 8
 
 SFL = "SFL"
@@ -60,33 +61,20 @@ def _streams(seed: int, K: int):
 
 
 def _blocks(spec: DistributionSpec, K: int, trials: int, seed: int,
-            chunk=None):
-    """Yield the run's position blocks of b <= ``_BLOCK_ROWS`` rows, with the
-    run's compute-time generator.
+            out: np.ndarray):
+    """Yield the run's positions as consecutive chunks of ``len(out)`` rows,
+    the last one shorter, each with the run's compute-time generator.
 
-    Without ``chunk``, every block is a (b, K) view of the first b rows of
-    one buffer of the run, drawn in place: a block is valid only until the
-    next one is drawn, and the caller may overwrite it.  Given ``chunk``, a
-    C-order (c, K) float array of the caller, every block is instead an
-    iterator of (r, rows): its rows r to r + len(rows), drawn into the first
-    rows of ``chunk``, at most c at a time, each valid only until the next
-    is drawn.  A block's chunks are taken before the next block.  Each
-    stream is drawn in order, so the chunks are the same bits as the block.
+    ``out`` is a C-order (c, K) float array of the caller, and every chunk is
+    drawn into its first rows: a chunk is valid only until the next one is
+    drawn, and the caller may overwrite it.  Each stream is drawn in order,
+    so the chunks are the same bits as one whole draw.
     """
     positions, normals, compute = _streams(seed, K)
-
-    def draw(xs):
-        return draw_positions(positions, spec, xs.shape, normals, out=xs)
-
-    if chunk is None:
-        buffer = np.empty((min(_BLOCK_ROWS, trials), K))
-    for r in range(0, trials, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, trials - r)
-        if chunk is None:
-            yield draw(buffer[:n]), compute
-        else:
-            yield ((i, draw(chunk[:min(len(chunk), n - i)]))
-                   for i in range(0, n, len(chunk))), compute
+    for r in range(0, trials, len(out)):
+        xs = out[:min(len(out), trials - r)]
+        draw_positions(positions, spec, xs.shape, normals, out=xs)
+        yield xs, compute
 
 
 def _trial_count(trials) -> int:
@@ -171,11 +159,23 @@ class BoundVerdict:
     kind: str = "two_sided"
 
 
+def _verdict(name: str, analytic: float, stat: _Moment,
+             kind: str = "two_sided") -> BoundVerdict:
+    """The verdict on ``stat``'s mean against ``analytic``: it passes within
+    three standard errors, on both sides, or on the bound's own side for an
+    ``upper`` or ``lower`` bound."""
+    mean, slack = stat.mean, 3.0 * stat.std_error
+    passed = (mean <= analytic + slack if kind == "upper" else
+              mean >= analytic - slack if kind == "lower" else
+              abs(mean - analytic) <= slack)
+    return BoundVerdict(name, analytic, mean, stat.std_error, passed, kind)
+
+
 def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
-                   K: int, M_or_model, trials: int, grid,
+                   K: int, M, trials: int, grid,
                    seed: int) -> Dict[str, CcdfSeries]:
     """Empirical CCDF of the per-round (SFL) or per-upload (AFL) latency of
-    each architecture in ``archs``.
+    each architecture in ``archs``, M of K users per SFL round; AFL ignores M.
 
     Every architecture scores the same position draws, so each block is
     drawn and sorted once; the curve of an architecture does not depend,
@@ -189,14 +189,15 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
     if not 0 < len(archs) == len({CONV, PA}.intersection(archs)):
         raise ParameterError(f"need distinct architectures of {CONV} and {PA}, "
                              f"got {archs!r}")
-    K, M = analytics.check_order(K, M_or_model if mode == SFL else 1)
+    K, M = analytics.check_order(K, M if mode == SFL else 1)
     if mode == AFL:
         # one upload per trial: the round of one user, whose CONV offset is
         # |x|, whose PA offset is 0 and whose link constant c_round(1) is c
         K = 1
     kernels = {CONV: sorted_conv_offsets, PA: pa_offsets}
     exceed = {arch: np.zeros(grid.size, dtype=np.int64) for arch in archs}
-    for xs, _ in _blocks(spec, K, trials, seed):
+    block = np.empty((min(_BLOCK_ROWS, trials), K))
+    for xs, _ in _blocks(spec, K, trials, seed, block):
         xs.sort(axis=1)
         for arch in archs:
             # the latencies overwrite the offsets
@@ -208,10 +209,10 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
 
 
 def estimate_ccdf(mode: str, arch: str, phy: PhyParams, spec: DistributionSpec,
-                  K: int, M_or_model, trials: int, grid, seed: int) -> CcdfSeries:
+                  K: int, M, trials: int, grid, seed: int) -> CcdfSeries:
     """Empirical CCDF of one architecture: ``estimate_ccdfs`` of one."""
-    return estimate_ccdfs(mode, (arch,), phy, spec, K, M_or_model, trials,
-                          grid, seed)[arch]
+    return estimate_ccdfs(mode, (arch,), phy, spec, K, M, trials, grid,
+                          seed)[arch]
 
 
 def verify_bounds(K_grid, M_grid, D: float, trials: int, seed: int,
@@ -256,17 +257,23 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
     # below reduce across K with contiguous inner loops.  Each block is
     # drawn in row chunks into the workspace, whose rows are sorted there
     # and copied into the block's columns; no array is run-sized, and only
-    # the column block grows with K
+    # the column block grows with K.  A chunk divides the block, so every
+    # block keeps its rows whatever K
     cols = np.empty((min(_BLOCK_ROWS, trials), K), order="F")
     space = np.empty(max(_BLOCK_ROWS * _SCAN_COLS, K))
-    chunk = space[:len(space) // K * K].reshape(-1, K)
-    for block, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
-                            seed, chunk):
-        for r, rows in block:
-            rows.sort(axis=1)
-            cols[r:r + len(rows)] = rows
-        # the last chunk ends the block
+    c = next(d for d in range(min(_BLOCK_ROWS, len(space) // K), 0, -1)
+             if _BLOCK_ROWS % d == 0)
+    done = 0
+    for rows, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
+                           seed, space[:c * K].reshape(c, K)):
+        r = done % len(cols)
         n = r + len(rows)
+        rows.sort(axis=1)
+        cols[r:n] = rows
+        done += len(rows)
+        # scan once the block is full or the draws end
+        if n < len(cols) and done < trials:
+            continue
         xs = cols[:n]
         # the workspace is dead until the next draw, so its first
         # n * _SCAN_COLS values hold the scans' chunks of windows, and then
@@ -293,50 +300,26 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
         name=f"K={K} ordering pa<=conv", analytic=0.0,
         empirical=float(violations), std_error=0.0,
         passed=violations == 0, kind="exact",
-    )]
-    ms = analytics.min_spacing_second_moment(K)
-    verdicts.append(BoundVerdict(
-        name=f"K={K} min-spacing E[M*^2]", analytic=ms,
-        empirical=minspace.mean, std_error=minspace.std_error,
-        passed=abs(minspace.mean - ms) <= 3.0 * minspace.std_error,
-    ))
+    ), _verdict(f"K={K} min-spacing E[M*^2]",
+                analytics.min_spacing_second_moment(K), minspace)]
     for M in conv_m:
         rep = analytics.straggler_moments(K, M, D)
-        cm, pm = conv_m[M], pa_m[M]
-        verdicts.append(BoundVerdict(
-            name=f"K={K} M={M} conv E[Y^2]", analytic=rep.conv_E2,
-            empirical=cm.mean, std_error=cm.std_error,
-            passed=abs(cm.mean - rep.conv_E2) <= 3.0 * cm.std_error,
-        ))
-        verdicts.append(BoundVerdict(
-            name=f"K={K} M={M} pa upper", analytic=rep.pa_ub,
-            empirical=pm.mean, std_error=pm.std_error,
-            passed=pm.mean <= rep.pa_ub + 3.0 * pm.std_error, kind="upper",
-        ))
-        verdicts.append(BoundVerdict(
-            name=f"K={K} M={M} pa lower", analytic=rep.pa_lb,
-            empirical=pm.mean, std_error=pm.std_error,
-            passed=pm.mean >= rep.pa_lb - 3.0 * pm.std_error, kind="lower",
-        ))
+        verdicts += [
+            _verdict(f"K={K} M={M} conv E[Y^2]", rep.conv_E2, conv_m[M]),
+            _verdict(f"K={K} M={M} pa upper", rep.pa_ub, pa_m[M], "upper"),
+            _verdict(f"K={K} M={M} pa lower", rep.pa_lb, pa_m[M], "lower"),
+        ]
         if eps < min(p_dag[M], 1.0 - p_dag[M]):
-            hoeffding = analytics.hoeffding_tail(K, eps)
             # a 0/1 statistic: its sum of squares is its count of hits
-            th = _Moment(trials, float(tail_hits[M]), float(tail_hits[M]))
-            verdicts.append(BoundVerdict(
-                name=f"K={K} M={M} hoeffding tail", analytic=hoeffding,
-                empirical=th.mean, std_error=th.std_error,
-                passed=th.mean <= hoeffding + 3.0 * th.std_error,
-                kind="upper",
-            ))
+            hits = float(tail_hits[M])
+            verdicts.append(_verdict(f"K={K} M={M} hoeffding tail",
+                                     analytics.hoeffding_tail(K, eps),
+                                     _Moment(trials, hits, hits), "upper"))
         if M >= 2:
             # M-1 spacings span a Beta(M-1, K-M+2) length, as U_(M-1)
-            mean_th = analytics.order_stat_moments(K, M - 1)[0]
-            sm = span_mean[M]
-            verdicts.append(BoundVerdict(
-                name=f"K={K} M={M} span mean", analytic=mean_th,
-                empirical=sm.mean, std_error=sm.std_error,
-                passed=abs(sm.mean - mean_th) <= 3.0 * sm.std_error,
-            ))
+            verdicts.append(_verdict(
+                f"K={K} M={M} span mean",
+                analytics.order_stat_moments(K, M - 1)[0], span_mean[M]))
     return verdicts
 
 
@@ -370,7 +353,8 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
         sums_sq[1] = trials * K * K * pa_met
     else:
         compute_times = np.empty((min(_BLOCK_ROWS, trials), K))
-    for xs, compute in _blocks(spec, K, trials, seed):
+    block = np.empty((min(_BLOCK_ROWS, trials), K))
+    for xs, compute in _blocks(spec, K, trials, seed, block):
         tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d, out=xs)
         if deterministic:
             finishes = [np.add(T_c, tau_conv, out=tau_conv)]

@@ -18,6 +18,11 @@ from .errors import InfeasibleLinkError, OutOfRegimeError, ParameterError
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
 
+def _eta_f(f_c: float) -> float:
+    """Free-space gain constant c^2 / (16 pi^2 f_c^2) at carrier ``f_c``."""
+    return SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * f_c**2)
+
+
 @dataclass(frozen=True)
 class PhyParams:
     """Link-budget parameters: geometry, SNR scale, payload and bandwidth.
@@ -43,7 +48,7 @@ class PhyParams:
 
     @property
     def eta_f(self) -> float:
-        return SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * self.f_c**2)
+        return _eta_f(self.f_c)
 
     @property
     def S(self) -> float:
@@ -65,8 +70,7 @@ class PhyParams:
         """Build params achieving a target SNR scale S with unit transmit power."""
         if S <= 0:
             raise ParameterError("S must be positive")
-        eta_f = SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * f_c**2)
-        return PhyParams(P=1.0, sigma_n2=eta_f / S, f_c=f_c,
+        return PhyParams(P=1.0, sigma_n2=_eta_f(f_c) / S, f_c=f_c,
                          d=d, D=D, W=W, B_t=B_t)
 
 

@@ -388,6 +388,19 @@ class TestGatesAndWeights:
             total += prob * float(np.dot(agg, agg))
         assert exact == pytest.approx(total, abs=1e-12)
 
+    def test_ht_second_moment_rejects_bad_inputs(self):
+        Ys = [np.array([1.0, 2.0]), np.array([-3.0, 0.5]),
+              np.array([0.0, 4.0])]
+        # a NaN probability used to return NaN, one probability for three
+        # updates to be broadcast, and K=0 to divide by zero
+        for pis, K in [([0.9, math.nan, 0.3], 3), ([0.5], 3),
+                       ([0.9, 0.5], 3), ([0.9, 0.5, 0.3, 0.2], 3),
+                       ([[0.9, 0.5, 0.3]], 3), ([0.9, 0.0, 0.3], 3),
+                       ([0.9, 1.5, 0.3], 3), ([0.9, 0.5, 0.3], 0)]:
+            with pytest.raises(ParameterError):
+                ht_second_moment_exact(Ys, pis, K)
+        assert math.isfinite(ht_second_moment_exact(Ys, [0.9, 0.5, 0.3], 3))
+
     def test_ht_aggregate_sums_in_entry_order(self):
         # bit-equal to a left-to-right sum of Y/pi, also for 1-D updates
         rng = np.random.default_rng(4)
@@ -495,8 +508,8 @@ class TestSyntheticProblem:
 
     def test_initial_gap(self):
         p = make_synthetic_problem(4, 6, 0.1, 0.0, seed=0)
-        w0 = p.initial_point(gap=2.5)
-        assert 0.5 * p.grad_norm2(w0) == pytest.approx(2.5, abs=1e-12)
+        w0 = p.initial_point()
+        assert 0.5 * p.grad_norm2(w0) == pytest.approx(1.0, abs=1e-12)
 
     def test_centers_are_a_private_read_only_copy(self):
         centers = np.random.default_rng(0).normal(size=(5, 3))
@@ -699,15 +712,12 @@ class TestRunAfl:
 _BAD_RUN_ARGS = [
     ("sfl", "eta", math.nan), ("sfl", "eta", math.inf), ("sfl", "eta", 0.0),
     ("sfl", "rounds", 2.5), ("sfl", "rounds", 0), ("sfl", "rounds", math.inf),
-    ("sfl", "w0", np.zeros(3)), ("sfl", "w0", np.zeros((1, 4))),
-    ("sfl", "w0", np.array([0.0, math.nan, 0.0, 0.0])),
     ("afl", "eta", math.nan), ("afl", "eta", math.inf),
     ("afl", "horizon_s", math.nan), ("afl", "horizon_s", math.inf),
     ("afl", "horizon_s", 0.0),
     ("afl", "tick_period", math.nan), ("afl", "tick_period", math.inf),
     ("afl", "tick_period", -1.0),
     ("afl", "tick_period", 1e-320),  # horizon_s / tick_period overflows
-    ("afl", "w0", np.zeros(5)), ("afl", "w0", np.array([math.inf, 0, 0, 0])),
     # a NaN position used to win PA's window and make every logged time NaN
     # under SFL, and get pi = 1 but never upload under AFL at CONV
     *((loop, "xs", np.array([0.1, bad, -0.3, 2.0] * 2))

@@ -101,63 +101,36 @@ class TestMetCounts:
 class TestBlocks:
     @settings(max_examples=100, deadline=None)
     @given(spec=st.sampled_from([UNI, GM]), trials=st.integers(1, 30),
-           K=st.integers(1, 6), rows=st.integers(1, 8),
-           chunk=st.none() | st.integers(1, 9), extra=st.integers(0, 9),
+           K=st.integers(1, 6), c=st.integers(1, 9), extra=st.integers(0, 9),
            seed=st.integers(0, 10_000))
-    # fewer trials than one block, a whole number of blocks, one trial more
-    # than a block, one user per row
-    @example(spec=GM, trials=5, K=3, rows=8, chunk=None, extra=0, seed=1)
-    @example(spec=GM, trials=12, K=3, rows=4, chunk=None, extra=0, seed=2)
-    @example(spec=UNI, trials=12, K=3, rows=4, chunk=None, extra=5, seed=2)
-    @example(spec=GM, trials=5, K=2, rows=4, chunk=None, extra=1, seed=3)
-    @example(spec=GM, trials=9, K=1, rows=4, chunk=None, extra=0, seed=4)
-    @example(spec=UNI, trials=3, K=1, rows=8, chunk=None, extra=0, seed=5)
-    # row chunks that divide the block, that do not, of one row, and of
-    # more rows than a block; the last block partial
-    @example(spec=GM, trials=20, K=3, rows=8, chunk=4, extra=0, seed=6)
-    @example(spec=UNI, trials=20, K=3, rows=8, chunk=4, extra=2, seed=6)
-    @example(spec=GM, trials=20, K=3, rows=8, chunk=3, extra=0, seed=7)
-    @example(spec=UNI, trials=20, K=3, rows=8, chunk=3, extra=0, seed=7)
-    @example(spec=GM, trials=11, K=2, rows=4, chunk=1, extra=0, seed=8)
-    @example(spec=GM, trials=11, K=2, rows=4, chunk=9, extra=3, seed=9)
-    def test_blocks_are_one_whole_draw(self, spec, trials, K, rows, chunk,
-                                       extra, seed):
-        # a run's blocks are one draw, and the first rows of a longer run's;
-        # each block, or each row chunk of one, is a view of one buffer, so
+    # fewer trials than one chunk, a whole number of chunks, one trial more
+    # than a chunk, one row per chunk, one user per row
+    @example(spec=GM, trials=5, K=3, c=8, extra=0, seed=1)
+    @example(spec=GM, trials=12, K=3, c=4, extra=0, seed=2)
+    @example(spec=UNI, trials=12, K=3, c=4, extra=5, seed=2)
+    @example(spec=GM, trials=5, K=2, c=4, extra=1, seed=3)
+    @example(spec=GM, trials=11, K=2, c=1, extra=0, seed=8)
+    @example(spec=GM, trials=9, K=1, c=4, extra=0, seed=4)
+    @example(spec=UNI, trials=3, K=1, c=8, extra=0, seed=5)
+    def test_blocks_are_one_whole_draw(self, spec, trials, K, c, extra, seed):
+        # a run's chunks are one draw, and the first rows of a longer run's;
+        # each chunk is a view of the first rows of the caller's buffer, so
         # it is copied before the next is drawn
         want, _ = _whole_draw(spec, K, trials + extra, seed)
-        buffer = None if chunk is None else np.empty((chunk, K))
-        views, blocks = [], []
-        with mock.patch.object(montecarlo, "_BLOCK_ROWS", rows):
-            for block, compute in montecarlo._blocks(spec, K, trials, seed,
-                                                     buffer):
-                if buffer is None:
-                    views.append(block)
-                    blocks.append((block.copy(), compute))
-                    continue
-                starts, parts = [], []
-                for r, xs in block:
-                    starts.append(r)
-                    views.append(xs)
-                    parts.append(xs.copy())
-                # full chunks from the block's first row, in order
-                sizes = [len(xs) for xs in parts]
-                assert starts == [i * chunk for i in range(len(parts))]
-                assert sizes[:-1] == [chunk] * (len(sizes) - 1)
-                assert 1 <= sizes[-1] <= chunk
-                blocks.append((np.concatenate(parts), compute))
-        # every block or chunk is drawn into one buffer, the caller's if given
-        assert all(np.shares_memory(xs, views[0]) for xs in views)
-        assert buffer is None or np.shares_memory(views[0], buffer)
-        sizes = [len(xs) for xs, _ in blocks]
-        assert sizes[:-1] == [rows] * (len(sizes) - 1)
-        assert 1 <= sizes[-1] <= rows
-        got = np.concatenate([xs for xs, _ in blocks])
+        out = np.empty((c, K))
+        chunks = [(xs, xs.copy(), compute) for xs, compute
+                  in montecarlo._blocks(spec, K, trials, seed, out)]
+        sizes = [len(xs) for xs, _, _ in chunks]
+        assert sizes[:-1] == [c] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= c
+        assert all(xs.base is out and xs.ctypes.data == out.ctypes.data
+                   for xs, _, _ in chunks)
+        got = np.concatenate([rows for _, rows, _ in chunks])
         assert np.array_equal(got.view(np.int64),
                               want[:trials].view(np.int64))
         # one compute-time generator, which the position draws leave alone
-        compute = blocks[0][1]
-        assert all(c is compute for _, c in blocks)
+        compute = chunks[0][2]
+        assert all(gen is compute for _, _, gen in chunks)
         fresh = montecarlo._streams(seed, K)[2]
         assert compute.bit_generator.state == fresh.bit_generator.state
 
@@ -213,7 +186,7 @@ class TestEstimateCcdf:
         assert np.all((0.0 <= s.ccdf) & (s.ccdf <= 1.0))
 
     def test_pa_dominates_conv_paired(self):
-        kw = dict(phy=PHY, spec=UNI, K=20, M_or_model=5, trials=20_000,
+        kw = dict(phy=PHY, spec=UNI, K=20, M=5, trials=20_000,
                   grid=GRID, seed=9)
         conv = montecarlo.estimate_ccdf("SFL", "CONV", **kw)
         pa = montecarlo.estimate_ccdf("SFL", "PA", **kw)
@@ -452,9 +425,10 @@ class TestVerifyBounds:
         assert _peak_blocks(lambda: montecarlo.verify_bounds(
             [K], [2, 5, 7], 10.0, trials=20_000, seed=0), K) < bound
 
-    # the workspace holds 800 values: row chunks longer than a block (K = 1,
-    # 3), of exactly a block (8), that do not divide it (9) or do (40), and
-    # of one row, as K = 1000 exceeds the workspace
+    # the workspace holds 800 values: row chunks of a whole block, as more
+    # (K = 1, 3) or exactly (8) a block's rows fit; of 50 rows, the largest
+    # divisor of the block below the 88 that fit (9); of 20 rows, all that
+    # fit (40); and of one row, as K = 1000 exceeds the workspace
     @pytest.mark.parametrize("K", [1, 3, 8, 9, 40, 1000])
     def test_scanned_columns_are_the_sorted_draw(self, monkeypatch, K):
         # 250 trials: two blocks of 100 rows and a partial one

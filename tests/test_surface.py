@@ -13,6 +13,7 @@ import pytest
 
 from pinchfl import cli
 from pinchfl.errors import ParameterError
+from pinchfl.flcore import QuantizerSpec, SyntheticProblem
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
                                    DeadlineModel)
 from pinchfl.phy import PhyParams
@@ -31,6 +32,9 @@ _RECORDS = {
     "deterministic": (DeadlineModel, dict(T_d=0.012, fc_kind=DETERMINISTIC)),
     "exponential": (DeadlineModel, dict(T_d=0.012, fc_kind=SHIFTED_EXPONENTIAL,
                                         rate=200.0)),
+    "quantizer": (QuantizerSpec, dict(b=6, c_q=1.0)),
+    "problem": (SyntheticProblem, dict(centers=[[0.0, 1.0], [1.0, 0.0]],
+                                       noise_sigma=0.1)),
 }
 
 
