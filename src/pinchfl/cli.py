@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytics, montecarlo
-from .config import RunConfig, load_config
+from .config import RunConfig, flags, load_config
 from .errors import ConfigError
 from .flcore import (TrainRecord, make_synthetic_problem, run_afl,
                      run_sfl)
@@ -43,21 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-_FLAG_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "out"]
-
-
 # parsing keeps no state in the parser, so one serves every call of a process
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="key = value config file")
-    common.add_argument("--out", default=None, help="artifact directory")
-    for key in _FLAG_KEYS:
-        common.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     parser = _Parser(prog="pinchfl", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        sub.add_parser(name, help=cmd.__doc__, parents=[common])
+        # no abbreviations: --m must not stand for a command's --mu
+        command = sub.add_parser(name, help=cmd.__doc__, allow_abbrev=False)
+        command.add_argument("--config", help="key = value config file")
+        for key, text in flags(name):
+            command.add_argument(f"--{key.replace('_', '-')}", help=text)
     return parser
 
 
@@ -92,24 +88,19 @@ def _reach(cfg: RunConfig) -> float:
     return cfg.mu + 5.0 * cfg.sigma_x
 
 
-def _latency_grid(cfg: RunConfig) -> np.ndarray:
-    phy = cfg.phy()
-    c_eff = phy.c_round(cfg.m if cfg.mode == "sfl" else 1)
-    t_min = upload_latency(c_eff, 0.0, 0.0, phy.S, phy.d)
-    t_max = upload_latency(c_eff, _reach(cfg), 0.0, phy.S, phy.d)
-    return np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
-
-
 _Artifacts = Tuple[List[Sequence], dict]
 
 
 def _cmd_ccdf(cfg: RunConfig) -> _Artifacts:
     """empirical latency CCDF for both architectures"""
     phy, spec = cfg.phy(), cfg.dist_spec()
-    grid = _latency_grid(cfg)
-    mode = montecarlo.SFL if cfg.mode == "sfl" else montecarlo.AFL
+    # an AFL upload is one user's, at the whole bandwidth
+    mode, m = (montecarlo.SFL, cfg.m) if cfg.mode == "sfl" else (montecarlo.AFL, 1)
+    t_min = upload_latency(phy.c_round(m), 0.0, 0.0, phy.S, phy.d)
+    t_max = upload_latency(phy.c_round(m), _reach(cfg), 0.0, phy.S, phy.d)
+    grid = np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
-    series = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, cfg.m,
+    series = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, m,
                                        cfg.trials, grid, cfg.seed)
     columns = [series[arch].ccdf.tolist() for arch in archs]
     rows = [["t", *(f"ccdf_{arch.lower()}" for arch in archs)],
@@ -171,7 +162,7 @@ def _cmd_train(cfg: RunConfig) -> _Artifacts:
     problem = make_synthetic_problem(cfg.k, cfg.dim, cfg.delta2,
                                      cfg.sigma_grad, cfg.seed)
     xs = sample_positions(cfg.dist_spec(), cfg.k, cfg.seed)
-    phy, spec, model = cfg.phy(), cfg.quantizer(), cfg.deadline_model()
+    phy, spec = cfg.phy(), cfg.quantizer()
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
     header = [f.name for f in dataclasses.fields(TrainRecord)]
     rows: List[Sequence] = [header]
@@ -181,8 +172,8 @@ def _cmd_train(cfg: RunConfig) -> _Artifacts:
             log = run_sfl(problem, xs, phy, cfg.m, cfg.eta, spec,
                           cfg.rounds, arch, cfg.seed)
         else:
-            log = run_afl(problem, xs, phy, model, cfg.eta, spec,
-                          cfg.afl_horizon(), arch, cfg.seed,
+            log = run_afl(problem, xs, phy, cfg.deadline_model(), cfg.eta,
+                          spec, cfg.afl_horizon(), arch, cfg.seed,
                           weighting=cfg.weighting,
                           tick_period=cfg.tick_period())
         for rec in log.records:
@@ -229,30 +220,25 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    if args.command is None:
-        print(parser.format_usage(), file=sys.stderr)
-        return 1
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS}
-    if args.out is not None:
-        overrides["out"] = args.out
+    overrides = vars(args)
+    command, path = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = load_config(args.config, overrides, args.command)
+        cfg = load_config(path, overrides, command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        rows, metrics = _COMMANDS[args.command](cfg)
-        _write_artifacts(args.command, cfg, rows, metrics)
+        rows, metrics = _COMMANDS[command](cfg)
+        _write_artifacts(command, cfg, rows, metrics)
     except Exception as exc:  # runtime failures map to a distinct exit code
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps({"command": args.command, "metrics": metrics},
+    print(json.dumps({"command": command, "metrics": metrics},
                      indent=2, sort_keys=True))
     return 0
 

@@ -1,17 +1,16 @@
-"""Run configuration: one flat record of every experiment knob.
+"""Run configuration: one flat record of every experiment knob, with its
+default, its help and the commands that read it.
 
 Configs come from a line-based ``key = value`` file, optionally overridden by
-command-line flags.  Unknown keys and malformed or out-of-range values raise
-``ConfigError`` naming the offending key.  Defaults are the corridor operating
-point used throughout: K=40 users on a 10 m corridor, 3 m waveguide height,
-1 MHz bandwidth.
+command-line flags.  Unknown keys, keys the command does not read, and
+malformed or out-of-range values raise ``ConfigError`` naming the key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import ConfigError, ParameterError
 from .flcore import MAX_BITS, QuantizerSpec
@@ -20,52 +19,69 @@ from .phy import PhyParams
 from .spatial import GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec
 
 
+_ALL = "ccdf participation highsnr train verify"
+_SIM = "ccdf participation train"   # the commands that compute link rates
+_DEADLINE = "participation train:afl"
+_MIXTURE = " ".join(f"{c}:{GAUSSIAN_MIXTURE}" for c in _SIM.split())
+
+
+def _knob(default, readers: str, help: str):
+    """A field with its help and its readers: commands, each written
+    ``command:when`` where it reads the field only in one mode (sfl or afl)
+    or one distribution (uniform or gaussian_mixture)."""
+    readers = dict(r.partition(":")[::2] for r in readers.split())
+    return field(default=default, metadata={"help": help, "readers": readers})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of the simulator, validated as a whole."""
+    """Every knob of the simulator with its readers, validated as a whole."""
 
     # population and geometry
-    k: int = 40
-    m: int = 7
-    corridor: float = 10.0     # corridor length D, metres
-    height: float = 3.0        # waveguide height d, metres
+    k: int = _knob(40, "ccdf participation train verify", "number of users K")
+    m: int = _knob(7, "ccdf:sfl train:sfl verify", "users per SFL round M")
+    corridor: float = _knob(10.0, _ALL, "corridor length D, metres")
+    height: float = _knob(3.0, _SIM + " highsnr", "waveguide height d, metres")
     # link budget
-    power: float = 0.01        # transmit power P, watts
-    noise: float = 1e-12       # noise power sigma_n^2, watts
-    f_c: float = 28e9          # carrier frequency, Hz
-    bandwidth: float = 1e6     # total bandwidth W, Hz
-    payload: float = 1e5       # update payload B_t, bits
-    snr: float = 0.0           # optional SNR-scale override (0 = use link budget)
+    power: float = _knob(0.01, _SIM, "transmit power P, watts")
+    noise: float = _knob(1e-12, _SIM, "noise power sigma_n^2, watts")
+    f_c: float = _knob(28e9, _SIM, "carrier frequency, Hz")
+    bandwidth: float = _knob(1e6, _SIM, "total bandwidth W, Hz")
+    payload: float = _knob(1e5, _SIM, "update payload B_t, bits")
+    snr: float = _knob(0.0, _SIM, "SNR scale; 0 uses power and noise")
     # compression
-    bits: int = 6
-    c_q: float = 1.0
+    bits: int = _knob(6, "train", "quantizer bits per coordinate, 1 to 53")
+    c_q: float = _knob(1.0, "train", "quantizer fidelity constant; 0 is lossless")
     # deadline / trigger model
-    deadline: float = 0.012    # T_d, seconds
-    t0: float = 0.0
-    fc_kind: str = DETERMINISTIC
-    rate: float = 0.0
-    p_s: float = 1.0
-    tick: float = 0.0          # AFL trigger period (0 = deadline)
+    deadline: float = _knob(0.012, _DEADLINE, "deadline T_d, seconds")
+    t0: float = _knob(0.0, _DEADLINE, "compute-time offset, seconds")
+    fc_kind: str = _knob(DETERMINISTIC, _DEADLINE,
+                         "compute time: deterministic or shifted_exponential")
+    rate: float = _knob(0.0, _DEADLINE, "exponential compute-time rate, 1/s")
+    p_s: float = _knob(1.0, _DEADLINE, "trigger probability, in (0, 1]")
+    tick: float = _knob(0.0, "train:afl", "AFL trigger period; 0 = deadline")
     # spatial distribution
-    dist: str = UNIFORM
-    mu: float = 3.0
-    sigma_x: float = 0.5
+    dist: str = _knob(UNIFORM, _SIM, "positions: uniform or gaussian_mixture")
+    mu: float = _knob(3.0, _MIXTURE, "mixture cluster offset, metres")
+    sigma_x: float = _knob(0.5, _MIXTURE, "mixture cluster spread, metres")
     # training
-    eta: float = 0.1
-    rounds: int = 200
-    horizon: float = 0.0       # AFL wall-clock horizon, seconds (0 = rounds*tick)
-    sigma_grad: float = 0.0
-    delta2: float = 0.0
-    dim: int = 8
-    target: float = 1e-3
-    weighting: str = "HT"
+    eta: float = _knob(0.1, "train", "step size")
+    rounds: int = _knob(200, "train", "SFL rounds, or AFL ticks at horizon 0")
+    horizon: float = _knob(0.0, "train:afl", "AFL wall-clock horizon, "
+                           "seconds; 0 uses rounds times the tick period")
+    sigma_grad: float = _knob(0.0, "train", "gradient noise deviation")
+    delta2: float = _knob(0.0, "train", "heterogeneity of the user centres")
+    dim: int = _knob(8, "train", "model dimension")
+    target: float = _knob(1e-3, "train", "loss target of time_to_target")
+    weighting: str = _knob("HT", "train:afl", "AFL weights: HT or uniform")
     # experiment plumbing
-    trials: int = 100_000
-    seed: int = 1
-    grid_points: int = 50
-    arch: str = "both"
-    mode: str = "sfl"
-    out: str = "."
+    trials: int = _knob(100_000, "ccdf participation verify",
+                        "Monte Carlo trials")
+    seed: int = _knob(1, "ccdf participation train verify", "random seed")
+    grid_points: int = _knob(50, "ccdf participation", "points of the grid")
+    arch: str = _knob("both", "ccdf train", "architecture: CONV, PA or both")
+    mode: str = _knob("sfl", "ccdf train", "sfl or afl")
+    out: str = _knob(".", _ALL, "artifact directory")
 
     # ---- derived module objects -------------------------------------------
 
@@ -102,85 +118,72 @@ class RunConfig:
 # evaluation of annotations
 _FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
                 for f in fields(RunConfig)}
+_READERS = {f.name: f.metadata["readers"] for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw) -> object:
-    try:
-        return _FIELD_TYPES[key](str(raw).strip())
-    except ValueError:
-        raise ConfigError(f"malformed value for config key '{key}': {raw!r}")
+def flags(command: str) -> List[Tuple[str, str]]:
+    """``(key, help)`` of each field ``command`` reads in any mode or dist."""
+    return [(f.name, f"{f.metadata['help']} (default {f.default}"
+             + (f"; read only under {when})" if when else ")"))
+            for f in fields(RunConfig)
+            if (when := _READERS[f.name].get(command)) is not None]
 
 
-def _require(ok: bool, key: str, why: str):
-    if not ok:
-        raise ConfigError(f"invalid value for config key '{key}': {why}")
-
-
-def _reads_m(cfg: RunConfig, command: Optional[str]) -> bool:
-    """Whether ``command`` reads M: verify does, and ccdf and train do in
-    SFL mode.  A config built for no command is checked as if it did."""
-    return command in (None, "verify") or (command in ("ccdf", "train")
-                                           and cfg.mode == "sfl")
+def reads(cfg: RunConfig, command: Optional[str] = None) -> Set[str]:
+    """The fields ``command`` reads at ``cfg``'s mode and dist; all for None."""
+    return {key for key, readers in _READERS.items() if command is None
+            or readers.get(command) in ("", cfg.mode, cfg.dist)}
 
 
 def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
-    """Full precondition check for the subcommand ``command``; raises
-    ConfigError naming the offending key.  M is checked only where
-    ``command`` reads it, and the seed only where it seeds a draw."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    """Check the fields that the subcommand ``command`` reads, every field for
+    no command; ConfigError names the offending key."""
+    read = reads(cfg, command)
+
+    def require(key: str, ok: bool, why: str):
+        if key in read and not ok:
+            raise ConfigError(f"invalid value for config key '{key}': {why}")
+
+    for key, value in vars(cfg).items():
         if isinstance(value, float):
-            _require(math.isfinite(value), f.name, "must be finite")
-    _require(cfg.k >= 1, "k", "must be at least 1")
-    if _reads_m(cfg, command):
-        _require(1 <= cfg.m <= cfg.k, "m", f"must lie in [1, k={cfg.k}]")
+            require(key, math.isfinite(value), "must be finite")
+    for key, low in (("k", 1), ("rounds", 1), ("dim", 1), ("trials", 1),
+                     ("grid_points", 2)):
+        require(key, getattr(cfg, key) >= low, f"must be at least {low}")
+    require("m", 1 <= cfg.m <= cfg.k, f"must lie in [1, k={cfg.k}]")
     for key in ("corridor", "height", "power", "noise", "f_c", "bandwidth",
-                "payload", "eta", "target"):
-        _require(getattr(cfg, key) > 0, key, "must be positive")
+                "payload", "mu", "sigma_x", "eta", "target"):
+        require(key, getattr(cfg, key) > 0, "must be positive")
+    # numpy's SeedSequence takes only nonnegative integers
     for key in ("snr", "t0", "tick", "horizon", "sigma_grad", "delta2",
-                "deadline", "c_q"):
-        _require(getattr(cfg, key) >= 0, key, "must be nonnegative")
-    _require(1 <= cfg.bits <= MAX_BITS, "bits",
-             f"must lie in [1, {MAX_BITS}], where every grid index is an "
-             f"exact double")
-    _require(0 < cfg.p_s <= 1, "p_s", "must lie in (0, 1]")
-    _require(cfg.fc_kind in (DETERMINISTIC, SHIFTED_EXPONENTIAL), "fc_kind",
-             f"must be one of {DETERMINISTIC!r}, {SHIFTED_EXPONENTIAL!r}")
-    if cfg.fc_kind == SHIFTED_EXPONENTIAL:
-        _require(cfg.rate > 0, "rate", "must be positive for the exponential family")
-    _require(cfg.dist in (UNIFORM, GAUSSIAN_MIXTURE), "dist",
-             f"must be one of {UNIFORM!r}, {GAUSSIAN_MIXTURE!r}")
-    if cfg.dist == GAUSSIAN_MIXTURE:
-        _require(cfg.mu > 0, "mu", "must be positive")
-        _require(cfg.sigma_x > 0, "sigma_x", "must be positive")
-    _require(cfg.rounds >= 1, "rounds", "must be at least 1")
-    if command in (None, "train"):
-        _require(cfg.k >= 2 or cfg.delta2 == 0, "delta2",
-                 "must be 0 with k=1: one user's centre is the mean, with no "
-                 "spread to scale")
-    _require(cfg.dim >= 1, "dim", "must be at least 1")
-    _require(cfg.trials >= 1, "trials", "must be at least 1")
-    if command != "highsnr":
-        # numpy's SeedSequence takes only nonnegative integers; highsnr's
-        # outputs are closed forms, so it draws nothing
-        _require(cfg.seed >= 0, "seed", "must be nonnegative")
-    _require(cfg.grid_points >= 2, "grid_points", "must be at least 2")
-    _require(cfg.weighting in ("HT", "uniform"), "weighting",
-             "must be 'HT' or 'uniform'")
-    _require(cfg.arch in ("CONV", "PA", "both"), "arch",
-             "must be 'CONV', 'PA', or 'both'")
-    _require(cfg.mode in ("sfl", "afl"), "mode", "must be 'sfl' or 'afl'")
-    if cfg.mode == "afl":
-        # the tick period is the deadline unless a tick is given
+                "deadline", "c_q", "seed"):
+        require(key, getattr(cfg, key) >= 0, "must be nonnegative")
+    for key, choices in (("fc_kind", (DETERMINISTIC, SHIFTED_EXPONENTIAL)),
+                         ("dist", (UNIFORM, GAUSSIAN_MIXTURE)),
+                         ("weighting", ("HT", "uniform")),
+                         ("arch", ("CONV", "PA", "both")),
+                         ("mode", ("sfl", "afl"))):
+        require(key, getattr(cfg, key) in choices,
+                f"must be one of {', '.join(map(repr, choices))}")
+    require("bits", 1 <= cfg.bits <= MAX_BITS,
+            f"must lie in [1, {MAX_BITS}], where every grid index is an "
+            f"exact double")
+    require("p_s", 0 < cfg.p_s <= 1, "must lie in (0, 1]")
+    require("rate", cfg.fc_kind != SHIFTED_EXPONENTIAL or cfg.rate > 0,
+            "must be positive for the exponential family")
+    require("delta2", cfg.k >= 2 or cfg.delta2 == 0,
+            "must be 0 with k=1: one user's centre is the mean, with no "
+            "spread to scale")
+    if cfg.mode == "afl" and "horizon" in read:
         period_key = "tick" if cfg.tick > 0 else "deadline"
-        _require(cfg.tick_period() > 0, period_key,
-                 "the afl tick period must be positive")
-        _require(0 < cfg.afl_horizon() < math.inf, "horizon",
-                 "the afl horizon (rounds times the tick period unless "
-                 "given) must be positive and finite")
-        _require(math.isfinite(cfg.afl_horizon() / cfg.tick_period()),
-                 period_key, "the afl tick period is too small: horizon / "
-                 "tick period overflows")
+        require(period_key, cfg.tick_period() > 0,
+                "the afl tick period must be positive")
+        require("horizon", 0 < cfg.afl_horizon() < math.inf,
+                "the afl horizon (rounds times the tick period unless "
+                "given) must be positive and finite")
+        require(period_key, math.isfinite(cfg.afl_horizon() / cfg.tick_period()),
+                "the afl tick period is too small: horizon / tick period "
+                "overflows")
     try:
         cfg.phy()
         cfg.dist_spec()
@@ -197,10 +200,11 @@ def load_config(path: Optional[str],
     """Build a RunConfig from a ``key = value`` file plus overrides, validated
     for the subcommand ``command``.
 
-    Flags win over file values; unknown keys are rejected by name.  Arch and
-    mode strings are case-normalized (arch upper, mode lower).
+    Flags win over file values; unknown keys, and keys that ``command`` does
+    not read at the config's mode and distribution, are rejected by name.
+    Arch and mode strings are case-normalized (arch upper, mode lower).
     """
-    values: Dict[str, object] = {}
+    pairs = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -213,19 +217,28 @@ def load_config(path: Optional[str],
                 continue
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key '{key}'")
-            values[key] = _parse_value(key, raw)
-    for key, raw in (overrides or {}).items():
-        if raw is None:
-            continue
+            pairs.append(tuple(part.strip() for part in text.split("=", 1)))
+    pairs += [(key, raw) for key, raw in (overrides or {}).items()
+              if raw is not None]
+    values: Dict[str, object] = {}
+    for key, raw in pairs:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _FIELD_TYPES[key](str(raw).strip())
+        except ValueError:
+            raise ConfigError(f"malformed value for config key '{key}': {raw!r}")
     if "arch" in values:
         norm = str(values["arch"]).lower()
         values["arch"] = "both" if norm == "both" else norm.upper()
     if "mode" in values:
         values["mode"] = str(values["mode"]).lower()
-    return validate(RunConfig(**values), command)
+    cfg = RunConfig(**values)
+    read = reads(cfg, command)
+    for key in values:
+        if key not in read:
+            when = _READERS[key].get(command)
+            raise ConfigError(f"config key '{key}' is read by {command} only "
+                              f"under {when}" if when else
+                              f"config key '{key}' is not read by {command}")
+    return validate(cfg, command)

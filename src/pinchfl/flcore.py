@@ -233,7 +233,9 @@ def ht_aggregate(entries, K: int) -> np.ndarray:
         raise ParameterError("K must be at least 1")
     if not entries:
         return np.zeros(0)
-    I, pi, Y = (np.asarray(a, dtype=float) for a in zip(*entries))
+    I, pi, Y = zip(*entries)
+    I, pi = np.asarray(I, dtype=float), np.asarray(pi, dtype=float)
+    Y = _updates(Y)
     inc = I != 0
     pi = pi[inc]
     # a NaN fails the comparisons too
@@ -256,12 +258,23 @@ def _ht_kernel(pi: np.ndarray, Y: np.ndarray, K) -> np.ndarray:
     return np.add.accumulate((Y.T / pi).T, axis=0)[-1] / K
 
 
+def _updates(Ys) -> np.ndarray:
+    """The updates ``Ys`` stacked into one float array; ParameterError unless
+    they share one shape."""
+    Ys = [np.asarray(Y, dtype=float) for Y in Ys]
+    shapes = {Y.shape for Y in Ys}
+    if len(shapes) > 1:
+        raise ParameterError(f"updates must share one shape, got "
+                             f"{sorted(shapes)}")
+    return np.array(Ys)
+
+
 def ht_second_moment_exact(Ys, pis, K: int) -> float:
     """Exact conditional second moment of the aggregate for fixed updates,
     one inclusion probability in (0, 1] per update."""
     if K < 1:
         raise ParameterError("K must be at least 1")
-    Ys = [np.asarray(Y, dtype=float) for Y in Ys]
+    Ys = _updates(Ys)
     pis = np.asarray(pis, dtype=float)
     if pis.shape != (len(Ys),):
         raise ParameterError(f"need one inclusion probability per update: "
@@ -340,8 +353,10 @@ class SyntheticProblem:
         centers = np.array(self.centers, dtype=float)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-        if self.centers.ndim != 2:
-            raise ParameterError("centers must be a (K, d_w) array")
+        if self.centers.ndim != 2 or not self.centers.size:
+            raise ParameterError("centers must be a nonempty (K, d_w) array")
+        if not np.isfinite(self.centers).all():
+            raise ParameterError("centers must be finite")
         if not 0 <= self.noise_sigma < math.inf:
             raise ParameterError("noise_sigma must be nonnegative and finite")
 

@@ -14,8 +14,8 @@ import pytest
 
 import pinchfl
 from pinchfl.analytics import straggler_moments
-from pinchfl.cli import _COMMANDS, _FLAG_KEYS, _build_parser, main
-from pinchfl.config import RunConfig, load_config
+from pinchfl.cli import _COMMANDS, _UsageError, _build_parser, main
+from pinchfl.config import RunConfig, flags, load_config, reads, validate
 from pinchfl.errors import ConfigError
 from pinchfl.flcore import TrainRecord
 
@@ -54,6 +54,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'m'"):
             load_config(None, {"k": "5", "m": "9"})
 
+    def test_validate_checks_only_the_keys_the_command_reads(self):
+        # M=7 over K=3, a negative seed and one user's spread: each key is
+        # checked by the commands that read it and by no other
+        cases = [(RunConfig(k=3), "m", {"ccdf", "train", "verify"}),
+                 (RunConfig(seed=-1), "seed",
+                  {"ccdf", "participation", "train", "verify"}),
+                 (RunConfig(k=1, m=1, delta2=0.05), "delta2", {"train"})]
+        for cfg, key, readers in cases:
+            for command in _COMMANDS:
+                if command in readers:
+                    with pytest.raises(ConfigError, match=f"'{key}'"):
+                        validate(cfg, command)
+                else:
+                    assert validate(cfg, command) is cfg
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                validate(cfg)
+        # M is read by SFL runs only
+        assert validate(RunConfig(k=3, mode="afl"), "train").mode == "afl"
+
     def test_arch_case_normalized(self):
         assert load_config(None, {"arch": "pa"}).arch == "PA"
         assert load_config(None, {"mode": "AFL"}).mode == "afl"
@@ -76,17 +95,56 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["verify", "--bogus", "1"]) == 1
 
-    @pytest.mark.parametrize("command", ["ccdf", "participation", "highsnr",
-                                         "train", "verify"])
-    def test_every_command_takes_every_flag(self, command):
-        keys = ["config", "out", *_FLAG_KEYS]
+    # the fields each command reads in some mode or distribution, out aside
+    SETTABLE = {"ccdf": 18, "participation": 20, "highsnr": 2, "train": 32,
+                "verify": 5}
+
+    @pytest.mark.parametrize("command", list(SETTABLE))
+    def test_every_command_takes_only_the_flags_it_reads(self, command):
+        keys = ["config", *(key for key, _ in flags(command))]
+        assert len(keys) == 2 + self.SETTABLE[command]
         argv = [command]
         for key in keys:
             argv += [f"--{key.replace('_', '-')}", f"value-{key}"]
-        args = _build_parser().parse_args(argv)
-        assert args.command == command
-        assert {key: getattr(args, key) for key in keys} == \
-            {key: f"value-{key}" for key in keys}
+        assert vars(_build_parser().parse_args(argv)) == \
+            {"command": command, **{key: f"value-{key}" for key in keys}}
+        for f in dataclasses.fields(RunConfig):
+            if f.name not in keys:
+                with pytest.raises(_UsageError, match="unrecognized"):
+                    _build_parser().parse_args(
+                        [command, f"--{f.name.replace('_', '-')}", "1"])
+
+    @pytest.mark.parametrize("argv,key", [
+        (["train", "--mode", "afl", "--m", "3"], "m"),
+        (["ccdf", "--mode", "afl", "--m", "3"], "m"),
+        (["train", "--mode", "sfl", "--tick", "0.004"], "tick"),
+        (["train", "--horizon", "1"], "horizon"),
+        (["train", "--weighting", "uniform"], "weighting"),
+        (["train", "--deadline", "0.02"], "deadline"),
+        (["ccdf", "--mu", "3"], "mu"),
+        (["participation", "--sigma-x", "0.5"], "sigma_x"),
+    ])
+    def test_key_read_only_in_another_mode_or_distribution_is_named(
+            self, tmp_path, capsys, argv, key):
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("verify", "bits = 4\n", "bits"),
+        ("verify", "dist = uniform\n", "dist"),
+        ("ccdf", "mode = afl\nm = 3\n", "m"),
+    ])
+    def test_config_file_carries_only_keys_the_command_reads(
+            self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        rc = main([command, "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_value(self, tmp_path, capsys):
         rc = main(["verify", "--k", "0", "--out", str(tmp_path)])
@@ -99,7 +157,7 @@ class TestExitCodes:
     def test_non_finite_value_rejected_before_artifacts(self, tmp_path, capsys,
                                                         key, value):
         out = tmp_path / "out"
-        rc = main(["highsnr", f"--{key}", value, "--out", str(out)])
+        rc = main(["participation", f"--{key}", value, "--out", str(out)])
         assert rc == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
@@ -112,34 +170,37 @@ class TestExitCodes:
     ])
     def test_impossible_afl_timing_rejected_before_artifacts(
             self, tmp_path, capsys, flags, key):
-        rc = main(["train", "--mode", "afl", "--k", "5", "--m", "2", *flags,
+        rc = main(["train", "--mode", "afl", "--k", "5", *flags,
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
-    @pytest.mark.parametrize("argv", [
-        ["participation", "--k", "5"],
-        ["participation", "--k", "3", "--m", "0"],
-        ["ccdf", "--mode", "afl", "--k", "3"],
-        ["train", "--mode", "afl", "--k", "3", "--rounds", "2"],
-        ["highsnr", "--k", "3"],
+    @pytest.mark.parametrize("argv,rc", [
+        (["participation", "--k", "5", "--trials", "100"], 0),
+        (["participation", "--k", "3", "--m", "0", "--trials", "100"], 1),
+        (["ccdf", "--mode", "afl", "--k", "3", "--trials", "100"], 0),
+        (["train", "--mode", "afl", "--k", "3", "--rounds", "2"], 0),
+        (["highsnr", "--k", "3"], 1),
     ], ids=["participation", "participation-m0", "ccdf-afl", "train-afl",
             "highsnr"])
     def test_m_is_not_checked_where_it_is_not_read(self, tmp_path, capsys,
-                                                  argv):
-        # the default M=7 exceeds these K, and no command here reads M
-        assert main([*argv, "--trials", "100", "--out", str(tmp_path)]) == 0
+                                                  argv, rc):
+        # the default M=7 exceeds these K, and no command here reads M; a
+        # flag the command does not read at all is a usage error
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == rc
+        assert out.exists() == (rc == 0)
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--k", "5"],
-        ["verify", "--k", "5", "--m", "0"],
-        ["ccdf", "--mode", "sfl", "--k", "5"],
+        ["verify", "--k", "5", "--trials", "100"],
+        ["verify", "--k", "5", "--m", "0", "--trials", "100"],
+        ["ccdf", "--mode", "sfl", "--k", "5", "--trials", "100"],
         ["train", "--mode", "sfl", "--k", "5", "--rounds", "2"],
     ], ids=["verify", "verify-m0", "ccdf-sfl", "train-sfl"])
     def test_m_is_checked_before_artifacts_where_it_is_read(
             self, tmp_path, capsys, argv):
-        rc = main([*argv, "--trials", "100", "--out", str(tmp_path / "out")])
+        rc = main([*argv, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "'m'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -173,19 +234,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode", ["sfl", "afl"])
     def test_heterogeneity_of_one_user_rejected_before_artifacts(
             self, tmp_path, capsys, mode):
-        # one user's centre is the mean, so there is no spread to scale
-        rc = main(["train", "--mode", mode, "--k", "1", "--m", "1",
+        # one user's centre is the mean, so there is no spread to scale;
+        # only SFL reads M
+        m = ["--m", "1"] if mode == "sfl" else []
+        rc = main(["train", "--mode", mode, "--k", "1", *m,
                    "--delta2", "0.05", "--rounds", "2",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "'delta2'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        assert main(["train", "--mode", mode, "--k", "1", "--m", "1",
+        assert main(["train", "--mode", mode, "--k", "1", *m,
                      "--rounds", "2", "--out", str(tmp_path / "out")]) == 0
 
     def test_seed_is_not_checked_where_nothing_is_drawn(self, tmp_path,
                                                          capsys):
-        assert main(["highsnr", "--seed", "-1", "--out", str(tmp_path)]) == 0
+        # highsnr's outputs are closed forms: it takes no seed at all
+        out = tmp_path / "out"
+        assert main(["highsnr", "--seed", "-1", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parser_is_built_once(self, tmp_path, capsys):
         # a usage error leaves the shared parser fit for the next call
@@ -204,11 +271,11 @@ class TestExitCodes:
         for argv in (["train", "--mode", "sfl", "--k", "5", "--m", "2",
                       "--rounds", "2"],
                      ["train", "--mode", "afl", "--arch", "CONV", "--k", "5",
-                      "--m", "2", "--rounds", "2"],
+                      "--rounds", "2"],
                      ["train", "--mode", "afl", "--arch", "PA", "--k", "5",
-                      "--m", "2", "--rounds", "2"],
+                      "--rounds", "2"],
                      ["ccdf", "--k", "5", "--m", "2", "--trials", "100"],
-                     ["participation", "--k", "5", "--m", "2", "--trials", "100"]):
+                     ["participation", "--k", "5", "--trials", "100"]):
             rc = main(argv + ["--snr", "1e-30", "--out", str(tmp_path)])
             assert rc == 3, argv
             err = capsys.readouterr().err
@@ -218,13 +285,12 @@ class TestExitCodes:
         # an SNR scale this small rounds every rate to zero
         ["train", "--mode", "sfl", "--k", "5", "--m", "2", "--rounds", "2",
          "--snr", "1e-30"],
-        ["train", "--mode", "afl", "--arch", "CONV", "--k", "5", "--m", "2",
+        ["train", "--mode", "afl", "--arch", "CONV", "--k", "5",
          "--rounds", "2", "--snr", "1e-30"],
-        ["train", "--mode", "afl", "--arch", "PA", "--k", "5", "--m", "2",
+        ["train", "--mode", "afl", "--arch", "PA", "--k", "5",
          "--rounds", "2", "--snr", "1e-30"],
         ["ccdf", "--k", "5", "--m", "2", "--trials", "100", "--snr", "1e-30"],
-        ["participation", "--k", "5", "--m", "2", "--trials", "100",
-         "--snr", "1e-30"],
+        ["participation", "--k", "5", "--trials", "100", "--snr", "1e-30"],
         # a step this large diverges to a non-finite loss, with and without
         # the quantizer
         ["train", "--mode", "sfl", "--c-q", "0", "--eta", "1e155",
@@ -310,7 +376,7 @@ class TestArtifacts:
     def test_empty_train_log_writes_the_full_header(self, tmp_path, capsys):
         # at p_s = 0.001 no user of three triggers within one round
         assert main(["train", "--mode", "afl", "--p-s", "0.001", "--k", "3",
-                     "--m", "1", "--rounds", "1", "--out", str(tmp_path)]) == 0
+                     "--rounds", "1", "--out", str(tmp_path)]) == 0
         header = ",".join(f.name for f in dataclasses.fields(TrainRecord))
         assert (tmp_path / "train.csv").read_bytes() == \
             f"{header}\r\n".encode()
@@ -339,6 +405,31 @@ class TestCommandTable:
                   "--rounds", "5"],
         "verify": ["--k", "8", "--m", "2", "--trials", "2000"],
     }
+
+    @pytest.mark.parametrize("name", list(ARGVS))
+    def test_fields_each_command_reads_match_the_read_table(
+            self, monkeypatch, name):
+        # one small run in every mode and distribution; ``out`` is read by
+        # main's artifact writer, not by the command
+        get = RunConfig.__getattribute__
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        seen, union = set(), set()
+
+        def spy(cfg, attr):
+            seen.add(attr)
+            return get(cfg, attr)
+
+        for mode in ("sfl", "afl"):
+            for dist in ("uniform", "gaussian_mixture"):
+                cfg = RunConfig(k=5, m=2, trials=200, grid_points=4,
+                                rounds=2, mode=mode, dist=dist)
+                seen.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(RunConfig, "__getattribute__", spy)
+                    _COMMANDS[name](cfg)
+                assert seen & names == reads(cfg, name) - {"out"}, (mode, dist)
+                union |= seen & names
+        assert union == {key for key, _ in flags(name)} - {"out"}
 
     def test_parser_reads_the_table(self):
         parser = _build_parser()

@@ -401,6 +401,13 @@ class TestGatesAndWeights:
                 ht_second_moment_exact(Ys, pis, K)
         assert math.isfinite(ht_second_moment_exact(Ys, [0.9, 0.5, 0.3], 3))
 
+    def test_updates_of_different_shapes_rejected(self):
+        ragged = [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])]
+        with pytest.raises(ParameterError, match="one shape"):
+            ht_aggregate([(1, 0.5, Y) for Y in ragged], 2)
+        with pytest.raises(ParameterError, match="one shape"):
+            ht_second_moment_exact(ragged, [0.5, 0.5], 2)
+
     def test_ht_aggregate_sums_in_entry_order(self):
         # bit-equal to a left-to-right sum of Y/pi, also for 1-D updates
         rng = np.random.default_rng(4)
@@ -523,6 +530,16 @@ class TestSyntheticProblem:
         centers[0] = 99.0
         assert p.w_star.tobytes() == p.centers.mean(axis=0).tobytes() == mean.tobytes()
         assert 0.5 * p.grad_norm2(p.w_star) == 0.0 and p.w_star is p.w_star
+
+    @pytest.mark.parametrize("centers", [[[math.nan, 0.0], [0.0, 1.0]],
+                                         [[math.inf, 0.0]], np.zeros((0, 3)),
+                                         np.zeros((3, 0))],
+                             ids=["nan", "inf", "no-users", "no-coordinates"])
+    def test_non_finite_or_empty_centers_rejected(self, centers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="centers"):
+                SyntheticProblem(centers=centers, noise_sigma=0.0)
 
     def test_one_user_has_no_heterogeneity(self):
         # its one centre is the mean: there is no spread to scale, where a
