@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytics, montecarlo
-from .config import RunConfig, flags, load_config
+from .config import RunConfig, flags, load_config, reads
 from .errors import ConfigError
 from .flcore import (TrainRecord, make_synthetic_problem, run_afl,
                      run_sfl)
@@ -37,10 +37,22 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
+    """argparse variant that reports usage problems as exit code 1, under the
+    prog and usage of the command they concern."""
+
+    commands: Dict[str, "_Parser"]  # the top level's, by command name
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse reports flags a command left unparsed from the top level,
+        # with the top-level usage; report them as the command's
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.commands[parsed.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+        return parsed
 
 
 # parsing keeps no state in the parser, so one serves every call of a process
@@ -54,13 +66,23 @@ def _build_parser() -> _Parser:
         command.add_argument("--config", help="key = value config file")
         for key, text in flags(name):
             command.add_argument(f"--{key.replace('_', '-')}", help=text)
+    parser.commands = sub.choices
     return parser
+
+
+def _load(argv: Optional[Sequence[str]]) -> Tuple[str, RunConfig]:
+    """The command of ``argv`` and its validated config; raises _UsageError
+    or ConfigError."""
+    overrides = vars(_build_parser().parse_args(argv))
+    command, path = overrides.pop("command"), overrides.pop("config")
+    return command, load_config(path, overrides, command)
 
 
 def _write_artifacts(command: str, cfg: RunConfig, rows: List[Sequence],
                      metrics: dict):
     """Write ``<command>.csv`` (``rows``, header first, floats as ``repr``)
-    and ``<command>.json`` (config, seed and metrics) into ``cfg.out``.
+    and ``<command>.json`` (config, metrics and, where the command reads
+    one, seed) into ``cfg.out``.
 
     Both are serialized before the directory is made, so rows or metrics that
     do not serialize, such as a NaN metric, leave no file and no directory.
@@ -69,8 +91,9 @@ def _write_artifacts(command: str, cfg: RunConfig, rows: List[Sequence],
     csv.writer(table).writerows(
         [repr(float(v)) if isinstance(v, float) else v for v in row]
         for row in rows)
-    payload = {"config": dataclasses.asdict(cfg), "seed": cfg.seed,
-               "metrics": metrics}
+    payload = {"config": dataclasses.asdict(cfg), "metrics": metrics}
+    if "seed" in reads(cfg, command):
+        payload["seed"] = cfg.seed
     texts = {"csv": table.getvalue(),
              "json": json.dumps(payload, indent=2, sort_keys=True,
                                 allow_nan=False) + "\n"}
@@ -221,14 +244,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        command, cfg = _load(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    overrides = vars(args)
-    command, path = overrides.pop("command"), overrides.pop("config")
-    try:
-        cfg = load_config(path, overrides, command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

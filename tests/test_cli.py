@@ -94,6 +94,10 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["verify", "--bogus", "1"]) == 1
+        # reported under the command's prog and usage, not the top level's
+        err = capsys.readouterr().err
+        assert err.startswith("pinchfl verify: error: unrecognized arguments: "
+                              "--bogus 1\nusage: pinchfl verify ")
 
     # the fields each command reads in some mode or distribution, out aside
     SETTABLE = {"ccdf": 18, "participation": 20, "highsnr": 2, "train": 32,
@@ -110,7 +114,8 @@ class TestExitCodes:
             {"command": command, **{key: f"value-{key}" for key in keys}}
         for f in dataclasses.fields(RunConfig):
             if f.name not in keys:
-                with pytest.raises(_UsageError, match="unrecognized"):
+                with pytest.raises(_UsageError, match=f"^pinchfl {command}: "
+                                   f"error: unrecognized"):
                     _build_parser().parse_args(
                         [command, f"--{f.name.replace('_', '-')}", "1"])
 
@@ -251,7 +256,8 @@ class TestExitCodes:
         # highsnr's outputs are closed forms: it takes no seed at all
         out = tmp_path / "out"
         assert main(["highsnr", "--seed", "-1", "--out", str(out)]) == 1
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert "pinchfl highsnr: error: unrecognized arguments: --seed" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_parser_is_built_once(self, tmp_path, capsys):
@@ -333,6 +339,11 @@ class TestArtifacts:
             straggler_moments(8, 3, 10.0))
         # the moments live in verify.json; there is no separate command
         assert main(["straggler"]) == 1
+        # highsnr reads no seed: none at top level, a whole config echo
+        assert main(["highsnr", "--out", str(tmp_path / "highsnr")]) == 0
+        payload = json.loads((tmp_path / "highsnr" / "highsnr.json").read_text())
+        assert "seed" not in payload
+        assert payload["config"]["seed"] == RunConfig().seed
 
     def test_csv_has_header(self, tmp_path, capsys):
         main(["highsnr", "--out", str(tmp_path)])
