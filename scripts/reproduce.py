@@ -94,6 +94,9 @@ RUNS = {
     "verify_k7_m7": ("verify --k 7 --m 7 --trials 5000", 0),
     "verify_k2_m2": ("verify --k 2 --m 2 --trials 5000", 0),
     "verify_k1_m1": ("verify --k 1 --m 1 --trials 5000", 0),
+    # zeta = D / (2 d) far below 0.1, where g(zeta) is summed from its series
+    "highsnr_short_corridor": ("highsnr --corridor 1e-9", 0),
+    "highsnr_high_radiator": ("highsnr --height 1e9", 0),
     # exit 1: a flag the command does not read
     "unread_dist_verify": ("verify --dist gaussian_mixture", 1),
     "unread_snr_highsnr": ("highsnr --snr 1e6", 1),

@@ -123,19 +123,19 @@ def _cmd_ccdf(cfg: RunConfig) -> _Artifacts:
     t_max = upload_latency(phy.c_round(m), _reach(cfg), 0.0, phy.S, phy.d)
     grid = np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
-    series = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, m,
-                                       cfg.trials, grid, cfg.seed)
-    columns = [series[arch].ccdf.tolist() for arch in archs]
+    ccdf = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, m,
+                                     cfg.trials, grid, cfg.seed)
     rows = [["t", *(f"ccdf_{arch.lower()}" for arch in archs)],
-            *zip(grid.tolist(), *columns)]
+            *zip(grid.tolist(), *(ccdf[arch].tolist() for arch in archs))]
     metrics: Dict[str, object] = {"mode": cfg.mode, "trials": cfg.trials,
                                   "grid_points": cfg.grid_points}
     for arch in archs:
-        metrics[f"mean_exceedance_{arch.lower()}"] = float(series[arch].ccdf.mean())
+        metrics[f"mean_exceedance_{arch.lower()}"] = float(ccdf[arch].mean())
     if len(archs) == 2:
-        gap = series[CONV].ccdf - series[PA].ccdf
+        # PA's latency is at most CONV's on every shared draw: no slack
+        gap = ccdf[CONV] - ccdf[PA]
         metrics["min_ccdf_gap_conv_minus_pa"] = float(gap.min())
-        metrics["pa_dominates"] = bool(gap.min() >= -3.0 / math.sqrt(cfg.trials))
+        metrics["pa_dominates"] = bool(gap.min() >= 0)
     return rows, metrics
 
 

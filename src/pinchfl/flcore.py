@@ -24,7 +24,8 @@ from .analytics import check_order
 from .errors import DivergenceError, ParameterError
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
-from .spatial import CONV, PA, schedule_round
+from .spatial import (CONV, PA, pa_offsets, schedule_round,
+                      sorted_conv_offsets)
 
 _ALPHA_CAP = 1.0 - 1e-6
 # largest row scale whose 2 s is finite
@@ -480,17 +481,21 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
 
     Every user's gradient noise is drawn each round, but only the scheduled
     users carry an error-feedback residual; their updates are averaged with
-    uniform 1/M weights.  The round time is the slowest scheduled upload.
+    uniform 1/M weights.  The round time is the slowest scheduled upload,
+    at the round's bottleneck offset.
     """
     _, M = check_order(problem.K, M)
     xs, eta, w = _check_run(problem, xs, eta)
     if not (rounds >= 1 and float(rounds).is_integer()):
         raise ParameterError(f"rounds={rounds!r}: need an integer >= 1")
     sched, z = schedule_round(xs, M, arch)
-    taus = upload_latency(phy.c_round(M), xs[sched], z, phy.S, phy.d)
-    round_time = float(np.max(taus))
     scheduled = tuple(int(i) for i in sched)
-    bottleneck = float(np.max(np.abs(xs[sched] - z)))
+    # a CCDF trial's bottleneck on this row, windows scanned in one chunk;
+    # + 0.0 turns a CONV -0.0 into 0.0
+    kernel = sorted_conv_offsets if arch == CONV else pa_offsets
+    bottleneck = float(kernel(np.sort(xs)[None], M, np.empty(xs.size))[0]) + 0.0
+    round_time = float(upload_latency(phy.c_round(M), bottleneck, 0.0, phy.S,
+                                      phy.d))
 
     rng = np.random.default_rng(seed)
     e = np.zeros((M, problem.d_w))

@@ -125,6 +125,11 @@ def g_of_zeta(zeta: float) -> float:
     """g(zeta) = ln(1+zeta^2) - 2 + (2/zeta) arctan(zeta); positive for zeta > 0."""
     if zeta <= 0:
         raise ParameterError("zeta must be positive")
+    if zeta < 0.1:
+        # the closed form cancels to about zeta^2 / 3: sum 8 terms of the
+        # series, smallest first, to a relative 2e-18
+        return sum((-1) ** (n + 1) * zeta ** (2 * n) / (n * (2 * n + 1))
+                   for n in range(8, 0, -1))
     return math.log(1.0 + zeta**2) - 2.0 + (2.0 / zeta) * math.atan(zeta)
 
 

@@ -139,12 +139,11 @@ class TestCriterion7:
             t_lo = c_eff / math.log2(1 + phyp.S / d_OP**2)
             t_hi = c_eff / math.log2(1 + phyp.S / (d_OP**2 + 25.0))
             grid = np.linspace(0.95 * t_lo, 1.05 * t_hi, 50)
-            conv = montecarlo.estimate_ccdf(mode, "CONV", phyp, UNI, 40, M,
-                                            trials, grid, seed=SEED)
-            pa = montecarlo.estimate_ccdf(mode, "PA", phyp, UNI, 40, M,
-                                          trials, grid, seed=SEED)
-            se = np.sqrt(np.maximum(conv.ccdf * (1 - conv.ccdf), 1e-12) / trials)
-            ok &= bool(np.all(pa.ccdf <= conv.ccdf + 3.0 * se))
+            ccdf = montecarlo.estimate_ccdfs(mode, ("CONV", "PA"), phyp, UNI,
+                                             40, M, trials, grid, seed=SEED)
+            conv, pa = ccdf["CONV"], ccdf["PA"]
+            se = np.sqrt(np.maximum(conv * (1 - conv), 1e-12) / trials)
+            ok &= bool(np.all(pa <= conv + 3.0 * se))
         _report(7, "Pr[T>t] under pinching <= fixed antenna + 3se at every "
                    "grid point, SFL(M=7) and AFL", ok)
 

@@ -582,7 +582,18 @@ class TestRunSfl:
         log_p = run_sfl(p, sample, PHY, M, 0.1, QuantizerSpec(6), 10, PA, 0)
         assert len({r.latency for r in log_c.records}) == 1
         assert log_p.total_time <= log_c.total_time
-        assert log_p.records[0].bottleneck <= log_c.records[0].bottleneck + 1e-12
+        assert log_p.records[0].bottleneck <= log_c.records[0].bottleneck
+
+    def test_pa_bottleneck_is_at_most_conv_bit_for_bit(self):
+        # the tightest pair, [1.1, 1.3], spans 0.19999999999999996; measured
+        # from its rounded midpoint, its worst link read 0.10000000000000009,
+        # above CONV's 0.1
+        xs = np.array([-4.5, 0.1, 0.8, 4.6, 1.1, 1.3, -0.1, -1.4, -4.0])
+        p = make_synthetic_problem(9, 2, 0.0, 0.0, seed=0)
+        conv, pa = (run_sfl(p, xs, PHY, 2, 0.1, QuantizerSpec(6), 1, arch,
+                            0).records[0] for arch in (CONV, PA))
+        assert (conv.bottleneck, pa.bottleneck) == (0.1, 0.09999999999999998)
+        assert pa.latency <= conv.latency
 
     def test_zero_rate_link_is_infeasible(self):
         # S / d^2 vanishes next to 1, so every scheduled rate rounds to zero
@@ -783,11 +794,14 @@ def test_divergence_raises_without_a_numpy_warning(c_q):
 
 def _ref_sfl(problem, xs, phy, M, eta, spec, rounds, arch, seed):
     """Plain run_sfl: every user runs error feedback over all K rows, then
-    the scheduled rows are averaged."""
+    the scheduled rows are averaged.  The bottleneck is the M-th smallest
+    |x|, or half the smallest span of M consecutive sorted positions."""
     sched, z = schedule_round(xs, M, arch)
-    round_time = float(np.max(upload_latency(phy.c_round(M), xs[sched], z,
-                                             phy.S, phy.d)))
-    bottleneck = float(np.max(np.abs(xs[sched] - z)))
+    srt = np.sort(xs)
+    bottleneck = float(np.sort(np.abs(xs))[M - 1] if arch == CONV
+                       else (srt[M - 1:] - srt[:len(xs) - M + 1]).min() / 2)
+    round_time = float(upload_latency(phy.c_round(M), bottleneck, 0.0, phy.S,
+                                      phy.d))
     rng = np.random.default_rng(seed)
     w = problem.initial_point()
     e = np.zeros_like(problem.centers)
@@ -920,6 +934,23 @@ class TestLoopsMatchReference:
         records = run_afl(*args, **kw).records
         assert records
         assert _as_reprs(records) == _as_reprs(_ref_afl(*args, **kw))
+
+
+def test_record_index_and_grad_norm2_differ_by_mode():
+    # SFL counts rounds from 0 and logs the norm before the update, the
+    # previous row's 2 * loss; AFL counts events from 1 and logs the norm
+    # after the update, its own row's 2 * loss
+    problem, xs = _ref_problem(0)
+    sfl = run_sfl(problem, xs, _REF_LINK, 7, 0.2, _REF_SPECS["b6"], 20, PA,
+                  0).records
+    afl = run_afl(problem, xs, _REF_LINK, DeadlineModel(T_d=0.05), 0.2,
+                  _REF_SPECS["b6"], 0.5, PA, 0).records
+    assert [r.index for r in sfl] == list(range(20))
+    assert sfl[0].grad_norm2 == problem.grad_norm2(problem.initial_point())
+    assert [r.grad_norm2 for r in sfl[1:]] == [2 * r.loss for r in sfl[:-1]]
+    assert len(afl) > 1
+    assert [r.index for r in afl] == list(range(1, len(afl) + 1))
+    assert [r.grad_norm2 for r in afl] == [2 * r.loss for r in afl]
 
 
 @pytest.mark.parametrize("b, c_q", [(1, 1e-20), (27, 1.0)])

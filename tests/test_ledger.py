@@ -1,18 +1,20 @@
 """The run ledger: every entry of the run table in ``scripts/reproduce.py``,
 run in process and capped in size, against the rows, metrics and exit codes
-recorded in ``tests/data/ledger.json``.
+recorded in ``tests/data/ledger.json``; and a summary of each of the 80
+training logs of the benchmark's paired runs, against
+``tests/data/paired_runs.json``.
 
 Each run is capped at ``TRIALS`` Monte Carlo trials and ``ROUNDS`` training
 rounds: one full 4096-row block and part of a second, and CI's short
 training runs. Integers, strings, booleans, nulls and exit codes must match
 exactly; floats must match within the relative tolerance ``REL_TOL``,
 because numpy's SIMD ``log2`` and ``exp`` may differ from libm in the last
-bit on other CPUs. A change that moves a value regenerates the ledger with
+bit on other CPUs. A change that moves a value regenerates both files with
 
     PYTHONPATH=src python tests/test_ledger.py
 
-and the diff of ``tests/data/ledger.json``, one line per row, is the list
-of moves that the change must explain.
+and their diff, one line per row or log, is the list of moves that the
+change must explain.
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ from pinchfl.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "data" / "ledger.json"
+PAIRED = ROOT / "tests" / "data" / "paired_runs.json"
 TRIALS = 5000
 ROUNDS = 20
 REL_TOL = 1e-9
@@ -43,6 +46,10 @@ def _module(path):
 
 
 reproduce = _module(ROOT / "scripts" / "reproduce.py")
+
+
+def _workloads():
+    return _module(ROOT / "perfbench" / "workloads.py")
 
 
 def _records(name):
@@ -129,10 +136,40 @@ def test_driver_checks_exit_codes_and_prints_hashes(tmp_path, monkeypatch,
     assert reproduce.run("bits54") == "bits54: exit code 2, expected 0"
 
 
+def _paired_records(workloads):
+    """``[seed, mode, arch, summary]`` of each log of the train workload's
+    paired runs at workload seed 0, seeds 0-19: the log's event count, final
+    loss and time to the workload's loss target (null if not reached), and
+    the totals of its event times, losses, participants and staleness."""
+    records = []
+    for s in range(workloads.PAIRS):
+        for mode, logs in workloads._paired_run(s).items():
+            for arch, log in logs.items():
+                reached = log.time_to_loss(workloads.TARGET)
+                records.append([s, mode, arch, {
+                    "events": len(log.records),
+                    "final_loss": log.records[-1].loss,
+                    "time_to_target": reached if math.isfinite(reached) else None,
+                    **{f"total_{name}": sum(getattr(r, name) for r in log.records)
+                       for name in ("time", "loss", "participants", "staleness")},
+                }])
+    return json.loads(json.dumps(records))
+
+
+def test_paired_runs_match_their_ledger():
+    with open(PAIRED, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = _paired_records(_workloads())
+    assert [g[:3] for g in got] == [w[:3] for w in want]
+    moves = [move for g, w in zip(got, want)
+             for move in _moves(g[3], w[3], " ".join(map(str, g[:3])))]
+    assert not moves, "\n".join(moves[:10])
+
+
 def test_benchmark_runs_are_table_entries():
     # the CLI calls of the sweep and train workloads at workload seed 0,
     # --out aside, are the table's entries of the same names
-    workloads = _module(ROOT / "perfbench" / "workloads.py")
+    workloads = _workloads()
 
     class Recorder:
         def __init__(self):
@@ -153,9 +190,13 @@ def test_benchmark_runs_are_table_entries():
         assert argv[:-2] == reproduce.RUNS[name][0].split(), name
 
 
+def _write(path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n")
+
+
 if __name__ == "__main__":
     LEDGER.parent.mkdir(exist_ok=True)
-    with open(LEDGER, "w", encoding="utf-8") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(record)
-                                    for name in reproduce.RUNS
-                                    for record in _records(name)) + "\n]\n")
+    _write(LEDGER, [record for name in reproduce.RUNS
+                    for record in _records(name)])
+    _write(PAIRED, _paired_records(_workloads()))

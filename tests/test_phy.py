@@ -1,6 +1,7 @@
 """Link budget, spectral efficiency, and the high-SNR expansion machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,30 @@ class TestHighSnrConstants:
         g = phy.g_of_zeta(zeta)
         assert g > 0.0
         assert phy.g_of_zeta(zeta * 1.01) > g
+
+    @pytest.mark.parametrize("zeta", [1e-9, 1e-6, 1e-3, 0.099])
+    def test_g_small_zeta_matches_exact_series(self, zeta):
+        # the closed form returned 0.0 at 1e-8 and -2.2e-16 at 1e-9
+        assert phy.g_of_zeta(zeta) == pytest.approx(_g_series(zeta), rel=1e-15)
+
+    def test_g_across_the_series_switch(self):
+        # the closed form from 0.1 on keeps its cancellation error, about
+        # 5e-14 relative there, and g stays increasing across the switch
+        zetas = [0.0999, math.nextafter(0.1, 0.0), 0.1,
+                 math.nextafter(0.1, 1.0), 0.1001]
+        gs = [phy.g_of_zeta(z) for z in zetas]
+        assert gs == sorted(gs)
+        for zeta, g in zip(zetas, gs):
+            assert g == pytest.approx(_g_series(zeta),
+                                      rel=1e-15 if zeta < 0.1 else 1e-12)
+
+
+def _g_series(zeta):
+    """g(zeta) summed exactly in fractions to 40 terms, whose tail is below
+    1e-75 relative for zeta <= 0.1001."""
+    z2 = Fraction(zeta) ** 2
+    return float(sum(Fraction((-1) ** (n + 1), n * (2 * n + 1)) * z2**n
+                     for n in range(1, 41)))
 
 
 class TestRemainderEnvelope:
