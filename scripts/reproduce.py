@@ -56,10 +56,8 @@ RUNS = {
     "train_afl_small": ("train --mode afl --rounds 20", 0),
     "train_afl_exp": (f"train --mode afl {_EXPONENTIAL} --rounds 20", 0),
     "train_afl_uniform": (f"train --mode afl --weighting uniform {_NOISY} --rounds 20", 0),
-    # K below the default M=7: participation never reads M, and ccdf reads
-    # it only in sfl mode
+    # K below the default M=7: participation never reads M
     "participation_k5": ("participation --k 5 --trials 100", 0),
-    "ccdf_afl_k3": ("ccdf --mode afl --k 3 --trials 100", 0),
     # the schedule's edge windows: one window of all K users, K windows of
     # one user each, and one user alone
     "train_sfl_k7_m7": ("train --mode sfl --arch both --k 7 --m 7 --rounds 20", 0),
@@ -104,14 +102,16 @@ RUNS = {
     # of range
     "unread_m_train_afl": ("train --mode afl --m 3", 2),
     "unread_mu_ccdf": ("ccdf --mu 3", 2),
+    "unread_k_ccdf_afl": ("ccdf --mode afl --k 3 --trials 100", 2),
     "bits54": ("train --bits 54 --rounds 2", 2),
     "one_user_delta2": ("train --k 1 --m 1 --delta2 0.05", 2),
     "seed_neg_participation": ("participation --trials 10 --seed -1", 2),
     "seed_neg_verify": ("verify --trials 10 --seed -1", 2),
     "seed_neg_ccdf": ("ccdf --trials 10 --seed -1", 2),
     "seed_neg_train": ("train --rounds 2 --seed -1", 2),
-    # exit 3: an SNR scale this small rounds every rate to zero, and a step
-    # this large diverges, with and without the quantizer
+    # exit 3: an SNR scale this small rounds every rate to zero, a step
+    # this large diverges, with and without the quantizer, and a corridor
+    # this short puts lambda* where its cube overflows, or at infinity
     "dead_link_train_afl_conv": ("train --mode afl --arch CONV --snr 1e-30", 3),
     "dead_link_train_afl_pa": ("train --mode afl --arch PA --snr 1e-30", 3),
     "dead_link_train_sfl": ("train --mode sfl --snr 1e-30", 3),
@@ -121,6 +121,8 @@ RUNS = {
     "diverge_sfl_cq1": ("train --mode sfl --c-q 1 --eta 1e155 --rounds 5", 3),
     "diverge_afl_cq0": ("train --mode afl --c-q 0 --eta 1e155 --rounds 5", 3),
     "diverge_afl_cq1": ("train --mode afl --c-q 1 --eta 1e155 --rounds 5", 3),
+    "highsnr_cube_overflow": ("highsnr --corridor 1e-50", 3),
+    "highsnr_infinite_lambda_star": ("highsnr --corridor 1e-160", 3),
 }
 
 

@@ -117,14 +117,14 @@ _Artifacts = Tuple[List[Sequence], dict]
 def _cmd_ccdf(cfg: RunConfig) -> _Artifacts:
     """empirical latency CCDF for both architectures"""
     phy, spec = cfg.phy(), cfg.dist_spec()
-    # an AFL upload is one user's, at the whole bandwidth
-    mode, m = (montecarlo.SFL, cfg.m) if cfg.mode == "sfl" else (montecarlo.AFL, 1)
+    # an AFL upload is the round of one user, at the whole bandwidth
+    k, m = (cfg.k, cfg.m) if cfg.mode == "sfl" else (1, 1)
     t_min = upload_latency(phy.c_round(m), 0.0, 0.0, phy.S, phy.d)
     t_max = upload_latency(phy.c_round(m), _reach(cfg), 0.0, phy.S, phy.d)
     grid = np.linspace(0.95 * t_min, 1.05 * t_max, cfg.grid_points)
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
-    ccdf = montecarlo.estimate_ccdfs(mode, archs, phy, spec, cfg.k, m,
-                                     cfg.trials, grid, cfg.seed)
+    ccdf = montecarlo.estimate_ccdfs(archs, phy, spec, k, m, cfg.trials, grid,
+                                     cfg.seed)
     rows = [["t", *(f"ccdf_{arch.lower()}" for arch in archs)],
             *zip(grid.tolist(), *(ccdf[arch].tolist() for arch in archs))]
     metrics: Dict[str, object] = {"mode": cfg.mode, "trials": cfg.trials,

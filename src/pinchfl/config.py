@@ -38,7 +38,8 @@ class RunConfig:
     """Every knob of the simulator with its readers, validated as a whole."""
 
     # population and geometry
-    k: int = _knob(40, "ccdf participation train verify", "number of users K")
+    k: int = _knob(40, "ccdf:sfl participation train verify",
+                   "number of users K")
     m: int = _knob(7, "ccdf:sfl train:sfl verify", "users per SFL round M")
     corridor: float = _knob(10.0, _ALL, "corridor length D, metres")
     height: float = _knob(3.0, _SIM + " highsnr", "waveguide height d, metres")
@@ -152,11 +153,11 @@ def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
         require(key, getattr(cfg, key) >= low, f"must be at least {low}")
     require("m", 1 <= cfg.m <= cfg.k, f"must lie in [1, k={cfg.k}]")
     for key in ("corridor", "height", "power", "noise", "f_c", "bandwidth",
-                "payload", "mu", "sigma_x", "eta", "target"):
+                "payload", "sigma_x", "eta", "target"):
         require(key, getattr(cfg, key) > 0, "must be positive")
     # numpy's SeedSequence takes only nonnegative integers
     for key in ("snr", "t0", "tick", "horizon", "sigma_grad", "delta2",
-                "deadline", "c_q", "seed"):
+                "deadline", "c_q", "mu", "seed"):
         require(key, getattr(cfg, key) >= 0, "must be nonnegative")
     for key, choices in (("fc_kind", (DETERMINISTIC, SHIFTED_EXPONENTIAL)),
                          ("dist", (UNIFORM, GAUSSIAN_MIXTURE)),

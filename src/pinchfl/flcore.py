@@ -24,8 +24,7 @@ from .analytics import check_order
 from .errors import DivergenceError, ParameterError
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
-from .spatial import (CONV, PA, pa_offsets, schedule_round,
-                      sorted_conv_offsets)
+from .spatial import CONV, PA, bottlenecks, schedule_round  # PA re-exported
 
 _ALPHA_CAP = 1.0 - 1e-6
 # largest row scale whose 2 s is finite
@@ -492,8 +491,8 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
     scheduled = tuple(int(i) for i in sched)
     # a CCDF trial's bottleneck on this row, windows scanned in one chunk;
     # + 0.0 turns a CONV -0.0 into 0.0
-    kernel = sorted_conv_offsets if arch == CONV else pa_offsets
-    bottleneck = float(kernel(np.sort(xs)[None], M, np.empty(xs.size))[0]) + 0.0
+    bottleneck = float(bottlenecks(np.sort(xs)[None], M, arch,
+                                   np.empty(xs.size))[0]) + 0.0
     round_time = float(upload_latency(phy.c_round(M), bottleneck, 0.0, phy.S,
                                       phy.d))
 
@@ -560,14 +559,10 @@ def run_afl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
                              f"tick_period overflows")
 
     K = problem.K
-    c = phy.c
-    if arch == CONV:
-        taus = upload_latency(c, xs, 0.0, phy.S, phy.d)
-    elif arch == PA:
-        # radiator pins to each uploader, so every link distance is d
-        taus = np.full(K, upload_latency(c, 0.0, 0.0, phy.S, phy.d))
-    else:
-        raise ParameterError(f"unknown architecture {arch!r}")
+    # each upload is the round of one user: CONV serves it at |x|, PA pins
+    # the radiator over it
+    taus = upload_latency(phy.c, bottlenecks(xs[:, None], 1, arch), 0.0,
+                          phy.S, phy.d)
     pis = inclusion_probability(taus, model)
     # HT divides each upload by its inclusion probability, uniform by 1
     weights = pis if weighting == "HT" else np.ones(K)

@@ -32,7 +32,7 @@ from .errors import ParameterError
 from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
                             expected_participants)
 from .phy import PhyParams, upload_latency
-from .spatial import (CONV, PA, UNIFORM, DistributionSpec, _min_spacing,
+from .spatial import (UNIFORM, DistributionSpec, _min_spacing, bottlenecks,
                       draw_positions, pa_offsets, sorted_conv_offsets)
 
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
@@ -48,9 +48,6 @@ _BLOCK_ROWS = 4096
 # The same workspace, which does not grow with K, first takes the block's
 # draws, in the largest chunks of rows that divide the block and fit in it
 _SCAN_COLS = 8
-
-SFL = "SFL"
-AFL = "AFL"
 
 
 def _streams(seed: int, K: int):
@@ -163,13 +160,12 @@ def _verdict(name: str, analytic: float, stat: _Moment,
     return BoundVerdict(name, analytic, mean, stat.std_error, passed, kind)
 
 
-def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
-                   K: int, M, trials: int, grid,
-                   seed: int) -> Dict[str, np.ndarray]:
-    """Empirical CCDF of the per-round (SFL) or per-upload (AFL) latency of
-    each architecture in ``archs``, M of K users per SFL round; AFL ignores M:
-    by architecture, the exceedance probability at each point of the
-    ascending ``grid``.
+def estimate_ccdfs(archs, phy: PhyParams, spec: DistributionSpec, K: int, M,
+                   trials: int, grid, seed: int) -> Dict[str, np.ndarray]:
+    """Empirical CCDF of the round latency of each architecture in
+    ``archs``, M of K users per round: by architecture, the exceedance
+    probability at each point of the ascending ``grid``.  An AFL upload is
+    the round of one user, K = M = 1.
 
     Every architecture scores the same position draws, so each block is
     drawn and sorted once; the curve of an architecture does not depend,
@@ -177,25 +173,20 @@ def estimate_ccdfs(mode: str, archs, phy: PhyParams, spec: DistributionSpec,
     """
     grid = _ascending(grid)
     trials = _trial_count(trials)
-    if mode not in (SFL, AFL):
-        raise ParameterError(f"unknown mode {mode!r}")
     archs = tuple(archs)
-    if not 0 < len(archs) == len({CONV, PA}.intersection(archs)):
-        raise ParameterError(f"need distinct architectures of {CONV} and {PA}, "
-                             f"got {archs!r}")
-    K, M = analytics.check_order(K, M if mode == SFL else 1)
-    if mode == AFL:
-        # one upload per trial: the round of one user, whose CONV offset is
-        # |x|, whose PA offset is 0 and whose link constant c_round(1) is c
-        K = 1
-    kernels = {CONV: sorted_conv_offsets, PA: pa_offsets}
-    exceed = {arch: np.zeros(grid.size, dtype=np.int64) for arch in archs}
+    if not 0 < len(archs) == len(set(archs)):
+        raise ParameterError(f"need distinct architectures, got {archs!r}")
+    K, M = analytics.check_order(K, M)
     block = np.empty((min(_BLOCK_ROWS, trials), K))
+    for arch in archs:
+        # an unknown architecture fails on no rows, before any draw
+        bottlenecks(block[:0], M, arch)
+    exceed = {arch: np.zeros(grid.size, dtype=np.int64) for arch in archs}
     for xs, _ in _blocks(spec, K, trials, seed, block):
         xs.sort(axis=1)
         for arch in archs:
             # the latencies overwrite the offsets
-            offsets = kernels[arch](xs, M)
+            offsets = bottlenecks(xs, M, arch)
             lat = upload_latency(phy.c_round(M), offsets, 0.0, phy.S, phy.d,
                                  out=offsets)
             exceed[arch] += len(xs) - _met_counts(grid, lat[:, None])[0]

@@ -148,36 +148,40 @@ def high_snr_constants(D: float, d: float) -> HighSnrConstants:
                             g_zeta=g, ell_conv=ell_conv)
 
 
+def _in_regime(Lambda: float, consts: HighSnrConstants) -> float:
+    """``Lambda`` if the expansion holds there, Lambda >= Lambda0 with a
+    finite double Lambda**3; else OutOfRegimeError naming Lambda and zeta."""
+    try:
+        if Lambda >= consts.Lambda0 and math.isfinite(Lambda**3):
+            return Lambda
+    except OverflowError:
+        pass
+    raise OutOfRegimeError(f"Lambda={Lambda} at zeta={consts.zeta}: need "
+                           f"Lambda >= {consts.Lambda0} with a finite cube")
+
+
 def remainder_envelope(Lambda: float, consts: HighSnrConstants) -> float:
     """Uniform bound on the expansion remainder of 1/R at log-SNR Lambda."""
-    if Lambda < consts.Lambda0:
-        raise OutOfRegimeError(
-            f"Lambda={Lambda} below expansion threshold {consts.Lambda0}"
-        )
+    _in_regime(Lambda, consts)
     damp = consts.C1 * 2.0 ** (-Lambda)
     return 2.0 * (consts.C0 + damp) ** 2 / Lambda**3 + damp / Lambda**2
 
 
 def lambda_star(consts: HighSnrConstants) -> float:
-    """Log-SNR threshold above which the latency-gap bracket stays positive."""
+    """Log-SNR threshold above which the latency-gap bracket stays positive,
+    if the expansion holds there (see ``_in_regime``)."""
     if consts.g_zeta <= 0:
         raise ParameterError("g(zeta) must be positive")
     g = consts.g_zeta
     ln2 = math.log(2.0)
-    return max(
-        consts.Lambda0,
-        16.0 * (consts.C0 + consts.C1) ** 2 * ln2 / g,
-        math.log2(8.0 * consts.C1 * ln2 / g),
-        1.0,
-    )
+    return _in_regime(max(consts.Lambda0,
+                          16.0 * (consts.C0 + consts.C1) ** 2 * ln2 / g,
+                          math.log2(8.0 * consts.C1 * ln2 / g), 1.0), consts)
 
 
 def afl_gap_bracket(Lambda: float, consts: HighSnrConstants) -> float:
     """The per-upload 1/R gap bracket; may be negative below lambda_star."""
-    if Lambda < consts.Lambda0:
-        raise OutOfRegimeError(
-            f"Lambda={Lambda} below expansion threshold {consts.Lambda0}"
-        )
+    _in_regime(Lambda, consts)
     ln2 = math.log(2.0)
     damp = consts.C1 * 2.0 ** (-Lambda)
     return (

@@ -3,7 +3,7 @@
 A position sample is a plain (K,) array on a 1-D corridor, a batch (n, K).
 This module decides where the radiator sits: the fixed antenna stays at the
 origin, the pinched one moves to the midpoint of the tightest window of M
-consecutive sorted users.  Their bottlenecks, the M-th smallest absolute
+consecutive sorted users.  Their ``bottlenecks``, the M-th smallest absolute
 offset and half that window's span, are the least cost of an M-window of the
 sorted row; the schedule takes the lowest window start of that cost.  The
 minimum spacing is the smallest of the K+1 gaps, edge gaps included, over D.
@@ -209,18 +209,27 @@ def pa_offsets(sorted_xs: np.ndarray, M: int, work=None) -> np.ndarray:
     return half
 
 
+def bottlenecks(sorted_xs: np.ndarray, M: int, arch: str, work=None):
+    """Bottleneck offset of each sorted row under ``arch``, by its kernel.
+    An AFL upload is the round of one user: on an (n, 1) batch at M = 1 the
+    fixed antenna's offset is |x| and the pinched one's 0."""
+    if arch not in (CONV, PA):
+        raise ParameterError(f"unknown architecture {arch!r}")
+    kernel = sorted_conv_offsets if arch == CONV else pa_offsets
+    return kernel(sorted_xs, M, work)
+
+
 def schedule_round(xs: np.ndarray, M: int, arch: str):
     """Scheduled user indices (ascending) and radiator position for one round.
 
     The M consecutive users of the stably sorted row whose window costs
-    least, ties going to the lowest window start.  Fixed antenna: cost
-    ``_reach``, radiator at the origin; at an exact tie |x| = |y| at the
-    M-th place the negative user, which sorts first, wins.  Pinched antenna:
-    cost ``_width``, radiator at the window's midpoint.  Non-finite
+    least, ties going to the lowest window start.  A window costs the
+    ``bottlenecks`` of its two ends, a sorted pair: fixed antenna,
+    ``_reach``, radiator at the origin, and at an exact tie |x| = |y| at the
+    M-th place the negative user, which sorts first, wins; pinched antenna,
+    half the ``_width``, radiator at the window's midpoint.  Non-finite
     positions raise ParameterError.
     """
-    if arch not in (CONV, PA):
-        raise ParameterError(f"unknown architecture {arch!r}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ParameterError("xs must be a 1-D array")
@@ -229,8 +238,7 @@ def schedule_round(xs: np.ndarray, M: int, arch: str):
     K, M = check_order(xs.size, M)
     order = np.argsort(xs, kind="stable")
     srt = xs[order]
-    cost = np.empty(K - M + 1)
-    (_reach if arch == CONV else _width)(srt[:K - M + 1], srt[M - 1:], cost)
-    i = int(cost.argmin())
+    ends = np.stack((srt[:K - M + 1], srt[M - 1:]), axis=1)
+    i = int(bottlenecks(ends, 2, arch).argmin())
     z = 0.0 if arch == CONV else float(0.5 * (srt[i] + srt[i + M - 1]))
     return np.sort(order[i:i + M]), z

@@ -139,8 +139,10 @@ class TestCriterion7:
             t_lo = c_eff / math.log2(1 + phyp.S / d_OP**2)
             t_hi = c_eff / math.log2(1 + phyp.S / (d_OP**2 + 25.0))
             grid = np.linspace(0.95 * t_lo, 1.05 * t_hi, 50)
-            ccdf = montecarlo.estimate_ccdfs(mode, ("CONV", "PA"), phyp, UNI,
-                                             40, M, trials, grid, seed=SEED)
+            # an AFL upload is the round of one user
+            ccdf = montecarlo.estimate_ccdfs(("CONV", "PA"), phyp, UNI,
+                                             40 if mode == "SFL" else 1, scale,
+                                             trials, grid, seed=SEED)
             conv, pa = ccdf["CONV"], ccdf["PA"]
             se = np.sqrt(np.maximum(conv * (1 - conv), 1e-12) / trials)
             ok &= bool(np.all(pa <= conv + 3.0 * se))

@@ -5,6 +5,7 @@ import argparse
 import builtins
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -73,6 +74,16 @@ class TestLoadConfig:
         # M is read by SFL runs only
         assert validate(RunConfig(k=3, mode="afl"), "train").mode == "afl"
 
+    def test_centred_mixture_is_valid(self):
+        # mu = 0 is one Gaussian at the origin; a negative mu is no mixture
+        for command in ("ccdf", "participation", "train"):
+            cfg = load_config(None, {"dist": "gaussian_mixture", "mu": "0"},
+                              command)
+            assert cfg.dist_spec().mu == 0.0
+            with pytest.raises(ConfigError, match="'mu'"):
+                load_config(None, {"dist": "gaussian_mixture", "mu": "-1"},
+                            command)
+
     def test_arch_case_normalized(self):
         assert load_config(None, {"arch": "pa"}).arch == "PA"
         assert load_config(None, {"mode": "AFL"}).mode == "afl"
@@ -128,6 +139,8 @@ class TestExitCodes:
         (["train", "--deadline", "0.02"], "deadline"),
         (["ccdf", "--mu", "3"], "mu"),
         (["participation", "--sigma-x", "0.5"], "sigma_x"),
+        # an AFL upload is the round of one user, whatever K
+        (["ccdf", "--mode", "afl", "--k", "3"], "k"),
     ])
     def test_key_read_only_in_another_mode_or_distribution_is_named(
             self, tmp_path, capsys, argv, key):
@@ -184,11 +197,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,rc", [
         (["participation", "--k", "5", "--trials", "100"], 0),
         (["participation", "--k", "3", "--m", "0", "--trials", "100"], 1),
-        (["ccdf", "--mode", "afl", "--k", "3", "--trials", "100"], 0),
         (["train", "--mode", "afl", "--k", "3", "--rounds", "2"], 0),
         (["highsnr", "--k", "3"], 1),
-    ], ids=["participation", "participation-m0", "ccdf-afl", "train-afl",
-            "highsnr"])
+    ], ids=["participation", "participation-m0", "train-afl", "highsnr"])
     def test_m_is_not_checked_where_it_is_not_read(self, tmp_path, capsys,
                                                   argv, rc):
         # the default M=7 exceeds these K, and no command here reads M; a
@@ -406,6 +417,77 @@ class TestArtifacts:
         assert payload["metrics"]["pa_dominates"] in (True, False)
 
 
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# the effect check's small run; its deadline is one that CONV users beyond
+# about 3 m miss, so that HT and uniform weights differ
+_BASE = RunConfig(k=5, m=2, trials=200, grid_points=4, rounds=20,
+                  deadline=0.0115, rate=200.0)
+_CHOICES = {"mode": ("sfl", "afl"), "dist": ("uniform", "gaussian_mixture"),
+            "fc_kind": ("deterministic", "shifted_exponential"),
+            "weighting": ("HT", "uniform"), "arch": ("both", "PA")}
+# valid values besides the base one; a choice key takes its other choice
+_OTHER = {"k": [6], "m": [3], "corridor": [8.0], "height": [2.0],
+          "power": [0.02], "noise": [2e-12], "f_c": [20e9],
+          "bandwidth": [2e6], "payload": [2e5], "snr": [1e6], "bits": [2],
+          "c_q": [0.0, 2.0], "deadline": [0.02], "t0": [0.001],
+          "rate": [100.0], "p_s": [0.5], "tick": [0.004], "mu": [0.0],
+          "sigma_x": [1.0], "eta": [0.2], "rounds": [40], "horizon": [0.1],
+          "sigma_grad": [0.1], "delta2": [0.1], "dim": [3], "target": [1e9],
+          "trials": [300], "seed": [2], "grid_points": [5]}
+
+
+def _constant_rows(cfg, value):
+    return cfg.sigma_grad == cfg.delta2 == 0
+
+
+# (command, or None for every command; key; when, given the base config and
+# the other value; why the value changes no output there)
+_IGNORED = [
+    ("participation", "p_s", lambda cfg, value: True,
+     "the sweep counts the users that finish by the deadline, triggered or "
+     "not; only the AFL training gate draws the trigger"),
+    (None, "rate", lambda cfg, value: cfg.fc_kind == "deterministic",
+     "deterministic compute draws no exponential time"),
+    (None, "corridor", lambda cfg, value: cfg.dist == "gaussian_mixture",
+     "PhyParams.D is read only on the uniform corridor; dropping it is "
+     "blocked, as the benchmark passes D to PhyParams.from_snr_scale"),
+    ("train", "bits", _constant_rows,
+     "every gradient row is constant, so every entry sits on the top "
+     "quantizer level (ROADMAP item 13(b))"),
+    ("train", "c_q", _constant_rows,
+     "every gradient row is constant, so the quantizer returns it exactly "
+     "(ROADMAP item 13(b))"),
+    ("train", "c_q", lambda cfg, value: value != 0,
+     "training reads only whether c_q is 0 (ROADMAP item 8(a))"),
+]
+
+
+def _contexts(command):
+    """The base config in each mode, distribution, compute family and
+    gradient noise that ``command`` reads, once per distinct reading."""
+    seen = set()
+    for mode, dist, fc_kind, noise in itertools.product(
+            _CHOICES["mode"], _CHOICES["dist"], _CHOICES["fc_kind"],
+            (0.0, 0.05)):
+        cfg = dataclasses.replace(_BASE, mode=mode, dist=dist,
+                                  fc_kind=fc_kind, sigma_grad=noise,
+                                  delta2=noise)
+        reading = tuple(getattr(cfg, key) if key in reads(cfg, command)
+                        else None for key in ("mode", "dist", "fc_kind",
+                                              "sigma_grad"))
+        if reading not in seen:
+            seen.add(reading)
+            yield cfg
+
+
+def _output(command, cfg):
+    """The rows and metrics ``command`` returns at ``cfg``, as text, less
+    the metrics that echo a config field."""
+    rows, metrics = _COMMANDS[command](validate(cfg, command))
+    return repr((rows, {key: value for key, value in metrics.items()
+                        if key not in _FIELDS}))
+
+
 class TestCommandTable:
     ARGVS = {
         "ccdf": ["--k", "10", "--m", "3", "--trials", "2000",
@@ -441,6 +523,27 @@ class TestCommandTable:
                 assert seen & names == reads(cfg, name) - {"out"}, (mode, dist)
                 union |= seen & names
         assert union == {key for key, _ in flags(name)} - {"out"}
+
+    @pytest.mark.parametrize("name", list(ARGVS))
+    def test_each_key_a_command_reads_changes_its_output(self, name):
+        # by effect: a field that the command records but never uses counts
+        # as unread here, unlike in the recorder test above
+        unread = []
+        for cfg in _contexts(name):
+            base = _output(name, cfg)
+            for key in sorted(reads(cfg, name) - {"out"}):
+                others = _OTHER.get(key) or [
+                    next(c for c in _CHOICES[key] if c != getattr(cfg, key))]
+                for value in others:
+                    if any(command in (None, name) and key == ignored
+                           and when(cfg, value)
+                           for command, ignored, when, _ in _IGNORED):
+                        continue
+                    if _output(name, dataclasses.replace(
+                            cfg, **{key: value})) == base:
+                        unread.append((cfg.mode, cfg.dist, cfg.fc_kind,
+                                       cfg.sigma_grad, key, value))
+        assert not unread
 
     def test_parser_reads_the_table(self):
         parser = _build_parser()

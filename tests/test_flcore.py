@@ -746,6 +746,7 @@ _BAD_RUN_ARGS = [
     ("afl", "tick_period", math.nan), ("afl", "tick_period", math.inf),
     ("afl", "tick_period", -1.0),
     ("afl", "tick_period", 1e-320),  # horizon_s / tick_period overflows
+    ("sfl", "arch", "BEAM"), ("afl", "arch", "BEAM"),
     # a NaN position used to win PA's window and make every logged time NaN
     # under SFL, and get pi = 1 but never upload under AFL at CONV
     *((loop, "xs", np.array([0.1, bad, -0.3, 2.0] * 2))

@@ -156,10 +156,12 @@ class TestBlocks:
         runs = {}
         for rows in (4096, 333):
             monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", rows)
-            ccdfs = [c.tolist() for mode in ("SFL", "AFL")
+            # an SFL round of M of K users, and an AFL upload, the round
+            # of one user
+            ccdfs = [c.tolist() for k, m in ((K, M), (1, 1))
                      for c in montecarlo.estimate_ccdfs(
-                         mode, ("CONV", "PA"), PHY, spec, K, M, trials,
-                         grid, seed).values()]
+                         ("CONV", "PA"), PHY, spec, k, m, trials, grid,
+                         seed).values()]
             sweeps = [montecarlo.participation_sweep(K, grid, model, spec,
                                                      PHY, trials, seed)
                       for model in models]
@@ -173,87 +175,80 @@ class TestBlocks:
 
 class TestEstimateCcdf:
     def test_deterministic_rerun(self):
-        a, b = (montecarlo.estimate_ccdfs("SFL", ("CONV",), PHY, UNI, 20, 5,
-                                          5000, GRID, seed=3)["CONV"]
+        a, b = (montecarlo.estimate_ccdfs(("CONV",), PHY, UNI, 20, 5, 5000,
+                                          GRID, seed=3)["CONV"]
                 for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_ccdf_monotone_nonincreasing(self):
-        ccdf = montecarlo.estimate_ccdfs("SFL", ("PA",), PHY, UNI, 20, 5, 5000,
-                                         GRID, seed=1)["PA"]
+        ccdf = montecarlo.estimate_ccdfs(("PA",), PHY, UNI, 20, 5, 5000, GRID,
+                                         seed=1)["PA"]
         assert np.all(np.diff(ccdf) <= 0.0)
         assert np.all((0.0 <= ccdf) & (ccdf <= 1.0))
 
     def test_pa_dominates_conv_paired(self):
-        ccdf = montecarlo.estimate_ccdfs("SFL", ("CONV", "PA"), PHY, UNI, 20,
-                                         5, 20_000, GRID, seed=9)
+        ccdf = montecarlo.estimate_ccdfs(("CONV", "PA"), PHY, UNI, 20, 5,
+                                         20_000, GRID, seed=9)
         # the same position draws: dominance is exact
         assert np.all(ccdf["PA"] <= ccdf["CONV"])
 
     def test_afl_pa_is_degenerate(self):
         tau = PHY.c / np.log2(1.0 + PHY.S / PHY.d**2)
         grid = np.array([tau * 0.99, tau * 1.01])
-        ccdf = montecarlo.estimate_ccdfs("AFL", ("PA",), PHY, UNI, 1, None,
-                                         1000, grid, seed=0)["PA"]
+        # an AFL upload, the round of one user, at the pinned link
+        ccdf = montecarlo.estimate_ccdfs(("PA",), PHY, UNI, 1, 1, 1000, grid,
+                                         seed=0)["PA"]
         assert ccdf.tolist() == [1.0, 0.0]
 
     def test_rejects_bad_inputs(self, no_draws):
         with pytest.raises(ParameterError):
-            montecarlo.estimate_ccdfs("SFL", ("CONV",), PHY, UNI, 20, 5, 0,
-                                      GRID, seed=0)
+            montecarlo.estimate_ccdfs(("CONV",), PHY, UNI, 20, 5, 0, GRID,
+                                      seed=0)
         with pytest.raises(ParameterError):
-            montecarlo.estimate_ccdfs("batch", ("CONV",), PHY, UNI, 20, 5, 10,
-                                      GRID, seed=0)
-        with pytest.raises(ParameterError):
-            montecarlo.estimate_ccdfs("SFL", ("CONV",), PHY, UNI, 20, 5, 10,
+            montecarlo.estimate_ccdfs(("CONV",), PHY, UNI, 20, 5, 10,
                                       GRID[::-1], seed=0)
-        # K < 1 or not integral, and M outside [1, K] or not integral under
-        # SFL, fail before any draw
-        for mode, arch, K, M in [("SFL", "CONV", 20, 0), ("SFL", "PA", 20, 0),
-                                 ("SFL", "CONV", 20, -1), ("SFL", "CONV", 20, 21),
-                                 ("SFL", "PA", 20, 21), ("SFL", "CONV", 0, 1),
-                                 ("SFL", "CONV", 20, 2.9), ("SFL", "PA", 4.5, 2),
-                                 ("AFL", "CONV", 0, None), ("AFL", "CONV", 4.5, None)]:
+        # K < 1 or not integral, and M outside [1, K] or not integral, fail
+        # before any draw
+        for arch, K, M in [("CONV", 20, 0), ("PA", 20, 0), ("CONV", 20, -1),
+                           ("CONV", 20, 21), ("PA", 20, 21), ("CONV", 0, 1),
+                           ("CONV", 20, 2.9), ("PA", 4.5, 2), ("CONV", 1, 2),
+                           ("CONV", 4.5, 1)]:
             with pytest.raises(ParameterError):
-                montecarlo.estimate_ccdfs(mode, (arch,), PHY, UNI, K, M, 10,
-                                          GRID, seed=0)
+                montecarlo.estimate_ccdfs((arch,), PHY, UNI, K, M, 10, GRID,
+                                          seed=0)
 
     def test_nan_grid_point_rejected(self, no_draws):
         for grid in ([np.nan], [0.01, np.nan], [np.nan, 0.01, 0.02]):
             with pytest.raises(ParameterError):
-                montecarlo.estimate_ccdfs("SFL", ("CONV",), PHY, UNI, 20, 5,
-                                          10, grid, seed=0)
+                montecarlo.estimate_ccdfs(("CONV",), PHY, UNI, 20, 5, 10, grid,
+                                          seed=0)
 
     def test_inf_grid_point_is_valid(self):
-        ccdf = montecarlo.estimate_ccdfs("SFL", ("CONV",), PHY, UNI, 20, 5,
-                                         100, [0.0, np.inf], seed=0)["CONV"]
+        ccdf = montecarlo.estimate_ccdfs(("CONV",), PHY, UNI, 20, 5, 100,
+                                         [0.0, np.inf], seed=0)["CONV"]
         assert ccdf.tolist() == [1.0, 0.0]
 
-    @pytest.mark.parametrize("mode", ["SFL", "AFL"])
+    # an SFL round, and an AFL upload, the round of one user
+    @pytest.mark.parametrize("K,M", [(12, 4), (1, 1)], ids=["SFL", "AFL"])
     @pytest.mark.parametrize("arch", ["CONV", "PA"])
-    def test_counts_match_pairwise_reference(self, monkeypatch, mode, arch):
+    def test_counts_match_pairwise_reference(self, monkeypatch, K, M, arch):
         # several blocks, the last one partial
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 1000)
-        trials, seed, K, M = 2500, 6, 12, 4
+        trials, seed = 2500, 6
         afl_pa = upload_latency(PHY.B_t / PHY.W, 0.0, 0.0, PHY.S, PHY.d)
         grid = np.sort(np.concatenate([GRID, [afl_pa, afl_pa]]))
-        ccdf = montecarlo.estimate_ccdfs(mode, (arch,), PHY, UNI, K, M, trials,
-                                         grid, seed=seed)[arch]
-        lat = _fresh_latencies(mode, arch, UNI, K, M, trials, seed)
+        ccdf = montecarlo.estimate_ccdfs((arch,), PHY, UNI, K, M, trials, grid,
+                                         seed=seed)[arch]
+        lat = _fresh_latencies(arch, UNI, K, M, trials, seed)
         exceed = (lat[:, None] > grid[None, :]).sum(axis=0)
         assert np.array_equal(ccdf, exceed / trials)
 
 
-def _fresh_latencies(mode, arch, spec, K, M, trials, seed):
-    """Every trial's latency, from one whole draw: under AFL one user's
-    |x|, or the pinned link; under SFL the CONV offset from the sorted |x|
-    and the PA offset from the full array of window spans of a sorted copy."""
-    if mode == "AFL":
-        if arch == "PA":
-            return np.full(trials, upload_latency(PHY.c, 0.0, 0.0, PHY.S,
-                                                  PHY.d))
-        xs, _ = _whole_draw(spec, 1, trials, seed)
-        return upload_latency(PHY.c, xs[:, 0], 0.0, PHY.S, PHY.d)
+def _fresh_latencies(arch, spec, K, M, trials, seed):
+    """Every trial's latency, from one whole draw: the CONV offset from the
+    sorted |x| and the PA offset from the full array of window spans of a
+    sorted copy.  At K = M = 1, an AFL upload, they are the user's |x| and
+    0, the pinned link."""
     xs, _ = _whole_draw(spec, K, trials, seed)
     if arch == "CONV":
         offset = np.sort(np.abs(xs), axis=1)[:, M - 1]
@@ -264,22 +259,23 @@ def _fresh_latencies(mode, arch, spec, K, M, trials, seed):
 
 
 class TestEstimateCcdfs:
-    @pytest.mark.parametrize("mode", ["SFL", "AFL"])
+    # SFL rounds of K = 11 users, and AFL uploads, rounds of one user
+    @pytest.mark.parametrize("K", [11, 1], ids=["SFL", "AFL"])
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     @pytest.mark.parametrize("M", [1, 11])
-    def test_paired_equals_single_and_fresh_draws(self, monkeypatch, mode,
-                                                  spec, M):
+    def test_paired_equals_single_and_fresh_draws(self, monkeypatch, K, spec,
+                                                  M):
         # three full blocks of 4096 rows and a partial one; a grid point at
         # every reference latency makes any wrong or stale row change a count
-        K, trials, seed = 11, 14000, 4
-        ref = {arch: _fresh_latencies(mode, arch, spec, K, M, trials, seed)
+        M, trials, seed = min(M, K), 14000, 4
+        ref = {arch: _fresh_latencies(arch, spec, K, M, trials, seed)
                for arch in ("CONV", "PA")}
         grid = np.sort(np.concatenate(list(ref.values())))
-        paired = montecarlo.estimate_ccdfs(mode, ("CONV", "PA"), PHY, spec, K,
-                                           M, trials, grid, seed)
+        paired = montecarlo.estimate_ccdfs(("CONV", "PA"), PHY, spec, K, M,
+                                           trials, grid, seed)
         assert list(paired) == ["CONV", "PA"]
         for arch, lat in ref.items():
-            single = montecarlo.estimate_ccdfs(mode, (arch,), PHY, spec, K, M,
+            single = montecarlo.estimate_ccdfs((arch,), PHY, spec, K, M,
                                                trials, grid, seed)[arch]
             assert np.array_equal(paired[arch], single)
             met = np.searchsorted(np.sort(lat), grid, side="right")
@@ -291,18 +287,18 @@ class TestEstimateCcdfs:
         # every reference latency makes any wrong row change a count
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
         K, M, trials, seed = 9, 3, 1600, 8
-        ref = {arch: _fresh_latencies("SFL", arch, spec, K, M, trials, seed)
+        ref = {arch: _fresh_latencies(arch, spec, K, M, trials, seed)
                for arch in ("CONV", "PA")}
         grid = np.sort(np.concatenate(list(ref.values())))
-        got = montecarlo.estimate_ccdfs("SFL", ("CONV", "PA"), PHY, spec, K,
-                                        M, trials, grid, seed)
+        got = montecarlo.estimate_ccdfs(("CONV", "PA"), PHY, spec, K, M,
+                                        trials, grid, seed)
         for arch, lat in ref.items():
             met = np.searchsorted(np.sort(lat), grid, side="right")
             assert np.array_equal(got[arch], (trials - met) / trials)
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
-    @pytest.mark.parametrize("mode", ["SFL", "AFL"])
-    def test_peak_memory_is_a_few_blocks(self, monkeypatch, mode, spec):
+    @pytest.mark.parametrize("K,M", [(10, 3), (1, 1)], ids=["SFL", "AFL"])
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch, K, M, spec):
         # 20000 trials are 40 blocks, the last one partial; an array of one
         # value per trial would be 4 blocks of 10 users, or 40 of one user,
         # the one position an AFL trial draws.  An SFL run holds one block
@@ -311,21 +307,19 @@ class TestEstimateCcdfs:
         # temporary of the offset kernels, so those set its peak; at K = M = 1
         # they allocate no scratch column
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
-        K, M = 10, 3
-        bound = 5 if mode == "AFL" else 2 if spec is UNI else 3
+        bound = 5 if K == 1 else 2 if spec is UNI else 3
         assert _peak_blocks(lambda: montecarlo.estimate_ccdfs(
-            mode, ("CONV", "PA"), PHY, spec, K, M, 20_000, GRID, seed=0),
-            K if mode == "SFL" else 1) < bound
+            ("CONV", "PA"), PHY, spec, K, M, 20_000, GRID, seed=0), K) < bound
 
     def test_rejects_bad_archs(self, no_draws):
         for archs in [(), ["CONV", "CONV"], ("PA", "CONV", "PA"), ("BEAM",),
                       ("CONV", "beam"), "CONV"]:
             with pytest.raises(ParameterError):
-                montecarlo.estimate_ccdfs("SFL", archs, PHY, UNI, 20, 5, 10,
-                                          GRID, seed=0)
+                montecarlo.estimate_ccdfs(archs, PHY, UNI, 20, 5, 10, GRID,
+                                          seed=0)
         with pytest.raises(ParameterError):
-            montecarlo.estimate_ccdfs("AFL", ("BEAM",), PHY, UNI, 20, None, 10,
-                                      GRID, seed=0)
+            montecarlo.estimate_ccdfs(("BEAM",), PHY, UNI, 1, 1, 10, GRID,
+                                      seed=0)
 
 
 def _runners(trials):
@@ -333,10 +327,10 @@ def _runners(trials):
     model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
     return [
         lambda: montecarlo.verify_bounds([3], [2], 10.0, trials, seed=0),
-        lambda: montecarlo.estimate_ccdfs("SFL", ("CONV", "PA"), PHY, GM, 3,
-                                          2, trials, GRID, seed=0),
-        lambda: montecarlo.estimate_ccdfs("AFL", ("CONV",), PHY, UNI, 3, None,
+        lambda: montecarlo.estimate_ccdfs(("CONV", "PA"), PHY, GM, 3, 2,
                                           trials, GRID, seed=0),
+        lambda: montecarlo.estimate_ccdfs(("CONV",), PHY, UNI, 1, 1, trials,
+                                          GRID, seed=0),
         lambda: montecarlo.participation_sweep(3, [0.01, 0.02], model, UNI,
                                                PHY, trials, seed=0),
     ]

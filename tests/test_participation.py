@@ -129,6 +129,13 @@ class TestGmAbsCdf:
             val, _ = quad(dens, -rho, rho, epsabs=1e-12)
             assert gm_abs_cdf(rho, 3.0, 0.5) == pytest.approx(val, abs=1e-10)
 
+    def test_centred_mixture_is_one_gaussian(self):
+        # mu = 0 merges the two clusters: P(|X| <= rho) = erf(rho/(sigma sqrt 2))
+        for sigma in (0.05, 0.5, 3.0):
+            for rho in np.linspace(0.0, 10.0 * sigma, 201):
+                assert abs(gm_abs_cdf(rho, 0.0, sigma)
+                           - math.erf(rho / (sigma * math.sqrt(2.0)))) <= 1e-15
+
     @settings(max_examples=100, deadline=None)
     @given(rho=st.floats(0.0, 20.0), mu=st.floats(0.0, 5.0),
            sigma=st.floats(0.05, 3.0))

@@ -189,6 +189,26 @@ class TestRemainderEnvelope:
         assert e2 < e1
 
 
+class TestRegime:
+    def test_lambda_whose_cube_overflows_is_out_of_regime(self):
+        # a cube overflows a double from Lambda of about 5.64e102 on
+        c = phy.high_snr_constants(10.0, 3.0)
+        for bound in (phy.remainder_envelope, phy.afl_gap_bracket):
+            assert math.isfinite(bound(5.6e102, c))
+            for bad in (5.7e102, math.inf, math.nan):
+                with pytest.raises(OutOfRegimeError,
+                                   match=r"Lambda=\S+ at zeta=1\.66"):
+                    bound(bad, c)
+
+    @pytest.mark.parametrize("D,lam", [(1e-50, "3.1"), (1e-160, "inf")])
+    def test_lambda_star_beyond_the_regime_is_rejected(self, D, lam):
+        # lambda* grows as 3/zeta^2: its cube overflows at zeta ~ 1.7e-51,
+        # and at zeta ~ 1.7e-161 g(zeta) is subnormal and lambda* infinite
+        with pytest.raises(OutOfRegimeError,
+                           match=rf"Lambda={lam}\S* at zeta=1\.6"):
+            phy.lambda_star(phy.high_snr_constants(D, 3.0))
+
+
 class TestGapBracket:
     def test_positive_at_and_beyond_lambda_star(self):
         c = phy.high_snr_constants(10.0, 3.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, _min_spacing,
+                             DistributionSpec, _min_spacing, bottlenecks,
                              draw_positions, pa_offsets, sample_positions,
                              schedule_round, sorted_conv_offsets)
 
@@ -249,6 +249,29 @@ class TestScheduleRound:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ParameterError, match="xs"):
                     schedule_round(np.array([0.1, bad, -0.3, 2.0]), 2, arch)
+
+
+class TestBottlenecks:
+    def test_one_kernel_per_architecture(self):
+        srt = np.sort(np.random.default_rng(3).uniform(-5, 5, (50, 9)), axis=1)
+        for M in (1, 4, 9):
+            for arch, kernel in ((CONV, sorted_conv_offsets), (PA, pa_offsets)):
+                want = kernel(srt, M)
+                assert np.array_equal(bottlenecks(srt, M, arch), want)
+                assert np.array_equal(bottlenecks(srt, M, arch,
+                                                  np.empty(50 * 3)), want)
+
+    def test_an_upload_is_the_round_of_one_user(self):
+        # CONV serves a lone user at |x|, PA pins the radiator over it
+        xs = np.array([-4.5, -0.0, 0.0, 1e-300, 2.5])
+        assert bottlenecks(xs[:, None], 1, CONV).tolist() == \
+            np.abs(xs).tolist()
+        assert bottlenecks(xs[:, None], 1, PA).tolist() == [0.0] * 5
+
+    def test_unknown_architecture_rejected(self):
+        for arch in ("BEAM", "conv", None):
+            with pytest.raises(ParameterError, match="unknown architecture"):
+                bottlenecks(np.zeros((2, 3)), 2, arch)
 
 
 def _peak_columns(run, n):
