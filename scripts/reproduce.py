@@ -111,7 +111,8 @@ RUNS = {
     "seed_neg_train": ("train --rounds 2 --seed -1", 2),
     # exit 3: an SNR scale this small rounds every rate to zero, a step
     # this large diverges, with and without the quantizer, and a corridor
-    # this short puts lambda* where its cube overflows, or at infinity
+    # this short puts lambda* where its cube overflows, or at infinity, also
+    # where zeta^2 underflows in the series of g(zeta)
     "dead_link_train_afl_conv": ("train --mode afl --arch CONV --snr 1e-30", 3),
     "dead_link_train_afl_pa": ("train --mode afl --arch PA --snr 1e-30", 3),
     "dead_link_train_sfl": ("train --mode sfl --snr 1e-30", 3),
@@ -123,6 +124,7 @@ RUNS = {
     "diverge_afl_cq1": ("train --mode afl --c-q 1 --eta 1e155 --rounds 5", 3),
     "highsnr_cube_overflow": ("highsnr --corridor 1e-50", 3),
     "highsnr_infinite_lambda_star": ("highsnr --corridor 1e-160", 3),
+    "highsnr_zeta_underflow": ("highsnr --corridor 1e-170", 3),
 }
 
 

@@ -8,13 +8,12 @@ lower bound and the smaller of two span-based upper bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class StragglerMomentReport:
+class StragglerMomentReport(NamedTuple):
     """Second-moment report for one (K, M, D) operating point.
 
     conv_E2 is exact; pa_ub_avg / pa_ub_beta / pa_lb bracket the movable-

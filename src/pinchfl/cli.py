@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -91,7 +90,7 @@ def _write_artifacts(command: str, cfg: RunConfig, rows: List[Sequence],
     csv.writer(table).writerows(
         [repr(float(v)) if isinstance(v, float) else v for v in row]
         for row in rows)
-    payload = {"config": dataclasses.asdict(cfg), "metrics": metrics}
+    payload = {"config": cfg._asdict(), "metrics": metrics}
     if "seed" in reads(cfg, command):
         payload["seed"] = cfg.seed
     texts = {"csv": table.getvalue(),
@@ -172,7 +171,7 @@ def _cmd_highsnr(cfg: RunConfig) -> _Artifacts:
                 lam_star, 2 * lam_star):
         rows.append([float(lam), remainder_envelope(lam, consts),
                      afl_gap_bracket(lam, consts)])
-    metrics = dict(dataclasses.asdict(consts))
+    metrics = consts._asdict()
     metrics["lambda_star"] = lam_star
     metrics["bracket_positive_at_lambda_star"] = bool(
         afl_gap_bracket(lam_star, consts) > 0
@@ -187,8 +186,7 @@ def _cmd_train(cfg: RunConfig) -> _Artifacts:
     xs = sample_positions(cfg.dist_spec(), cfg.k, cfg.seed)
     phy, spec = cfg.phy(), cfg.quantizer()
     archs = [CONV, PA] if cfg.arch == "both" else [cfg.arch]
-    header = [f.name for f in dataclasses.fields(TrainRecord)]
-    rows: List[Sequence] = [header]
+    rows: List[Sequence] = [TrainRecord._fields]
     metrics = {}
     for arch in archs:
         if cfg.mode == "sfl":
@@ -199,9 +197,8 @@ def _cmd_train(cfg: RunConfig) -> _Artifacts:
                           spec, cfg.afl_horizon(), arch, cfg.seed,
                           weighting=cfg.weighting,
                           tick_period=cfg.tick_period())
-        for rec in log.records:
-            row = vars(rec) | {"scheduled": " ".join(map(str, rec.scheduled))}
-            rows.append([row[name] for name in header])
+        rows += (rec._replace(scheduled=" ".join(map(str, rec.scheduled)))
+                 for rec in log.records)
         # strict JSON has no NaN or Infinity: no events or an unreached
         # target are null
         final = log.records[-1].loss if log.records else None
@@ -220,13 +217,12 @@ def _cmd_verify(cfg: RunConfig) -> _Artifacts:
     """closed-form straggler moments; every bound vs Monte Carlo"""
     verdicts = montecarlo.verify_bounds([cfg.k], [cfg.m], cfg.corridor,
                                         cfg.trials, cfg.seed)
-    rows = [[f.name for f in dataclasses.fields(montecarlo.BoundVerdict)],
-            *map(dataclasses.astuple, verdicts)]
+    rows = [montecarlo.BoundVerdict._fields, *verdicts]
     metrics = {
         "all_passed": bool(all(v.passed for v in verdicts)),
         "checks": {v.name: v.passed for v in verdicts},
-        "moments": dataclasses.asdict(
-            analytics.straggler_moments(cfg.k, cfg.m, cfg.corridor)),
+        "moments": analytics.straggler_moments(cfg.k, cfg.m,
+                                               cfg.corridor)._asdict(),
     }
     return rows, metrics
 

@@ -9,7 +9,7 @@ malformed or out-of-range values raise ``ConfigError`` naming the key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import ConfigError, ParameterError
@@ -25,64 +25,66 @@ _DEADLINE = "participation train:afl"
 _MIXTURE = " ".join(f"{c}:{GAUSSIAN_MIXTURE}" for c in _SIM.split())
 
 
-def _knob(default, readers: str, help: str):
-    """A field with its help and its readers: commands, each written
-    ``command:when`` where it reads the field only in one mode (sfl or afl)
-    or one distribution (uniform or gaussian_mixture)."""
-    readers = dict(r.partition(":")[::2] for r in readers.split())
-    return field(default=default, metadata={"help": help, "readers": readers})
+# (name, default, readers, help) of each knob, the one list of RunConfig's
+# fields.  A key parses as the type of its default.  Its readers are
+# commands, each written ``command:when`` where it reads the key only in one
+# mode (sfl or afl) or one distribution (uniform or gaussian_mixture).
+_KNOBS = (
+    # population and geometry
+    ("k", 40, "ccdf:sfl participation train verify", "number of users K"),
+    ("m", 7, "ccdf:sfl train:sfl verify", "users per SFL round M"),
+    ("corridor", 10.0, _ALL, "corridor length D, metres"),
+    ("height", 3.0, _SIM + " highsnr", "waveguide height d, metres"),
+    # link budget
+    ("power", 0.01, _SIM, "transmit power P, watts"),
+    ("noise", 1e-12, _SIM, "noise power sigma_n^2, watts"),
+    ("f_c", 28e9, _SIM, "carrier frequency, Hz"),
+    ("bandwidth", 1e6, _SIM, "total bandwidth W, Hz"),
+    ("payload", 1e5, _SIM, "update payload B_t, bits"),
+    ("snr", 0.0, _SIM, "SNR scale; 0 uses power and noise"),
+    # compression
+    ("bits", 6, "train", "quantizer bits per coordinate, 1 to 53"),
+    ("c_q", 1.0, "train", "quantizer fidelity constant; 0 is lossless"),
+    # deadline / trigger model
+    ("deadline", 0.012, _DEADLINE, "deadline T_d, seconds"),
+    ("t0", 0.0, _DEADLINE, "compute-time offset, seconds"),
+    ("fc_kind", DETERMINISTIC, _DEADLINE,
+     "compute time: deterministic or shifted_exponential"),
+    ("rate", 0.0, _DEADLINE, "exponential compute-time rate, 1/s"),
+    ("p_s", 1.0, _DEADLINE, "trigger probability, in (0, 1]"),
+    ("tick", 0.0, "train:afl", "AFL trigger period; 0 = deadline"),
+    # spatial distribution
+    ("dist", UNIFORM, _SIM, "positions: uniform or gaussian_mixture"),
+    ("mu", 3.0, _MIXTURE, "mixture cluster offset, metres"),
+    ("sigma_x", 0.5, _MIXTURE, "mixture cluster spread, metres"),
+    # training
+    ("eta", 0.1, "train", "step size"),
+    ("rounds", 200, "train", "SFL rounds, or AFL ticks at horizon 0"),
+    ("horizon", 0.0, "train:afl", "AFL wall-clock horizon, seconds; 0 uses "
+     "rounds times the tick period"),
+    ("sigma_grad", 0.0, "train", "gradient noise deviation"),
+    ("delta2", 0.0, "train", "heterogeneity of the user centres"),
+    ("dim", 8, "train", "model dimension"),
+    ("target", 1e-3, "train", "loss target of time_to_target"),
+    ("weighting", "HT", "train:afl", "AFL weights: HT or uniform"),
+    # experiment plumbing
+    ("trials", 100_000, "ccdf participation verify", "Monte Carlo trials"),
+    ("seed", 1, "ccdf participation train verify", "random seed"),
+    ("grid_points", 50, "ccdf participation", "points of the grid"),
+    ("arch", "both", "ccdf train", "architecture: CONV, PA or both"),
+    ("mode", "sfl", "ccdf train", "sfl or afl"),
+    ("out", ".", _ALL, "artifact directory"),
+)
+_TYPES = {name: type(default) for name, default, _, _ in _KNOBS}
+_READERS = {name: dict(r.partition(":")[::2] for r in readers.split())
+            for name, _, readers, _ in _KNOBS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("_RunConfigFields", list(_TYPES),
+                           defaults=[default for _, default, _, _ in _KNOBS])):
     """Every knob of the simulator with its readers, validated as a whole."""
 
-    # population and geometry
-    k: int = _knob(40, "ccdf:sfl participation train verify",
-                   "number of users K")
-    m: int = _knob(7, "ccdf:sfl train:sfl verify", "users per SFL round M")
-    corridor: float = _knob(10.0, _ALL, "corridor length D, metres")
-    height: float = _knob(3.0, _SIM + " highsnr", "waveguide height d, metres")
-    # link budget
-    power: float = _knob(0.01, _SIM, "transmit power P, watts")
-    noise: float = _knob(1e-12, _SIM, "noise power sigma_n^2, watts")
-    f_c: float = _knob(28e9, _SIM, "carrier frequency, Hz")
-    bandwidth: float = _knob(1e6, _SIM, "total bandwidth W, Hz")
-    payload: float = _knob(1e5, _SIM, "update payload B_t, bits")
-    snr: float = _knob(0.0, _SIM, "SNR scale; 0 uses power and noise")
-    # compression
-    bits: int = _knob(6, "train", "quantizer bits per coordinate, 1 to 53")
-    c_q: float = _knob(1.0, "train", "quantizer fidelity constant; 0 is lossless")
-    # deadline / trigger model
-    deadline: float = _knob(0.012, _DEADLINE, "deadline T_d, seconds")
-    t0: float = _knob(0.0, _DEADLINE, "compute-time offset, seconds")
-    fc_kind: str = _knob(DETERMINISTIC, _DEADLINE,
-                         "compute time: deterministic or shifted_exponential")
-    rate: float = _knob(0.0, _DEADLINE, "exponential compute-time rate, 1/s")
-    p_s: float = _knob(1.0, _DEADLINE, "trigger probability, in (0, 1]")
-    tick: float = _knob(0.0, "train:afl", "AFL trigger period; 0 = deadline")
-    # spatial distribution
-    dist: str = _knob(UNIFORM, _SIM, "positions: uniform or gaussian_mixture")
-    mu: float = _knob(3.0, _MIXTURE, "mixture cluster offset, metres")
-    sigma_x: float = _knob(0.5, _MIXTURE, "mixture cluster spread, metres")
-    # training
-    eta: float = _knob(0.1, "train", "step size")
-    rounds: int = _knob(200, "train", "SFL rounds, or AFL ticks at horizon 0")
-    horizon: float = _knob(0.0, "train:afl", "AFL wall-clock horizon, "
-                           "seconds; 0 uses rounds times the tick period")
-    sigma_grad: float = _knob(0.0, "train", "gradient noise deviation")
-    delta2: float = _knob(0.0, "train", "heterogeneity of the user centres")
-    dim: int = _knob(8, "train", "model dimension")
-    target: float = _knob(1e-3, "train", "loss target of time_to_target")
-    weighting: str = _knob("HT", "train:afl", "AFL weights: HT or uniform")
-    # experiment plumbing
-    trials: int = _knob(100_000, "ccdf participation verify",
-                        "Monte Carlo trials")
-    seed: int = _knob(1, "ccdf participation train verify", "random seed")
-    grid_points: int = _knob(50, "ccdf participation", "points of the grid")
-    arch: str = _knob("both", "ccdf train", "architecture: CONV, PA or both")
-    mode: str = _knob("sfl", "ccdf train", "sfl or afl")
-    out: str = _knob(".", _ALL, "artifact directory")
+    __slots__ = ()
 
     # ---- derived module objects -------------------------------------------
 
@@ -115,19 +117,12 @@ class RunConfig:
         return self.horizon if self.horizon > 0 else self.rounds * self.tick_period()
 
 
-# each key parses as its annotation in RunConfig, a string under postponed
-# evaluation of annotations
-_FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
-                for f in fields(RunConfig)}
-_READERS = {f.name: f.metadata["readers"] for f in fields(RunConfig)}
-
-
 def flags(command: str) -> List[Tuple[str, str]]:
     """``(key, help)`` of each field ``command`` reads in any mode or dist."""
-    return [(f.name, f"{f.metadata['help']} (default {f.default}"
+    return [(key, f"{help} (default {default}"
              + (f"; read only under {when})" if when else ")"))
-            for f in fields(RunConfig)
-            if (when := _READERS[f.name].get(command)) is not None]
+            for key, default, _, help in _KNOBS
+            if (when := _READERS[key].get(command)) is not None]
 
 
 def reads(cfg: RunConfig, command: Optional[str] = None) -> Set[str]:
@@ -145,7 +140,7 @@ def validate(cfg: RunConfig, command: Optional[str] = None) -> RunConfig:
         if key in read and not ok:
             raise ConfigError(f"invalid value for config key '{key}': {why}")
 
-    for key, value in vars(cfg).items():
+    for key, value in cfg._asdict().items():
         if isinstance(value, float):
             require(key, math.isfinite(value), "must be finite")
     for key, low in (("k", 1), ("rounds", 1), ("dim", 1), ("trials", 1),
@@ -223,10 +218,10 @@ def load_config(path: Optional[str],
               if raw is not None]
     values: Dict[str, object] = {}
     for key, raw in pairs:
-        if key not in _FIELD_TYPES:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key '{key}'")
         try:
-            values[key] = _FIELD_TYPES[key](str(raw).strip())
+            values[key] = _TYPES[key](str(raw).strip())
         except ValueError:
             raise ConfigError(f"malformed value for config key '{key}': {raw!r}")
     if "arch" in values:

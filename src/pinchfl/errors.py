@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the mixin of checked records, shared across the
+package."""
 
 
 class ParameterError(ValueError):
@@ -23,3 +24,23 @@ class OutOfRegimeError(ParameterError):
 
 class ConfigError(ValueError):
     """A run configuration failed validation; the message names the offending key."""
+
+
+class _Checked:
+    """Mixin of a record whose fields its ``_check`` validates.
+
+    A record lists the mixin before the NamedTuple of its fields.  Every way
+    to build it runs the check: the constructor, ``_make``, and ``_replace``,
+    which builds through ``_make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

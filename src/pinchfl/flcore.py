@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from .analytics import check_order
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError, _Checked
 from .participation import DETERMINISTIC, DeadlineModel
 from .phy import PhyParams, upload_latency
 from .spatial import CONV, PA, bottlenecks, schedule_round  # PA re-exported
@@ -47,8 +46,12 @@ def _grid(b) -> tuple:
     return np.array(top), np.array(top / 2.0)
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
+class _QuantizerSpecFields(NamedTuple):
+    b: int
+    c_q: float = 1.0
+
+
+class QuantizerSpec(_Checked, _QuantizerSpecFields):
     """Per-coordinate bit budget and the high-rate fidelity model.
 
     ``b`` is an integer with 1 <= b <= 53 (``MAX_BITS``), so that every grid
@@ -57,10 +60,9 @@ class QuantizerSpec:
     ``alpha`` rounds to 1.
     """
 
-    b: int
-    c_q: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _grid(self.b)
         if not 0 <= self.c_q < math.inf:
             raise ParameterError("high-rate constant c_q must be nonnegative "
@@ -287,8 +289,7 @@ def ht_second_moment_exact(Ys, pis, K: int) -> float:
     return float(np.dot(total, total) + np.sum((1.0 / pis - 1.0) * norms)) / K**2
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Stepsize bounds and error floors."""
 
     xi_safe: float
@@ -334,25 +335,30 @@ def convergence_constants(L: float, eta: float, xi: float, spec: QuantizerSpec,
     )
 
 
-@dataclass(frozen=True)
-class SyntheticProblem:
+class _SyntheticProblemFields(NamedTuple):
+    centers: np.ndarray
+    noise_sigma: float
+
+
+class SyntheticProblem(_Checked, _SyntheticProblemFields):
     """K local quadratics f_i(w) = ||w - c_i||^2 / 2 with Gaussian gradient noise.
 
     The smoothness constant is exactly 1, and so is the gradient-dominance
     constant ``mu``, a class constant.  A user's noisy gradient at w is
     (w - c_i) plus N(0, noise_sigma^2 / d_w) in each coordinate, drawn by the
-    training loops through ``_grads_kernel``.
+    training loops through ``_grads_kernel``.  An instance keeps a
+    ``__dict__``, for the cached ``w_star``.
     """
 
-    centers: np.ndarray
-    noise_sigma: float
     mu = 1.0
 
-    def __post_init__(self):
+    def __new__(cls, centers, noise_sigma):
         # a private read-only copy, so the cached w_star cannot go stale
-        centers = np.array(self.centers, dtype=float)
+        centers = np.array(centers, dtype=float)
         centers.flags.writeable = False
-        object.__setattr__(self, "centers", centers)
+        return super().__new__(cls, centers, noise_sigma)
+
+    def _check(self):
         if self.centers.ndim != 2 or not self.centers.size:
             raise ParameterError("centers must be a nonempty (K, d_w) array")
         if not np.isfinite(self.centers).all():
@@ -419,8 +425,7 @@ def make_synthetic_problem(K: int, d_w: int, delta2_target: float,
     return SyntheticProblem(centers=centers, noise_sigma=noise_sigma)
 
 
-@dataclass
-class TrainRecord:
+class TrainRecord(NamedTuple):
     """One logged round (synchronous) or tick batch (asynchronous)."""
 
     time: float
@@ -436,11 +441,13 @@ class TrainRecord:
     grad_norm2: float
 
 
-@dataclass
 class TrainLog:
     """Event records; times are nondecreasing."""
 
-    records: List[TrainRecord] = field(default_factory=list)
+    records: List[TrainRecord]
+
+    def __init__(self):
+        self.records = []
 
     @property
     def total_time(self) -> float:

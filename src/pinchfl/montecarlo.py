@@ -21,8 +21,7 @@ standard errors; one-sided bounds get that slack on their own side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
@@ -136,8 +135,7 @@ class _Moment:
         return math.sqrt(var / self.n)
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     """Outcome of one analytic-vs-empirical confrontation."""
 
     name: str

@@ -9,22 +9,34 @@ coverage radius.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .analytics import check_order
-from .errors import ParameterError, UnsupportedDistributionError
+from .errors import ParameterError, UnsupportedDistributionError, _Checked
 from .phy import PhyParams, spectral_efficiency, upload_latency
 from .spatial import UNIFORM, DistributionSpec
 
 DETERMINISTIC = "deterministic"
 SHIFTED_EXPONENTIAL = "shifted_exponential"
 
-# 64-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = leggauss(64)
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple:
+    """64-point Gauss-Legendre nodes and weights on [-1, 1], read-only, as
+    every caller shares them.
+
+    Built on first use: only the shifted-exponential closed forms sum a rule,
+    so no other run pays the import of ``numpy.polynomial``.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def check_deadline(T_d):
@@ -35,17 +47,20 @@ def check_deadline(T_d):
     return T_d
 
 
-@dataclass(frozen=True)
-class DeadlineModel:
-    """Deadline, compute-time CDF family, and trigger probability."""
-
+class _DeadlineModelFields(NamedTuple):
     T_d: float
     fc_kind: str = DETERMINISTIC
     t0: float = 0.0
     rate: float = 0.0
     p_s: float = 1.0
 
-    def __post_init__(self):
+
+class DeadlineModel(_Checked, _DeadlineModelFields):
+    """Deadline, compute-time CDF family, and trigger probability."""
+
+    __slots__ = ()
+
+    def _check(self):
         for name in ("T_d", "t0", "rate", "p_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite")
@@ -73,8 +88,7 @@ class DeadlineModel:
         return np.negative(s, out=s)[()]
 
 
-@dataclass(frozen=True)
-class CoverageRadius:
+class CoverageRadius(NamedTuple):
     """Closed-form coverage radius and its near-threshold behaviour."""
 
     rho: float
@@ -83,8 +97,7 @@ class CoverageRadius:
     T_max: float
 
 
-@dataclass(frozen=True)
-class ParticipationReport:
+class ParticipationReport(NamedTuple):
     """Expected participants under both architectures at one deadline."""
 
     n_conv: float
@@ -151,9 +164,10 @@ def _composite_rule(breaks, hi: float):
     """
     edges = sorted({min(max(b, 0.0), hi) for b in breaks} | {0.0, hi})
     lo, up = np.array(edges[:-1]), np.array(edges[1:])
+    nodes, weights = _gauss_legendre()
     half = ((up - lo) / 2.0)[:, None]
-    x = ((up + lo) / 2.0)[:, None] + half * _GL_NODES
-    return x.ravel(), (half * _GL_WEIGHTS).ravel()
+    x = ((up + lo) / 2.0)[:, None] + half * nodes
+    return x.ravel(), (half * weights).ravel()
 
 
 def expected_participants(K: int, T_d: float, model: DeadlineModel,

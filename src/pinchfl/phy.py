@@ -9,11 +9,12 @@ Lambda = log2(S) and an explicit remainder envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleLinkError, OutOfRegimeError, ParameterError
+from .errors import (InfeasibleLinkError, OutOfRegimeError, ParameterError,
+                     _Checked)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -23,15 +24,7 @@ def _eta_f(f_c: float) -> float:
     return SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * f_c**2)
 
 
-@dataclass(frozen=True)
-class PhyParams:
-    """Link-budget parameters: geometry, SNR scale, payload and bandwidth.
-
-    A synchronous FDMA round of M users gives each of them the bandwidth W/M;
-    a single asynchronous upload has all of W.  ``c_round(M)`` is the link
-    constant for either case and ``c`` the single-user one.
-    """
-
+class _PhyParamsFields(NamedTuple):
     P: float
     sigma_n2: float
     f_c: float
@@ -40,7 +33,18 @@ class PhyParams:
     W: float
     B_t: float
 
-    def __post_init__(self):
+
+class PhyParams(_Checked, _PhyParamsFields):
+    """Link-budget parameters: geometry, SNR scale, payload and bandwidth.
+
+    A synchronous FDMA round of M users gives each of them the bandwidth W/M;
+    a single asynchronous upload has all of W.  ``c_round(M)`` is the link
+    constant for either case and ``c`` the single-user one.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         for name in ("P", "sigma_n2", "f_c", "d", "D", "W", "B_t"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
@@ -109,8 +113,7 @@ def upload_latency(c: float, x, z: float, S: float, d: float, out=None):
     return np.divide(c, rate, out=rate)[()]
 
 
-@dataclass(frozen=True)
-class HighSnrConstants:
+class HighSnrConstants(NamedTuple):
     """Envelope constants for the 1/Lambda expansion of 1/R on the corridor."""
 
     zeta: float
@@ -169,10 +172,15 @@ def remainder_envelope(Lambda: float, consts: HighSnrConstants) -> float:
 
 def lambda_star(consts: HighSnrConstants) -> float:
     """Log-SNR threshold above which the latency-gap bracket stays positive,
-    if the expansion holds there (see ``_in_regime``)."""
-    if consts.g_zeta <= 0:
-        raise ParameterError("g(zeta) must be positive")
+    if the expansion holds there (see ``_in_regime``).
+
+    Where g(zeta) is not positive, as where zeta^2 underflows in its series
+    (zeta below about 1e-162), the bracket's leading term never wins: the
+    threshold is infinite, and out of the regime.
+    """
     g = consts.g_zeta
+    if not g > 0:
+        return _in_regime(math.inf, consts)
     ln2 = math.log(2.0)
     return _in_regime(max(consts.Lambda0,
                           16.0 * (consts.C0 + consts.C1) ** 2 * ln2 / g,

@@ -12,13 +12,13 @@ minimum spacing is the smallest of the K+1 gaps, edge gaps included, over D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; pay that at import
 
 from .analytics import check_order
-from .errors import ParameterError
+from .errors import ParameterError, _Checked
 
 UNIFORM = "uniform"
 GAUSSIAN_MIXTURE = "gaussian_mixture"
@@ -27,8 +27,14 @@ CONV = "CONV"  # fixed radiator at the origin
 PA = "PA"      # pinched radiator, movable along the waveguide
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class _DistributionSpecFields(NamedTuple):
+    kind: str
+    D: float = 0.0
+    mu: float = 0.0
+    sigma: float = 0.0
+
+
+class DistributionSpec(_Checked, _DistributionSpecFields):
     """Spatial distribution of user x-coordinates.
 
     ``uniform``: i.i.d. on [-D/2, D/2].
@@ -36,12 +42,9 @@ class DistributionSpec:
     Gaussian(center, sigma^2) draw, unclipped.
     """
 
-    kind: str
-    D: float = 0.0
-    mu: float = 0.0
-    sigma: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in (UNIFORM, GAUSSIAN_MIXTURE):
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
         for name in ("D", "mu", "sigma"):

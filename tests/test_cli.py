@@ -4,7 +4,6 @@ byte-identical reruns."""
 import argparse
 import builtins
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -88,15 +87,15 @@ class TestLoadConfig:
         assert load_config(None, {"arch": "pa"}).arch == "PA"
         assert load_config(None, {"mode": "AFL"}).mode == "afl"
 
-    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
-                             ids=lambda f: f.name)
-    def test_every_key_parses_to_its_default(self, field):
-        # a key's type comes from its annotation alone: the default, written
+    @pytest.mark.parametrize("name", RunConfig._fields)
+    def test_every_key_parses_to_its_default(self, name):
+        # a key's type comes from its default alone: the default, written
         # out as a string, reads back with the same value and type
-        cfg = load_config(None, {field.name: str(field.default)})
-        value = getattr(cfg, field.name)
-        assert value == field.default
-        assert type(value) is type(field.default)
+        default = RunConfig._field_defaults[name]
+        cfg = load_config(None, {name: str(default)})
+        value = getattr(cfg, name)
+        assert value == default
+        assert type(value) is type(default)
 
 
 class TestExitCodes:
@@ -123,12 +122,12 @@ class TestExitCodes:
             argv += [f"--{key.replace('_', '-')}", f"value-{key}"]
         assert vars(_build_parser().parse_args(argv)) == \
             {"command": command, **{key: f"value-{key}" for key in keys}}
-        for f in dataclasses.fields(RunConfig):
-            if f.name not in keys:
+        for name in RunConfig._fields:
+            if name not in keys:
                 with pytest.raises(_UsageError, match=f"^pinchfl {command}: "
                                    f"error: unrecognized"):
                     _build_parser().parse_args(
-                        [command, f"--{f.name.replace('_', '-')}", "1"])
+                        [command, f"--{name.replace('_', '-')}", "1"])
 
     @pytest.mark.parametrize("argv,key", [
         (["train", "--mode", "afl", "--m", "3"], "m"),
@@ -346,8 +345,8 @@ class TestArtifacts:
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["seed"] == 77
         assert payload["config"]["k"] == 8
-        assert payload["metrics"]["moments"] == dataclasses.asdict(
-            straggler_moments(8, 3, 10.0))
+        assert payload["metrics"]["moments"] == \
+            straggler_moments(8, 3, 10.0)._asdict()
         # the moments live in verify.json; there is no separate command
         assert main(["straggler"]) == 1
         # highsnr reads no seed: none at top level, a whole config echo
@@ -399,7 +398,7 @@ class TestArtifacts:
         # at p_s = 0.001 no user of three triggers within one round
         assert main(["train", "--mode", "afl", "--p-s", "0.001", "--k", "3",
                      "--rounds", "1", "--out", str(tmp_path)]) == 0
-        header = ",".join(f.name for f in dataclasses.fields(TrainRecord))
+        header = ",".join(TrainRecord._fields)
         assert (tmp_path / "train.csv").read_bytes() == \
             f"{header}\r\n".encode()
         payload = json.loads((tmp_path / "train.json").read_text())
@@ -417,7 +416,7 @@ class TestArtifacts:
         assert payload["metrics"]["pa_dominates"] in (True, False)
 
 
-_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELDS = set(RunConfig._fields)
 # the effect check's small run; its deadline is one that CONV users beyond
 # about 3 m miss, so that HT and uniform weights differ
 _BASE = RunConfig(k=5, m=2, trials=200, grid_points=4, rounds=20,
@@ -469,9 +468,8 @@ def _contexts(command):
     for mode, dist, fc_kind, noise in itertools.product(
             _CHOICES["mode"], _CHOICES["dist"], _CHOICES["fc_kind"],
             (0.0, 0.05)):
-        cfg = dataclasses.replace(_BASE, mode=mode, dist=dist,
-                                  fc_kind=fc_kind, sigma_grad=noise,
-                                  delta2=noise)
+        cfg = _BASE._replace(mode=mode, dist=dist, fc_kind=fc_kind,
+                             sigma_grad=noise, delta2=noise)
         reading = tuple(getattr(cfg, key) if key in reads(cfg, command)
                         else None for key in ("mode", "dist", "fc_kind",
                                               "sigma_grad"))
@@ -505,7 +503,7 @@ class TestCommandTable:
         # one small run in every mode and distribution; ``out`` is read by
         # main's artifact writer, not by the command
         get = RunConfig.__getattribute__
-        names = {f.name for f in dataclasses.fields(RunConfig)}
+        names = set(RunConfig._fields)
         seen, union = set(), set()
 
         def spy(cfg, attr):
@@ -539,8 +537,7 @@ class TestCommandTable:
                            and when(cfg, value)
                            for command, ignored, when, _ in _IGNORED):
                         continue
-                    if _output(name, dataclasses.replace(
-                            cfg, **{key: value})) == base:
+                    if _output(name, cfg._replace(**{key: value})) == base:
                         unread.append((cfg.mode, cfg.dist, cfg.fc_kind,
                                        cfg.sigma_grad, key, value))
         assert not unread
@@ -606,3 +603,34 @@ class TestRuntimeWithoutScipy:
                        f"sys.exit(main({argv!r}))")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "participation.csv").exists()
+
+
+class TestStartup:
+    def test_cli_import_loads_neither_dataclasses_nor_numpy_polynomial(self):
+        proc = _python("import sys, pinchfl.cli\n"
+                       "print([m for m in ('dataclasses', 'numpy.polynomial')"
+                       " if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_gauss_legendre_rule_is_built_once_on_first_use(self):
+        proc = _python(
+            "import sys\n"
+            "from pinchfl import participation as pt\n"
+            "from pinchfl.phy import PhyParams\n"
+            "from pinchfl.spatial import DistributionSpec\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            "model = pt.DeadlineModel(T_d=0.012, fc_kind=pt.SHIFTED_EXPONENTIAL,"
+            " rate=200.0)\n"
+            "phy = PhyParams(P=0.01, sigma_n2=1e-12, f_c=28e9, d=3.0, D=10.0,"
+            " W=1e6, B_t=1e5)\n"
+            "for spec in (DistributionSpec('uniform', D=10.0),"
+            " DistributionSpec('gaussian_mixture', mu=3.0, sigma=0.5)):\n"
+            "    pt.expected_participants(40, 0.012, model, spec, phy)\n"
+            "from numpy.polynomial.legendre import leggauss\n"
+            "rule = pt._gauss_legendre()\n"
+            "print(pt._gauss_legendre.cache_info().misses,\n"
+            "      [a.tobytes() == b.tobytes() and not a.flags.writeable"
+            " for a, b in zip(rule, leggauss(64))])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1 [True, True]"

@@ -1,7 +1,6 @@
 """Gates, quantization with error feedback, aggregation, convergence
 constants, and the two training loops."""
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -624,8 +623,8 @@ class TestRunSfl:
         args = (p, xs, PHY)
         rest = (0.1, QuantizerSpec(6), 5, PA, 9)
         as_float = run_sfl(*args, 2.0, *rest).records
-        assert ([dataclasses.astuple(r) for r in as_float]
-                == [dataclasses.astuple(r) for r in run_sfl(*args, 2, *rest).records])
+        assert ([tuple(r) for r in as_float]
+                == [tuple(r) for r in run_sfl(*args, 2, *rest).records])
         assert all(type(r.participants) is int for r in as_float)
         with pytest.raises(ParameterError):
             run_sfl(*args, 2.5, *rest)
@@ -692,8 +691,8 @@ class TestRunAfl:
         assert [r.index for r in log.records] == list(range(1, len(times) + 1))
         # repr is exact for floats and compares NaN fields by value
         rerun = run_afl(p, sample, PHY, model, **kw)
-        assert ([repr(dataclasses.astuple(r)) for r in rerun.records]
-                == [repr(dataclasses.astuple(r)) for r in log.records])
+        assert ([repr(tuple(r)) for r in rerun.records]
+                == [repr(tuple(r)) for r in log.records])
 
     def test_rejects_positions_of_wrong_shape(self):
         p, xs, model = self._setup()
@@ -882,7 +881,7 @@ def _ref_afl(problem, xs, phy, model, eta, spec, horizon_s, arch, seed,
 
 def _as_reprs(records):
     # repr is exact for floats, compares NaN by value and shows numpy scalars
-    return [repr(dataclasses.astuple(r)) for r in records]
+    return [repr(tuple(r)) for r in records]
 
 
 _REF_LINK = PhyParams.from_snr_scale(5.0, d=0.5, D=10.0, W=1e6, B_t=1e5)

@@ -17,7 +17,6 @@ and their diff, one line per row or log, is the list of moves that the
 change must explain.
 """
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -63,8 +62,8 @@ def _records(name):
     except ConfigError as exc:
         result = {"rc": 2, "error": str(exc)}
     else:
-        cfg = dataclasses.replace(cfg, trials=min(cfg.trials, TRIALS),
-                                  rounds=min(cfg.rounds, ROUNDS))
+        cfg = cfg._replace(trials=min(cfg.trials, TRIALS),
+                           rounds=min(cfg.rounds, ROUNDS))
         try:
             rows, metrics = cli._COMMANDS[command](cfg)
         except Exception as exc:  # as main: any runtime failure exits 3

@@ -200,10 +200,12 @@ class TestRegime:
                                    match=r"Lambda=\S+ at zeta=1\.66"):
                     bound(bad, c)
 
-    @pytest.mark.parametrize("D,lam", [(1e-50, "3.1"), (1e-160, "inf")])
+    @pytest.mark.parametrize("D,lam", [(1e-50, "3.1"), (1e-160, "inf"),
+                                       (1e-165, "inf"), (1e-170, "inf")])
     def test_lambda_star_beyond_the_regime_is_rejected(self, D, lam):
         # lambda* grows as 3/zeta^2: its cube overflows at zeta ~ 1.7e-51,
-        # and at zeta ~ 1.7e-161 g(zeta) is subnormal and lambda* infinite
+        # at zeta ~ 1.7e-161 g(zeta) is subnormal and lambda* infinite, and
+        # below zeta ~ 1e-162 zeta^2 underflows and g(zeta) is 0
         with pytest.raises(OutOfRegimeError,
                            match=rf"Lambda={lam}\S* at zeta=1\.6"):
             phy.lambda_star(phy.high_snr_constants(D, 3.0))

@@ -1,13 +1,13 @@
-"""The public surface: parameter records reject non-finite fields, and every
-public function, method, property and record field has a consumer."""
+"""The public surface: parameter records reject non-finite fields on every
+construction path, and every public function, method, property and record
+field has a consumer."""
 
 import ast
-import builtins
-import dataclasses
+import importlib
 import math
 import pathlib
+import typing
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 
@@ -38,17 +38,32 @@ _RECORDS = {
 }
 
 
-@pytest.mark.parametrize("record, name, bad", [
-    (record, f.name, bad)
+# the ways to build a record from a valid one with some fields changed;
+# ``_replace`` builds through ``_make``, and each must run the check
+_PATHS = {
+    "constructor": lambda valid, changes: type(valid)(
+        **{**valid._asdict(), **changes}),
+    "_make": lambda valid, changes: valid._make(
+        {**valid._asdict(), **changes}.values()),
+    "_replace": lambda valid, changes: valid._replace(**changes),
+}
+
+
+@pytest.mark.parametrize("record, name, bad, path", [
+    pytest.param(record, name, bad, path, id="-".join(
+        [record, name, str(bad)] + [path] * (path != "constructor")))
     for record, (cls, _) in _RECORDS.items()
-    for f in fields(cls) if f.type == "float"
+    for name, kind in typing.get_type_hints(cls).items() if kind is float
     for bad in (math.nan, math.inf, -math.inf)
+    for path in _PATHS
 ])
-def test_records_reject_non_finite_fields(record, name, bad):
+def test_records_reject_non_finite_fields(record, name, bad, path):
     cls, kwargs = _RECORDS[record]
-    cls(**kwargs)
+    valid = cls(**kwargs)
+    with pytest.raises(AttributeError):
+        setattr(valid, name, bad)
     with pytest.raises(ParameterError):
-        cls(**{**kwargs, name: bad})
+        _PATHS[path](valid, {name: bad})
 
 
 # public functions and members that no command reads yet, each with its
@@ -87,48 +102,66 @@ def _reads(node) -> Counter:
     return reads
 
 
+def _classes(trees):
+    """``(module, class node, class)`` of every public class."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield module, node, getattr(
+                    importlib.import_module(f"pinchfl.{module}"), node.name)
+
+
 def _public(trees):
-    """``{qualified name: the nodes that do not count as its readers}`` of
-    every public top-level function and every public method, property and
-    field of a public class: its own definition and, for a field, its
-    class's ``__post_init__``, which only checks or converts it."""
+    """``{qualified name: (the nodes that do not count as its readers,
+    whether it is a record field)}`` of every public top-level function and
+    every public method, property and field of a public class: its own
+    definition and, for a field, its class's check hook ``_check``, which
+    only checks it.  A record's fields are its ``_fields``, which its
+    private NamedTuple base may define, and the names its body annotates."""
     public = {}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                public[f"{module}.{node.name}"] = [node]
-            elif isinstance(node, ast.ClassDef):
-                post_init = [m for m in node.body
-                             if isinstance(m, ast.FunctionDef)
-                             and m.name == "__post_init__"]
-                for member in node.body:
-                    if isinstance(member, ast.FunctionDef):
-                        public[f"{module}.{node.name}.{member.name}"] = [member]
-                    elif (isinstance(member, ast.AnnAssign)
-                          and isinstance(member.target, ast.Name)):
-                        public[f"{module}.{node.name}.{member.target.id}"] = \
-                            [member, *post_init]
-    return {name: nodes for name, nodes in public.items()
+                public[f"{module}.{node.name}"] = ([node], False)
+    for module, node, cls in _classes(trees):
+        check = [m for m in node.body
+                 if isinstance(m, ast.FunctionDef) and m.name == "_check"]
+        annotated = [m.target.id for m in node.body
+                     if isinstance(m, ast.AnnAssign)
+                     and isinstance(m.target, ast.Name)]
+        for name in dict.fromkeys([*getattr(cls, "_fields", ()), *annotated]):
+            public[f"{module}.{node.name}.{name}"] = (check, True)
+        for member in node.body:
+            if isinstance(member, ast.FunctionDef):
+                public[f"{module}.{node.name}.{member.name}"] = ([member],
+                                                                 False)
+    return {name: entry for name, entry in public.items()
             if not any(part.startswith("_") for part in name.split(".")[1:])}
 
 
-def _serialized(out) -> set:
-    """Class names of the records that the commands read whole, through
-    ``dataclasses.asdict``, ``astuple`` or ``vars``, as they write them
-    into their artifacts, over one small run of each command into ``out``."""
+def _serialized(out, records) -> set:
+    """Class names of the records, of the classes ``records``, that the
+    commands read whole as they write them into their artifacts: through
+    ``_asdict``, or written as a row, over one small run of each command
+    into ``out``."""
     seen = set()
+    write = cli._write_artifacts
 
     def spy(read):
-        def reading(*args, **kwargs):
-            if args and dataclasses.is_dataclass(args[0]):
-                seen.add(type(args[0]).__name__)
-            return read(*args, **kwargs)
+        def reading(record, *args, **kwargs):
+            seen.add(type(record).__name__)
+            return read(record, *args, **kwargs)
         return reading
 
+    def writing(command, cfg, rows, metrics):
+        seen.update(type(row).__name__ for row in rows
+                    if hasattr(row, "_fields"))
+        return write(command, cfg, rows, metrics)
+
     with pytest.MonkeyPatch.context() as patch:
-        for owner, name in ((dataclasses, "asdict"), (dataclasses, "astuple"),
-                            (builtins, "vars")):
-            patch.setattr(owner, name, spy(getattr(owner, name)))
+        for cls in records:
+            patch.setattr(cls, "_asdict", spy(cls._asdict))
+        patch.setattr(cli, "_write_artifacts", writing)
         for run in _RUNS:
             argv = run.split()
             assert cli.main([*argv, "--out", str(out / argv[0])]) == 0
@@ -149,14 +182,15 @@ def surface(tmp_path_factory):
     package = sum(map(_reads, trees.values()), Counter())
     acceptance = _reads(ast.parse(
         (ROOT / "tests" / "test_acceptance.py").read_text()))
-    serialized = _serialized(tmp_path_factory.mktemp("artifacts"))
+    serialized = _serialized(
+        tmp_path_factory.mktemp("artifacts"),
+        [cls for _, _, cls in _classes(trees) if hasattr(cls, "_asdict")])
     public = _public(trees)
     unread = set()
-    for qualified, own_nodes in public.items():
+    for qualified, (own_nodes, field) in public.items():
         _, *owner, name = qualified.split(".")
         keys = ["." + name] if owner else [name, "." + name]
         own = sum(map(_reads, own_nodes), Counter())
-        field = isinstance(own_nodes[0], ast.AnnAssign)
         if not (any(package[key] > own[key] or acceptance[key] for key in keys)
                 or field and owner[0] in serialized):
             unread.add(qualified)
