@@ -98,6 +98,9 @@ RUNS = {
     # exit 1: a flag the command does not read
     "unread_dist_verify": ("verify --dist gaussian_mixture", 1),
     "unread_snr_highsnr": ("highsnr --snr 1e6", 1),
+    # the sweep counts the users that finish by the deadline, triggered or
+    # not: only the AFL training gate draws the trigger
+    "unread_p_s_participation": ("participation --p-s 0.5", 1),
     # exit 2: a key read only in another mode or distribution, a value out
     # of range
     "unread_m_train_afl": ("train --mode afl --m 3", 2),

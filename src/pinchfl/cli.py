@@ -193,8 +193,9 @@ def _cmd_train(cfg: RunConfig) -> _Artifacts:
             log = run_sfl(problem, xs, phy, cfg.m, cfg.eta, spec,
                           cfg.rounds, arch, cfg.seed)
         else:
-            log = run_afl(problem, xs, phy, cfg.deadline_model(), cfg.eta,
-                          spec, cfg.afl_horizon(), arch, cfg.seed,
+            model = cfg.deadline_model()._replace(p_s=cfg.p_s)
+            log = run_afl(problem, xs, phy, model, cfg.eta, spec,
+                          cfg.afl_horizon(), arch, cfg.seed,
                           weighting=cfg.weighting,
                           tick_period=cfg.tick_period())
         rows += (rec._replace(scheduled=" ".join(map(str, rec.scheduled)))

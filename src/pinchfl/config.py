@@ -51,7 +51,7 @@ _KNOBS = (
     ("fc_kind", DETERMINISTIC, _DEADLINE,
      "compute time: deterministic or shifted_exponential"),
     ("rate", 0.0, _DEADLINE, "exponential compute-time rate, 1/s"),
-    ("p_s", 1.0, _DEADLINE, "trigger probability, in (0, 1]"),
+    ("p_s", 1.0, "train:afl", "trigger probability, in (0, 1]"),
     ("tick", 0.0, "train:afl", "AFL trigger period; 0 = deadline"),
     # spatial distribution
     ("dist", UNIFORM, _SIM, "positions: uniform or gaussian_mixture"),
@@ -104,8 +104,9 @@ class RunConfig(namedtuple("_RunConfigFields", list(_TYPES),
                                 mu=self.mu, sigma=self.sigma_x)
 
     def deadline_model(self) -> DeadlineModel:
+        """The deadline and compute time; only AFL training adds ``p_s``."""
         return DeadlineModel(T_d=self.deadline, fc_kind=self.fc_kind,
-                             t0=self.t0, rate=self.rate, p_s=self.p_s)
+                             t0=self.t0, rate=self.rate)
 
     def quantizer(self) -> QuantizerSpec:
         return QuantizerSpec(b=self.bits, c_q=self.c_q)

@@ -8,7 +8,7 @@ caller's buffer, one chunk of its rows at a time, so a run's trials are the
 same bits whatever the chunk size, and a run is a prefix of any longer run
 at the same (seed, K).  ``estimate_ccdfs`` and ``participation_sweep`` lend
 it a block buffer of ``_BLOCK_ROWS`` rows and overwrite each block with
-latencies and finishing times, so the memory of a run is a few blocks
+offsets or finishing times, so the memory of a run is a few blocks
 whatever its trial count.  ``verify_bounds`` holds one block, its
 column-major copy: it lends ``_blocks`` a scan workspace of
 ``_BLOCK_ROWS * _SCAN_COLS`` floats, which does not grow with K, as chunks
@@ -30,7 +30,7 @@ from . import analytics
 from .errors import ParameterError
 from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
                             expected_participants)
-from .phy import PhyParams, upload_latency
+from .phy import PhyParams, latency_inverse, upload_latency
 from .spatial import (UNIFORM, DistributionSpec, _min_spacing, bottlenecks,
                       draw_positions, pa_offsets, sorted_conv_offsets)
 
@@ -38,9 +38,8 @@ from .spatial import (UNIFORM, DistributionSpec, _min_spacing, bottlenecks,
 # the SFL CCDF sorts its rows and scans its windows, one column per window
 # of its C-order rows, while verify_bounds scans the columns it copied the
 # block's sorted row chunks into, and while participation_sweep turns it
-# into latencies and finishing times in place and counts them per
-# deadline; a run allocates its block buffers once, at
-# min(_BLOCK_ROWS, trials) rows
+# into offsets or finishing times in place and counts them per deadline;
+# a run allocates its block buffers once, at min(_BLOCK_ROWS, trials) rows
 _BLOCK_ROWS = 4096
 # windows per chunk of verify_bounds' scans: a (_BLOCK_ROWS, _SCAN_COLS)
 # chunk of costs, 256 KB, stays in L2 beside the block's column buffer.
@@ -92,7 +91,7 @@ def _ascending(grid) -> np.ndarray:
 
 def _met_counts(grid: np.ndarray, finish: np.ndarray):
     """Over the rows of ``finish`` (n, w), the total and the squared total of
-    the counts of entries <= each point of the ascending ``grid`` (G,): two
+    the counts of entries <= each point of ``grid`` (G,), in any order: two
     (G,) int64 arrays.  Sorts ``finish``, a buffer the caller owns, in place.
 
     Sorted rows make column k every row's (k+1)-th finishing time; sorted
@@ -165,9 +164,10 @@ def estimate_ccdfs(archs, phy: PhyParams, spec: DistributionSpec, K: int, M,
     probability at each point of the ascending ``grid``.  An AFL upload is
     the round of one user, K = M = 1.
 
-    Every architecture scores the same position draws, so each block is
-    drawn and sorted once; the curve of an architecture does not depend,
-    bit for bit, on which others share the call.
+    Every architecture scores the same position draws, each block drawn and
+    sorted once, so no curve depends, bit for bit, on the others.  A latency
+    exceeds t where its offset exceeds rho(t), the inverse latency: offsets
+    are counted against rho of the grid, and PA's curve is at most CONV's.
     """
     grid = _ascending(grid)
     trials = _trial_count(trials)
@@ -179,15 +179,14 @@ def estimate_ccdfs(archs, phy: PhyParams, spec: DistributionSpec, K: int, M,
     for arch in archs:
         # an unknown architecture fails on no rows, before any draw
         bottlenecks(block[:0], M, arch)
+    # a dead link fails here, at tau(0), before any draw
+    rho = latency_inverse(phy.c_round(M), grid, phy.S, phy.d)
     exceed = {arch: np.zeros(grid.size, dtype=np.int64) for arch in archs}
     for xs, _ in _blocks(spec, K, trials, seed, block):
         xs.sort(axis=1)
         for arch in archs:
-            # the latencies overwrite the offsets
             offsets = bottlenecks(xs, M, arch)
-            lat = upload_latency(phy.c_round(M), offsets, 0.0, phy.S, phy.d,
-                                 out=offsets)
-            exceed[arch] += len(xs) - _met_counts(grid, lat[:, None])[0]
+            exceed[arch] += len(xs) - _met_counts(rho, offsets[:, None])[0]
     return {arch: exceed[arch] / trials for arch in archs}
 
 
@@ -310,9 +309,8 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     ``_BLOCK_ROWS`` rows is scored as it is drawn, in at most two block
     buffers: the CONV latencies and then their finishing times overwrite
     the positions, and the PA finishing times overwrite the compute times.
-    Under deterministic compute every PA user finishes at ``t0 + tau_pa``,
-    so each trial counts K PA users or none, in closed form, and nothing
-    but the positions is drawn.
+    Under deterministic compute only positions are drawn: a CONV user meets
+    T_d where |x| <= rho(T_d - t0), and each trial counts K PA users or none.
     """
     T_grid = check_deadline(_ascending(T_grid))
     trials = _trial_count(trials)
@@ -323,27 +321,27 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     sums = np.zeros((2, T_grid.size), dtype=np.int64)
     sums_sq = np.zeros((2, T_grid.size), dtype=np.int64)
     if deterministic:
-        T_c = model.t0
-        pa_met = (T_c + tau_pa <= T_grid).astype(np.int64)
+        pa_met = (model.t0 + tau_pa <= T_grid).astype(np.int64)
         sums[1] = trials * K * pa_met
         sums_sq[1] = trials * K * K * pa_met
+        reach = latency_inverse(phy.c, T_grid - model.t0, phy.S, phy.d)
     else:
         compute_times = np.empty((min(_BLOCK_ROWS, trials), K))
     block = np.empty((min(_BLOCK_ROWS, trials), K))
     for xs, compute in _blocks(spec, K, trials, seed, block):
-        tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d, out=xs)
         if deterministic:
-            finishes = [np.add(T_c, tau_conv, out=tau_conv)]
+            finishes = [(reach, np.abs(xs, out=xs))]
         else:
+            tau_conv = upload_latency(phy.c, xs, 0.0, phy.S, phy.d, out=xs)
             # the bits of exponential(1 / rate), which is its scale times a
             # standard draw
             T_c = compute.standard_exponential(out=compute_times[:len(xs)])
             T_c *= 1.0 / model.rate
             T_c += model.t0
-            finishes = [np.add(T_c, tau_conv, out=tau_conv),
-                        np.add(T_c, tau_pa, out=T_c)]
-        for i, finish in enumerate(finishes):
-            total, total_sq = _met_counts(T_grid, finish)
+            finishes = [(T_grid, np.add(T_c, tau_conv, out=tau_conv)),
+                        (T_grid, np.add(T_c, tau_pa, out=T_c))]
+        for i, (grid, finish) in enumerate(finishes):
+            total, total_sq = _met_counts(grid, finish)
             sums[i] += total
             sums_sq[i] += total_sq
     rows = []

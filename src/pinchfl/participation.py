@@ -17,7 +17,8 @@ import numpy as np
 
 from .analytics import check_order
 from .errors import ParameterError, UnsupportedDistributionError, _Checked
-from .phy import PhyParams, spectral_efficiency, upload_latency
+from .phy import (PhyParams, latency_inverse, spectral_efficiency,
+                  upload_latency)
 from .spatial import UNIFORM, DistributionSpec
 
 DETERMINISTIC = "deterministic"
@@ -105,18 +106,6 @@ class ParticipationReport(NamedTuple):
     gap: float
 
 
-def _coverage_root(T_d: float, t0: float, phy: PhyParams) -> float:
-    """Uncapped root of the coverage equation; zero when nothing completes."""
-    if T_d <= t0:
-        return 0.0
-    exponent = phy.c / (T_d - t0)
-    if exponent > 1000.0:  # q - 1 would dwarf S: nothing completes
-        return 0.0
-    q = 2.0**exponent
-    val = phy.S / (q - 1.0) - phy.d**2
-    return math.sqrt(val) if val > 0 else 0.0
-
-
 def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> CoverageRadius:
     """Deadline-limited coverage radius for the uniform corridor.
 
@@ -133,12 +122,8 @@ def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> Coverag
     S, d, D, c = phy.S, phy.d, phy.D, phy.c
     T_min = t0 + upload_latency(c, 0.0, 0.0, S, d)
     T_max = t0 + upload_latency(c, D / 2.0, 0.0, S, d)
-    if T_d < T_min:
-        rho = 0.0
-    elif T_d >= T_max:
-        rho = D / 2.0
-    else:
-        rho = _coverage_root(T_d, t0, phy)
+    rho = (0.0 if T_d < T_min else D / 2.0 if T_d >= T_max
+           else max(float(latency_inverse(c, T_d - t0, S, d)), 0.0))
     lam_d = spectral_efficiency(0.0, 0.0, S, d)
     kappa = (d**2 / math.sqrt(S)) * math.sqrt(1.0 + S / d**2) * lam_d * math.sqrt(
         math.log(2.0) / c
@@ -190,13 +175,13 @@ def expected_participants(K: int, T_d: float, model: DeadlineModel,
             cov = coverage_radius(T_d, model, phy)
             n_conv = K * min(2.0 * cov.rho / phy.D, 1.0)
         else:
-            n_conv = K * gm_abs_cdf(_coverage_root(T_d, model.t0, phy),
-                                    spec.mu, spec.sigma)
+            rho = latency_inverse(phy.c, T_d - model.t0, phy.S, phy.d)
+            n_conv = K * gm_abs_cdf(max(float(rho), 0.0), spec.mu, spec.sigma)
     else:
-        reach = _coverage_root(T_d, model.t0, phy)
-        # the compute-time CDF turns where the slack is about 1/rate
-        breaks = [_coverage_root(T_d - 4.0**j / model.rate, model.t0, phy)
-                  for j in range(-1, 5)]
+        # the reach, and where the compute-time CDF turns: slack about 1/rate
+        ends = [T_d, *(T_d - 4.0**j / model.rate for j in range(-1, 5))]
+        reach, *breaks = np.maximum(latency_inverse(
+            phy.c, np.subtract(ends, model.t0), phy.S, phy.d), 0.0).tolist()
         if spec.kind == UNIFORM:
             x, w = _composite_rule(breaks, min(reach, spec.D / 2.0))
             dens = 1.0 / spec.D

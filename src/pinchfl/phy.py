@@ -113,6 +113,21 @@ def upload_latency(c: float, x, z: float, S: float, d: float, out=None):
     return np.divide(c, rate, out=rate)[()]
 
 
+def latency_inverse(c: float, t, S: float, d: float):
+    """Inverse of ``upload_latency``: the farthest offset |x - z| whose
+    upload time is at most t, sqrt(S / (2^(c/t) - 1) - d^2), t an array or
+    a scalar (a batch of one); inf at t = inf.  Below tau(0), the latency
+    of a zero offset (a dead link raises there), it is -inf, and from tau(0)
+    on at least 0, whatever the root's rounding.  Its power is libm's, by
+    numpy scalars, as Python's is."""
+    t = np.asarray(t, dtype=float)
+    met = t >= upload_latency(c, 0.0, 0.0, S, d)
+    with np.errstate(divide="ignore", over="ignore"):
+        q = np.array([np.float64(2.0) ** e for e in np.divide(c, t).flat])
+        radicand = S / (q.reshape(t.shape) - 1.0) - d**2
+        return np.where(met, np.sqrt(np.maximum(radicand, 0.0)), -np.inf)[()]
+
+
 class HighSnrConstants(NamedTuple):
     """Envelope constants for the 1/Lambda expansion of 1/R on the corridor."""
 

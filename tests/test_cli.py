@@ -110,7 +110,7 @@ class TestExitCodes:
                               "--bogus 1\nusage: pinchfl verify ")
 
     # the fields each command reads in some mode or distribution, out aside
-    SETTABLE = {"ccdf": 18, "participation": 20, "highsnr": 2, "train": 32,
+    SETTABLE = {"ccdf": 18, "participation": 19, "highsnr": 2, "train": 32,
                 "verify": 5}
 
     @pytest.mark.parametrize("command", list(SETTABLE))
@@ -442,9 +442,6 @@ def _constant_rows(cfg, value):
 # (command, or None for every command; key; when, given the base config and
 # the other value; why the value changes no output there)
 _IGNORED = [
-    ("participation", "p_s", lambda cfg, value: True,
-     "the sweep counts the users that finish by the deadline, triggered or "
-     "not; only the AFL training gate draws the trigger"),
     (None, "rate", lambda cfg, value: cfg.fc_kind == "deterministic",
      "deterministic compute draws no exponential time"),
     (None, "corridor", lambda cfg, value: cfg.dist == "gaussian_mixture",

@@ -10,14 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchfl import analytics, montecarlo
-from pinchfl.errors import ParameterError
+from pinchfl.config import RunConfig
+from pinchfl.errors import InfeasibleLinkError, ParameterError
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
                                    DeadlineModel)
-from pinchfl.phy import PhyParams, upload_latency
+from pinchfl.phy import PhyParams, latency_inverse, upload_latency
 from pinchfl.spatial import (GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec,
                              draw_positions)
 
 PHY = PhyParams.from_snr_scale(1000.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
+# an SNR scale this small rounds every rate to zero
+DEAD = PhyParams.from_snr_scale(1e-30, d=3.0, D=10.0, W=1e6, B_t=1e5)
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
 GRID = np.linspace(0.0, 0.2, 30)
@@ -193,12 +196,16 @@ class TestEstimateCcdf:
         assert np.all(ccdf["PA"] <= ccdf["CONV"])
 
     def test_afl_pa_is_degenerate(self):
-        tau = PHY.c / np.log2(1.0 + PHY.S / PHY.d**2)
-        grid = np.array([tau * 0.99, tau * 1.01])
-        # an AFL upload, the round of one user, at the pinned link
-        ccdf = montecarlo.estimate_ccdfs(("PA",), PHY, UNI, 1, 1, 1000, grid,
-                                         seed=0)["PA"]
-        assert ccdf.tolist() == [1.0, 0.0]
+        # an AFL upload, the round of one user, at the pinned link: every
+        # latency is tau(0), which meets a grid point at tau(0) itself, also
+        # at the default link, where the root's radicand rounds below 0
+        for phy in (PHY, RunConfig().phy()):
+            tau = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
+            grid = np.array([tau * 0.99, np.nextafter(tau, 0), tau,
+                             tau * 1.01])
+            ccdf = montecarlo.estimate_ccdfs(("PA",), phy, UNI, 1, 1, 1000,
+                                             grid, seed=0)["PA"]
+            assert ccdf.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_rejects_bad_inputs(self, no_draws):
         with pytest.raises(ParameterError):
@@ -216,6 +223,13 @@ class TestEstimateCcdf:
             with pytest.raises(ParameterError):
                 montecarlo.estimate_ccdfs((arch,), PHY, UNI, K, M, 10, GRID,
                                           seed=0)
+
+    @pytest.mark.parametrize("K,M", [(20, 5), (1, 1)], ids=["SFL", "AFL"])
+    def test_dead_link_fails_before_any_draw(self, no_draws, K, M):
+        # offsets alone would score every draw as exceeding every point
+        with pytest.raises(InfeasibleLinkError):
+            montecarlo.estimate_ccdfs(("CONV", "PA"), DEAD, UNI, K, M, 10,
+                                      GRID, seed=0)
 
     def test_nan_grid_point_rejected(self, no_draws):
         for grid in ([np.nan], [0.01, np.nan], [np.nan, 0.01, 0.02]):
@@ -244,18 +258,29 @@ class TestEstimateCcdf:
         assert np.array_equal(ccdf, exceed / trials)
 
 
-def _fresh_latencies(arch, spec, K, M, trials, seed):
-    """Every trial's latency, from one whole draw: the CONV offset from the
-    sorted |x| and the PA offset from the full array of window spans of a
-    sorted copy.  At K = M = 1, an AFL upload, they are the user's |x| and
-    0, the pinned link."""
+def _fresh_offsets(arch, spec, K, M, trials, seed):
+    """Every trial's bottleneck offset, from one whole draw: the CONV offset
+    from the sorted |x| and the PA offset from the full array of window
+    spans of a sorted copy.  At K = M = 1, an AFL upload, they are the
+    user's |x| and 0, the pinned link."""
     xs, _ = _whole_draw(spec, K, trials, seed)
     if arch == "CONV":
-        offset = np.sort(np.abs(xs), axis=1)[:, M - 1]
-    else:
-        srt = np.sort(xs, axis=1)
-        offset = (srt[:, M - 1:] - srt[:, :K - M + 1]).min(axis=1) / 2
-    return upload_latency(PHY.c_round(M), offset, 0.0, PHY.S, PHY.d)
+        return np.sort(np.abs(xs), axis=1)[:, M - 1]
+    srt = np.sort(xs, axis=1)
+    return (srt[:, M - 1:] - srt[:, :K - M + 1]).min(axis=1) / 2
+
+
+def _fresh_latencies(arch, spec, K, M, trials, seed):
+    """Every trial's latency, at its ``_fresh_offsets`` offset."""
+    return upload_latency(PHY.c_round(M),
+                          _fresh_offsets(arch, spec, K, M, trials, seed),
+                          0.0, PHY.S, PHY.d)
+
+
+def _exceedance(values, thresholds):
+    """The share of ``values`` above each of ``thresholds``."""
+    met = np.searchsorted(np.sort(values), thresholds, side="right")
+    return (len(values) - met) / len(values)
 
 
 class TestEstimateCcdfs:
@@ -266,35 +291,63 @@ class TestEstimateCcdfs:
     def test_paired_equals_single_and_fresh_draws(self, monkeypatch, K, spec,
                                                   M):
         # three full blocks of 4096 rows and a partial one; a grid point at
-        # every reference latency makes any wrong or stale row change a count
+        # every reference latency, whose threshold rho(t) is about its
+        # offset, makes any wrong or stale row change a count
         M, trials, seed = min(M, K), 14000, 4
-        ref = {arch: _fresh_latencies(arch, spec, K, M, trials, seed)
+        ref = {arch: _fresh_offsets(arch, spec, K, M, trials, seed)
                for arch in ("CONV", "PA")}
-        grid = np.sort(np.concatenate(list(ref.values())))
+        grid = np.sort(upload_latency(PHY.c_round(M),
+                                      np.concatenate(list(ref.values())),
+                                      0.0, PHY.S, PHY.d))
+        rho = latency_inverse(PHY.c_round(M), grid, PHY.S, PHY.d)
         paired = montecarlo.estimate_ccdfs(("CONV", "PA"), PHY, spec, K, M,
                                            trials, grid, seed)
         assert list(paired) == ["CONV", "PA"]
-        for arch, lat in ref.items():
+        for arch, offsets in ref.items():
             single = montecarlo.estimate_ccdfs((arch,), PHY, spec, K, M,
                                                trials, grid, seed)[arch]
             assert np.array_equal(paired[arch], single)
-            met = np.searchsorted(np.sort(lat), grid, side="right")
-            assert np.array_equal(paired[arch], (trials - met) / trials)
+            assert np.array_equal(paired[arch], _exceedance(offsets, rho))
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     def test_many_row_blocks_match_fresh_draws(self, monkeypatch, spec):
         # six full blocks of 256 rows and a partial one; a grid point at
-        # every reference latency makes any wrong row change a count
+        # every reference latency, whose threshold rho(t) is about its
+        # offset, makes any wrong row change a count
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
         K, M, trials, seed = 9, 3, 1600, 8
-        ref = {arch: _fresh_latencies(arch, spec, K, M, trials, seed)
+        ref = {arch: _fresh_offsets(arch, spec, K, M, trials, seed)
                for arch in ("CONV", "PA")}
-        grid = np.sort(np.concatenate(list(ref.values())))
+        grid = np.sort(upload_latency(PHY.c_round(M),
+                                      np.concatenate(list(ref.values())),
+                                      0.0, PHY.S, PHY.d))
+        rho = latency_inverse(PHY.c_round(M), grid, PHY.S, PHY.d)
         got = montecarlo.estimate_ccdfs(("CONV", "PA"), PHY, spec, K, M,
                                         trials, grid, seed)
-        for arch, lat in ref.items():
-            met = np.searchsorted(np.sort(lat), grid, side="right")
-            assert np.array_equal(got[arch], (trials - met) / trials)
+        for arch, offsets in ref.items():
+            assert np.array_equal(got[arch], _exceedance(offsets, rho))
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("K,M", [(11, 4), (1, 1)], ids=["SFL", "AFL"])
+    @pytest.mark.parametrize("arch", ["CONV", "PA"])
+    def test_offsets_score_as_latencies_between_draws(self, spec, K, M,
+                                                      arch):
+        # at a grid point strictly between two neighbouring reference
+        # latencies, below them all or above them all, no rounding of rho(t)
+        # parts the offsets from the latencies: the curve is the latency
+        # count
+        trials, seed = 5000, 2
+        lat = _fresh_latencies(arch, spec, K, M, trials, seed)
+        ends = np.unique(lat)
+        mid = (ends[:-1] + ends[1:]) / 2
+        mid = mid[(ends[:-1] < mid) & (mid < ends[1:])]
+        grid = np.concatenate([[ends[0] / 2], mid, [2 * ends[-1]]])
+        # every draw of CONV, or of PA on a round of several users, gives
+        # its own latency; PA's upload alone is the pinned link's
+        assert len(grid) == (2 if (arch, K) == ("PA", 1) else trials + 1)
+        got = montecarlo.estimate_ccdfs((arch,), PHY, spec, K, M, trials,
+                                        grid, seed)[arch]
+        assert np.array_equal(got, _exceedance(lat, grid))
 
     @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
     @pytest.mark.parametrize("K,M", [(10, 3), (1, 1)], ids=["SFL", "AFL"])
@@ -633,6 +686,15 @@ class TestParticipationSweep:
             with pytest.raises(ParameterError):
                 montecarlo.participation_sweep(K, [0.01, 0.02], model, UNI,
                                                PHY, trials=10, seed=0)
+
+    @pytest.mark.parametrize("model", [
+        DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC),
+        DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, rate=300.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_dead_link_fails_before_any_draw(self, no_draws, model):
+        with pytest.raises(InfeasibleLinkError):
+            montecarlo.participation_sweep(5, [0.01, 0.02], model, UNI, DEAD,
+                                           trials=10, seed=0)
 
     def test_negative_deadline_rejected(self, no_draws):
         model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from pinchfl import montecarlo
 from pinchfl.config import load_config
 from pinchfl.errors import ParameterError, UnsupportedDistributionError
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
                                    DeadlineModel, coverage_radius,
                                    expected_participants, gm_abs_cdf)
-from pinchfl.phy import PhyParams
+from pinchfl.phy import PhyParams, upload_latency
 from pinchfl.spatial import GAUSSIAN_MIXTURE, UNIFORM, DistributionSpec
 
 PHY = PhyParams.from_snr_scale(36.0, d=3.0, D=10.0, W=1e6, B_t=1e5)
@@ -199,6 +200,25 @@ class TestExpectedParticipants:
         ref = _split_quad_reference(T_d, t0, rate, spec, phy)
         assert ref > 1e-3
         assert rep.n_conv / 40 == pytest.approx(ref, rel=0.0, abs=1e-9)
+
+    def test_coverage_where_the_snr_scale_exceeds_d2_times_2_to_the_1000(self):
+        # at S = 1e305 a deadline of c/1010 s is met within about 0.34 m of
+        # the origin, though 2^(c/T_d) exceeds 2^1000: the closed forms count
+        # those users, and the Monte Carlo sweep agrees
+        phy = PhyParams.from_snr_scale(1e305, d=3.0, D=10.0, W=1e6, B_t=1e5)
+        T_d = phy.c / 1010.0
+        model = det_model(T_d)
+        assert upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d) < T_d
+        rho = math.sqrt(phy.S / (2.0 ** (phy.c / T_d) - 1.0) - phy.d**2)
+        assert 0.3 < coverage_radius(T_d, model, phy).rho == rho
+        rep = expected_participants(40, T_d, model, UNI, phy)
+        assert rep.n_conv == 40 * min(2.0 * rho / 10.0, 1.0)
+        gm = expected_participants(40, T_d, model, GM, phy)
+        assert gm.n_conv == 40 * gm_abs_cdf(rho, GM.mu, GM.sigma) > 0.0
+        row, = montecarlo.participation_sweep(40, [T_d], model, UNI, phy,
+                                              trials=20_000, seed=0)
+        assert row["n_conv"] == rep.n_conv
+        assert abs(row["n_conv_mc"] - rep.n_conv) <= 3.0 * row["conv_stderr"]
 
     def test_monotone_in_deadline(self):
         counts = [expected_participants(20, T, det_model(T), UNI, PHY).n_conv

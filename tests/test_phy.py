@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pinchfl import phy
+from pinchfl.config import RunConfig
 from pinchfl.errors import (InfeasibleLinkError, OutOfRegimeError,
                             ParameterError)
 
@@ -110,6 +111,58 @@ class TestSpectralEfficiency:
         got = phy.upload_latency(c, x, z, S, d, out=out)
         for times in (got, out):
             assert np.array_equal(times.view(np.int64), want.view(np.int64))
+
+
+class TestLatencyInverse:
+    # the default link: S = 7259, d = 3, c = 0.1 s per bit/s/Hz
+    LINK = RunConfig().phy()
+
+    @pytest.mark.parametrize("M", [1, 7])
+    def test_round_trip(self, M):
+        link = self.LINK
+        c = link.c_round(M)
+        xs = np.geomspace(0.01, 50.0, 400)
+        taus = phy.upload_latency(c, xs, 0.0, link.S, link.d)
+        rho = phy.latency_inverse(c, taus, link.S, link.d)
+        assert rho.shape == xs.shape
+        np.testing.assert_allclose(rho, xs, rtol=1e-9, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), S=st.floats(1e-2, 1e8),
+           d=st.floats(0.1, 10), slack=st.floats(1e-6, 1e3))
+    def test_scalar_has_the_bits_of_the_math_formula(self, c, S, d, slack):
+        # a scalar is a batch of one; the power is libm's, as in Python
+        t = phy.upload_latency(c, 0.0, 0.0, S, d) * (1.0 + slack)
+        rho = phy.latency_inverse(c, t, S, d)
+        assert np.shape(rho) == ()
+        assert rho == phy.latency_inverse(c, np.array([t, t]), S, d)[1]
+        radicand = S / (2.0 ** (c / t) - 1.0) - d**2
+        assert rho == math.sqrt(max(radicand, 0.0))
+
+    def test_where_no_offset_meets_t(self, recwarn):
+        link = self.LINK
+        c, S, d = link.c, link.S, link.d
+        tau0 = phy.upload_latency(c, 0.0, 0.0, S, d)
+        # t <= 0, below the pinned time, and where 2^(c/t) overflows: even a
+        # zero offset exceeds t
+        ts = [-math.inf, -1e20, -1.0, -0.0, 0.0, 1e-300, c / 2000.0,
+              c / 1024.0, tau0 / 2.0, tau0 * (1.0 - 1e-9)]
+        assert phy.latency_inverse(c, np.array(ts), S, d).tolist() == (
+            [-math.inf] * len(ts))
+        assert phy.latency_inverse(c, c / 1024.0, S, d) == -math.inf
+        # every offset meets an infinite deadline
+        assert phy.latency_inverse(c, math.inf, S, d) == math.inf
+        # from tau(0) on a zero offset meets t, though at tau(0) itself the
+        # root's radicand rounds below 0 at this link
+        assert S / (2.0 ** (c / tau0) - 1.0) - d**2 < 0
+        assert phy.latency_inverse(c, tau0, S, d) == 0.0
+        assert phy.latency_inverse(c, tau0 * (1.0 + 1e-9), S, d) > 0.0
+        assert not recwarn.list
+
+    def test_dead_link_is_infeasible(self):
+        # as upload_latency: the rate of a zero offset rounds to zero
+        with pytest.raises(InfeasibleLinkError):
+            phy.latency_inverse(1.0, np.array([1.0, math.inf]), 1e-30, 3.0)
 
 
 class TestHighSnrConstants:
