@@ -311,6 +311,9 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     the positions, and the PA finishing times overwrite the compute times.
     Under deterministic compute only positions are drawn: a CONV user meets
     T_d where |x| <= rho(T_d - t0), and each trial counts K PA users or none.
+    The closed forms take the whole grid in one call.
+    Each deadline's count is Bin(K, n/K), so each row carries the binomial
+    standard error of its mean beside the sample one.
     """
     T_grid = check_deadline(_ascending(T_grid))
     trials = _trial_count(trials)
@@ -344,19 +347,24 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
             total, total_sq = _met_counts(grid, finish)
             sums[i] += total
             sums_sq[i] += total_sq
+    report = expected_participants(K, T_grid, model, spec, phy)
+    n = np.stack([report.n_conv, report.n_pa])
+    # n (1 - n/K) may round below 0 where n is K
+    binom = np.sqrt(np.maximum(n * (1.0 - n / K), 0.0) / trials)
     rows = []
-    for j, T_d in enumerate(T_grid):
-        report = expected_participants(K, float(T_d), model, spec, phy)
+    for j, T_d in enumerate(T_grid.tolist()):
         conv_stat, pa_stat = (_Moment(trials, float(sums[i, j]),
                                       float(sums_sq[i, j])) for i in (0, 1))
         rows.append({
-            "T_d": float(T_d),
-            "n_conv": report.n_conv,
-            "n_pa": report.n_pa,
-            "gap": report.gap,
+            "T_d": T_d,
+            "n_conv": float(report.n_conv[j]),
+            "n_pa": float(report.n_pa[j]),
+            "gap": float(report.gap[j]),
             "n_conv_mc": conv_stat.mean,
             "n_pa_mc": pa_stat.mean,
             "conv_stderr": conv_stat.std_error,
             "pa_stderr": pa_stat.std_error,
+            "conv_stderr_binom": float(binom[0, j]),
+            "pa_stderr_binom": float(binom[1, j]),
         })
     return rows

@@ -99,11 +99,26 @@ class CoverageRadius(NamedTuple):
 
 
 class ParticipationReport(NamedTuple):
-    """Expected participants under both architectures at one deadline."""
+    """Expected participants under both architectures at one deadline, or
+    arrays of them over an array of deadlines."""
 
     n_conv: float
     n_pa: float
     gap: float
+
+
+def _radius(T, t0: float, phy: PhyParams, D: float):
+    """Coverage radius at each deadline of ``T`` on a corridor of length D,
+    with its thresholds T_min and T_max: the root of the coverage equation,
+    0 below T_min and D/2 from T_max on, where the root may round one ulp
+    below D/2.
+    """
+    c, S, d = phy.c, phy.S, phy.d
+    T_min = t0 + upload_latency(c, 0.0, 0.0, S, d)
+    T_max = t0 + upload_latency(c, D / 2.0, 0.0, S, d)
+    rho = np.maximum(latency_inverse(c, T - t0, S, d), 0.0)
+    rho = np.where(T >= T_max, D / 2.0, rho)
+    return np.where(T < T_min, 0.0, rho), T_min, T_max
 
 
 def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> CoverageRadius:
@@ -118,17 +133,13 @@ def coverage_radius(T_d: float, model: DeadlineModel, phy: PhyParams) -> Coverag
         raise UnsupportedDistributionError(
             "closed-form coverage radius requires a deterministic compute time"
         )
-    t0 = model.t0
-    S, d, D, c = phy.S, phy.d, phy.D, phy.c
-    T_min = t0 + upload_latency(c, 0.0, 0.0, S, d)
-    T_max = t0 + upload_latency(c, D / 2.0, 0.0, S, d)
-    rho = (0.0 if T_d < T_min else D / 2.0 if T_d >= T_max
-           else max(float(latency_inverse(c, T_d - t0, S, d)), 0.0))
+    rho, T_min, T_max = _radius(T_d, model.t0, phy, phy.D)
+    S, d, c = phy.S, phy.d, phy.c
     lam_d = spectral_efficiency(0.0, 0.0, S, d)
     kappa = (d**2 / math.sqrt(S)) * math.sqrt(1.0 + S / d**2) * lam_d * math.sqrt(
         math.log(2.0) / c
     )
-    return CoverageRadius(rho=rho, kappa=kappa, T_min=T_min, T_max=T_max)
+    return CoverageRadius(rho=float(rho), kappa=kappa, T_min=T_min, T_max=T_max)
 
 
 def gm_abs_cdf(rho: float, mu: float, sigma: float) -> float:
@@ -155,45 +166,57 @@ def _composite_rule(breaks, hi: float):
     return x.ravel(), (half * weights).ravel()
 
 
-def expected_participants(K: int, T_d: float, model: DeadlineModel,
+def expected_participants(K: int, T_d, model: DeadlineModel,
                           spec: DistributionSpec, phy: PhyParams) -> ParticipationReport:
-    """Expected participant counts for both architectures at deadline T_d.
+    """Expected participant counts for both architectures at each deadline
+    of ``T_d``, an array or a scalar (a batch of one, returned as numpy
+    scalars).
 
     Uniform or Gaussian-mixture positions with deterministic compute use the
-    closed forms.  Under shifted-exponential compute the eligibility integral,
-    which vanishes beyond the uncapped coverage root r, is summed over
-    [0, r] (r capped at D/2 on the uniform corridor) by a composite 64-point
-    Gauss-Legendre rule whose panels end where the integrand turns.
+    closed forms; the uniform corridor is ``spec.D``.  Under
+    shifted-exponential compute the eligibility integral, which vanishes
+    beyond the uncapped coverage root r, is summed over [0, r] (r capped at
+    D/2 on the uniform corridor) by a composite 64-point Gauss-Legendre rule
+    whose panels end where the integrand turns.  One inverse latency serves
+    every deadline; the mixture CDF and the rule are taken per deadline.
     """
     K, _ = check_order(K)
-    check_deadline(T_d)
+    T = check_deadline(np.asarray(T_d, dtype=float))
     tau_pa = upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
-    n_pa = K * model.F_c(T_d - tau_pa)
+    n_pa = K * model.F_c(T - tau_pa)
 
     if model.fc_kind == DETERMINISTIC:
         if spec.kind == UNIFORM:
-            cov = coverage_radius(T_d, model, phy)
-            n_conv = K * min(2.0 * cov.rho / phy.D, 1.0)
+            rho = _radius(T, model.t0, phy, spec.D)[0]
+            n_conv = K * np.minimum(2.0 * rho / spec.D, 1.0)
         else:
-            rho = latency_inverse(phy.c, T_d - model.t0, phy.S, phy.d)
-            n_conv = K * gm_abs_cdf(max(float(rho), 0.0), spec.mu, spec.sigma)
+            rho = latency_inverse(phy.c, T - model.t0, phy.S, phy.d)
+            n_conv = K * np.array([gm_abs_cdf(r, spec.mu, spec.sigma) for r
+                                   in np.maximum(rho, 0.0).ravel().tolist()])
     else:
-        # the reach, and where the compute-time CDF turns: slack about 1/rate
-        ends = [T_d, *(T_d - 4.0**j / model.rate for j in range(-1, 5))]
-        reach, *breaks = np.maximum(latency_inverse(
-            phy.c, np.subtract(ends, model.t0), phy.S, phy.d), 0.0).tolist()
-        if spec.kind == UNIFORM:
-            x, w = _composite_rule(breaks, min(reach, spec.D / 2.0))
-            dens = 1.0 / spec.D
-        else:
-            breaks += [spec.mu + k * spec.sigma for k in (-8, -4, 0, 4, 8)]
-            x, w = _composite_rule(breaks, reach)
-            two_var = 2.0 * spec.sigma**2
-            dens = (np.exp(-((x - spec.mu) ** 2) / two_var)
-                    + np.exp(-((x + spec.mu) ** 2) / two_var)) / (
-                        2.0 * math.sqrt(2.0 * math.pi) * spec.sigma)
-        eligible = model.F_c(T_d - upload_latency(phy.c, x, 0.0, phy.S, phy.d))
-        # positions and eligibility are even in x: twice the integral over x >= 0
-        n_conv = K * 2.0 * float(w @ (dens * eligible))
+        # per deadline, the reach and where the compute-time CDF turns:
+        # slack about 1/rate
+        slack = np.array([0.0, *(4.0**j / model.rate for j in range(-1, 5))])
+        ends = np.maximum(latency_inverse(
+            phy.c, T.reshape(-1, 1) - slack - model.t0, phy.S, phy.d), 0.0)
+        n_conv = np.empty(T.size)
+        for i, (t, (reach, *breaks)) in enumerate(zip(T.ravel().tolist(),
+                                                      ends.tolist())):
+            if spec.kind == UNIFORM:
+                x, w = _composite_rule(breaks, min(reach, spec.D / 2.0))
+                dens = 1.0 / spec.D
+            else:
+                breaks += [spec.mu + k * spec.sigma for k in (-8, -4, 0, 4, 8)]
+                x, w = _composite_rule(breaks, reach)
+                two_var = 2.0 * spec.sigma**2
+                dens = (np.exp(-((x - spec.mu) ** 2) / two_var)
+                        + np.exp(-((x + spec.mu) ** 2) / two_var)) / (
+                            2.0 * math.sqrt(2.0 * math.pi) * spec.sigma)
+            eligible = model.F_c(t - upload_latency(phy.c, x, 0.0, phy.S, phy.d))
+            # positions and eligibility are even in x: twice the integral
+            # over x >= 0
+            n_conv[i] = K * 2.0 * float(w @ (dens * eligible))
 
-    return ParticipationReport(n_conv=n_conv, n_pa=n_pa, gap=n_pa - n_conv)
+    n_conv = n_conv.reshape(T.shape)
+    return ParticipationReport(n_conv=n_conv[()], n_pa=n_pa,
+                               gap=(n_pa - n_conv)[()])

@@ -1,5 +1,6 @@
 """Block trial runners: the RNG contract, CCDF shape, and bound verdicts."""
 
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinchfl import analytics, montecarlo
+from pinchfl import analytics, montecarlo, participation
 from pinchfl.config import RunConfig
 from pinchfl.errors import InfeasibleLinkError, ParameterError
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
@@ -673,6 +674,45 @@ class TestParticipationSweep:
             assert abs(row["n_conv_mc"] - row["n_conv"]) <= tol
             assert row["n_pa_mc"] == pytest.approx(row["n_pa"], abs=1e-9)
             assert row["gap"] >= -1e-9
+            # each count is Bin(20, n/20); all or none of the pinned users
+            # meet a deterministic deadline
+            n = row["n_conv"]
+            assert row["conv_stderr_binom"] == math.sqrt(
+                max(n * (1.0 - n / 20), 0.0) / 20_000)
+            assert row["conv_stderr_binom"] == pytest.approx(
+                row["conv_stderr"], rel=0.05, abs=1e-5)
+            assert row["pa_stderr_binom"] == 0.0
+        assert list(rows[0])[-2:] == ["conv_stderr_binom", "pa_stderr_binom"]
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("model", [
+        DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC),
+        DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, rate=300.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_closed_forms_run_once_per_sweep(self, monkeypatch, spec, model):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return participation.expected_participants(*args)
+
+        monkeypatch.setattr(montecarlo, "expected_participants", counted)
+        rows = montecarlo.participation_sweep(5, GRID, model, spec, PHY,
+                                              trials=10, seed=0)
+        # one call, on the whole grid
+        (args,) = calls
+        assert np.array_equal(args[1], GRID) and len(rows) == GRID.size
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    def test_deterministic_sweep_builds_no_quadrature_rule(self, monkeypatch,
+                                                           spec):
+        def _gauss_legendre():
+            raise AssertionError("built the Gauss-Legendre rule")
+
+        monkeypatch.setattr(participation, "_gauss_legendre", _gauss_legendre)
+        model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)
+        montecarlo.participation_sweep(5, GRID, model, spec, PHY, trials=10,
+                                       seed=0)
 
     def test_rejects_bad_inputs(self, no_draws):
         model = DeadlineModel(T_d=0.0, fc_kind=DETERMINISTIC)

@@ -226,6 +226,60 @@ class TestExpectedParticipants:
         assert all(b >= a - 1e-12 for a, b in zip(counts, counts[1:]))
 
 
+# S = 1e305: 2^(c/T_d) overflows past 2^1000 at the deadline c/1010
+HUGE_S = PhyParams.from_snr_scale(1e305, d=3.0, D=10.0, W=1e6, B_t=1e5)
+
+
+class TestDeadlineBatch:
+    @pytest.mark.parametrize("phy", [PHY, HUGE_S], ids=["S36", "S1e305"])
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("model", [
+        det_model(0.0, t0=0.002),
+        DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, t0=0.002,
+                      rate=300.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_batch_is_the_scalar_calls(self, phy, spec, model):
+        T_min = model.t0 + upload_latency(phy.c, 0.0, 0.0, phy.S, phy.d)
+        T_max = model.t0 + upload_latency(phy.c, spec.D / 2.0, 0.0, phy.S,
+                                          phy.d)
+        grid = [0.0, model.t0 / 2.0, np.nextafter(T_min, 0.0), T_min,
+                (T_min + T_max) / 2.0, np.nextafter(T_max, 0.0), T_max,
+                np.nextafter(T_max, 1.0), 2.0 * T_max, 1.0]
+        if phy is HUGE_S:
+            grid.append(model.t0 + phy.c / 1010.0)
+        got = expected_participants(40, np.array(grid), model, spec, phy)
+        want = np.array([expected_participants(40, T, model, spec, phy)
+                         for T in grid]).T
+        assert np.array(got).tobytes() == want.tobytes()
+        # the grid reaches both ends of the counts
+        assert got.n_conv.min() == 0.0 < got.n_conv.max()
+
+    @pytest.mark.parametrize("spec", [UNI, GM], ids=["uniform", "gm"])
+    @pytest.mark.parametrize("model", [
+        det_model(0.0),
+        DeadlineModel(T_d=0.0, fc_kind=SHIFTED_EXPONENTIAL, rate=300.0),
+    ], ids=["deterministic", "shifted_exp"])
+    def test_scalar_deadline_returns_scalars(self, spec, model):
+        rep = expected_participants(40, 0.05, model, spec, PHY)
+        assert all(isinstance(v, float) and np.ndim(v) == 0 for v in rep)
+        rep = expected_participants(40, [[0.05, 0.06]], model, spec, PHY)
+        assert all(np.shape(v) == (1, 2) for v in rep)
+
+    def test_uniform_corridor_is_the_distributions(self):
+        # the draws cover spec.D = 8, not PhyParams.D = 10
+        phy = load_config(None, {}).phy()
+        spec = DistributionSpec(kind=UNIFORM, D=8.0)
+        T_d = 0.01056
+        rho = coverage_radius(T_d, det_model(T_d), phy._replace(D=8.0)).rho
+        assert 0.0 < rho < 4.0 < phy.D / 2.0
+        rep = expected_participants(40, T_d, det_model(T_d), spec, phy)
+        assert rep.n_conv == 40 * (2.0 * rho / 8.0)
+        row, = montecarlo.participation_sweep(40, [T_d], det_model(T_d), spec,
+                                              phy, trials=20_000, seed=0)
+        assert abs(row["n_conv_mc"] - row["n_conv"]) <= \
+            5.0 * row["conv_stderr_binom"]
+
+
 def _split_quad_reference(T_d, t0, rate, spec, phy):
     """Per-user CONV participation by adaptive quadrature over x >= 0, split
     at the coverage kink, where the slack is 1, 10 and 100 over the rate,
