@@ -8,8 +8,9 @@ caller's buffer, one chunk of its rows at a time, so a run's trials are the
 same bits whatever the chunk size, and a run is a prefix of any longer run
 at the same (seed, K).  ``estimate_ccdfs`` and ``participation_sweep`` lend
 it a block buffer of ``_BLOCK_ROWS`` rows and overwrite each block with
-offsets or finishing times, so the memory of a run is a few blocks
-whatever its trial count.  ``verify_bounds`` holds one block, its
+offsets or finishing times, which ``_met_counts`` counts from a copy of at
+most a quarter of the block's columns, so the memory of a run is a few
+blocks whatever its trial count.  ``verify_bounds`` holds one block, its
 column-major copy: it lends ``_blocks`` a scan workspace of
 ``_BLOCK_ROWS * _SCAN_COLS`` floats, which does not grow with K, as chunks
 of rows that divide the block, and copies each sorted chunk into its rows
@@ -44,7 +45,8 @@ _BLOCK_ROWS = 4096
 # windows per chunk of verify_bounds' scans: a (_BLOCK_ROWS, _SCAN_COLS)
 # chunk of costs, 256 KB, stays in L2 beside the block's column buffer.
 # The same workspace, which does not grow with K, first takes the block's
-# draws, in the largest chunks of rows that divide the block and fit in it
+# draws, in the largest chunks of rows that divide the block and fit in it.
+# _met_counts sorts a block's order statistics in chunks of as many columns
 _SCAN_COLS = 8
 
 
@@ -92,18 +94,36 @@ def _ascending(grid) -> np.ndarray:
 def _met_counts(grid: np.ndarray, finish: np.ndarray):
     """Over the rows of ``finish`` (n, w), the total and the squared total of
     the counts of entries <= each point of ``grid`` (G,), in any order: two
-    (G,) int64 arrays.  Sorts ``finish``, a buffer the caller owns, in place.
+    (G,) int64 arrays.  Sorts the rows of ``finish``, a buffer the caller
+    owns, in place, and its columns too where each is contiguous.
 
     Sorted rows make column k every row's (k+1)-th finishing time; sorted
     columns let one ``searchsorted`` count A[k, g], the rows with at least
     k+1 entries <= grid[g].  A row's count N is sum_k [N > k] and N**2 is
     sum_k (2k+1) [N > k], so both totals are exact.  NaN sorts last and
     meets no point; ``inf`` meets only an ``inf`` point.
+
+    Each column is sorted and searched while contiguous: in place where it
+    already is (one column, a CCDF's offsets, Fortran order), else copied,
+    with its neighbours, into a C-order buffer of ``_SCAN_COLS`` columns, or
+    of w // 4 (at least one) where that is fewer: at small w a wider buffer
+    would be a second block.
     """
     finish.sort(axis=1)
-    finish.sort(axis=0)
-    met = np.array([np.searchsorted(c, grid, side="right") for c in finish.T])
-    return met.sum(axis=0), (2 * np.arange(met.shape[0]) + 1) @ met
+    n, w = finish.shape
+    met = np.empty((w, grid.size), dtype=np.int64)
+    in_place = finish.flags.f_contiguous
+    step = max(w if in_place else min(_SCAN_COLS, w // 4), 1)
+    buf = None if in_place else np.empty((step, n))
+    for j in range(0, w, step):
+        cols = finish.T[j:j + step]
+        if buf is not None:
+            buf[:len(cols)] = cols
+            cols = buf[:len(cols)]
+        cols.sort(axis=1)
+        for k, col in enumerate(cols, j):
+            met[k] = np.searchsorted(col, grid, side="right")
+    return met.sum(axis=0), (2 * np.arange(w) + 1) @ met
 
 
 class _Moment:
@@ -307,8 +327,9 @@ def participation_sweep(K: int, T_grid, model: DeadlineModel,
     and scores every deadline from that one draw, so the simulated gap
     between deadlines carries no fresh sampling noise.  Each block of
     ``_BLOCK_ROWS`` rows is scored as it is drawn, in at most two block
-    buffers: the CONV latencies and then their finishing times overwrite
-    the positions, and the PA finishing times overwrite the compute times.
+    buffers and the counting copy of at most a quarter of a block: the
+    CONV latencies and then their finishing times overwrite the positions,
+    and the PA finishing times overwrite the compute times.
     Under deterministic compute only positions are drawn: a CONV user meets
     T_d where |x| <= rho(T_d - t0), and each trial counts K PA users or none.
     The closed forms take the whole grid in one call.

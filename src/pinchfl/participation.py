@@ -9,7 +9,6 @@ coverage radius.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -25,19 +24,51 @@ DETERMINISTIC = "deterministic"
 SHIFTED_EXPONENTIAL = "shifted_exponential"
 
 
-@functools.lru_cache(maxsize=None)
+# the positive half of the 64-point Gauss-Legendre rule on [-1, 1], nodes
+# ascending, and their weights (Golub & Welsch, Math. Comp. 23, 1969): the
+# bits of numpy.polynomial.legendre.leggauss(64), whose rule is an exact
+# mirror image, so no run imports numpy.polynomial
+_GL_NODES = np.array([
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054,
+    0.16964442042399283, 0.21742364374000708, 0.2646871622087674,
+    0.31132287199021097, 0.3572201583376681, 0.4022701579639916,
+    0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573,
+    0.6852363130542333, 0.7198818501716109, 0.7528199072605319,
+    0.7839723589433414, 0.8132653151227975, 0.8406292962525803,
+    0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538,
+    0.973326827789911, 0.983336253884626, 0.9910133714767443,
+    0.9963401167719552, 0.9993050417357722])
+_GL_WEIGHTS = np.array([
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+    0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+    0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+    0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009,
+    0.0354722132568823, 0.033805161837141794, 0.032057928354851495,
+    0.030234657072402554, 0.028339672614259535, 0.02637746971505491,
+    0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786,
+    0.011168139460131028, 0.008846759826363397, 0.006504457968978502,
+    0.004147033260564499, 0.00178328072169414])
+
+
+def _mirrored(half: np.ndarray, sign: float) -> np.ndarray:
+    """``half`` after its mirror image, ``sign`` times ``half`` reversed,
+    read-only."""
+    whole = np.concatenate((sign * half[::-1], half))
+    whole.flags.writeable = False
+    return whole
+
+
+_GL_RULE = (_mirrored(_GL_NODES, -1.0), _mirrored(_GL_WEIGHTS, 1.0))
+
+
 def _gauss_legendre() -> tuple:
     """64-point Gauss-Legendre nodes and weights on [-1, 1], read-only, as
-    every caller shares them.
-
-    Built on first use: only the shifted-exponential closed forms sum a rule,
-    so no other run pays the import of ``numpy.polynomial``.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(64)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    every caller shares them."""
+    return _GL_RULE
 
 
 def check_deadline(T_d):

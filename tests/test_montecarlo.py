@@ -79,7 +79,10 @@ TIES = np.array([-np.inf, 0.0, 0.25, 0.5, 0.75, 1.0, np.inf, np.nan])
 
 
 class TestMetCounts:
-    @pytest.mark.parametrize("n,w", [(1, 1), (1, 6), (60, 1), (45, 7)])
+    # 9, 17 and 40 columns span several chunks of the C-order copy, the
+    # last one partial at 9 and 17
+    @pytest.mark.parametrize("n,w", [(1, 1), (1, 6), (60, 1), (45, 7),
+                                     (30, 9), (30, 17), (20, 40)])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("rows", ["mixed", "constant"])
     def test_matches_per_grid_reference(self, n, w, seed, rows):
@@ -95,11 +98,16 @@ class TestMetCounts:
         ]))
         if seed % 2:
             grid = np.append(grid, np.inf)
-        want = _met_reference(grid, finish.copy())
-        total, total_sq = montecarlo._met_counts(grid, finish)
-        assert total.dtype == total_sq.dtype == np.int64
-        assert total.shape == total_sq.shape == grid.shape
-        assert (total.tolist(), total_sq.tolist()) == want
+        # the grid ascending and out of order, and finish in Fortran order,
+        # whose columns are sorted in place
+        shuffled = grid[rng.permutation(grid.size)]
+        for g, f in [(grid, finish.copy()), (shuffled, finish.copy()),
+                     (grid, np.array(finish, order="F"))]:
+            want = _met_reference(g, f)
+            total, total_sq = montecarlo._met_counts(g, f)
+            assert total.dtype == total_sq.dtype == np.int64
+            assert total.shape == total_sq.shape == grid.shape
+            assert (total.tolist(), total_sq.tolist()) == want
 
 
 class TestBlocks:
@@ -803,8 +811,8 @@ class TestParticipationSweep:
     def test_peak_memory_is_a_few_blocks(self, monkeypatch, spec, model, K):
         # 20000 trials are 40 blocks, the last one partial.  The run holds
         # one block buffer of positions, latencies and CONV finishing times,
-        # and under exponential compute one of compute times and PA
-        # finishing times
+        # under exponential compute one of compute times and PA finishing
+        # times, and _met_counts' copy of at most a quarter of a block
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 512)
         buffers = 1 if model.fc_kind == DETERMINISTIC else 2
         assert _peak_blocks(lambda: montecarlo.participation_sweep(
