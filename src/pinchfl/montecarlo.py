@@ -11,16 +11,22 @@ it a block buffer of ``_BLOCK_ROWS`` rows and overwrite each block with
 offsets or finishing times, which ``_met_counts`` counts from a copy of at
 most a quarter of the block's columns, so the memory of a run is a few
 blocks whatever its trial count.  ``verify_bounds`` holds one block, its
-column-major copy: it lends ``_blocks`` a scan workspace of
-``_BLOCK_ROWS * _SCAN_COLS`` floats, which does not grow with K, as chunks
-of rows that divide the block, and copies each sorted chunk into its rows
-of the column block.
+column-major copy, and a workspace that does not grow with K: it lends
+``_blocks`` the workspace's scan region of ``_BLOCK_ROWS * _SCAN_COLS``
+floats as chunks of rows that divide the block, and copies each chunk into
+its rows of the column block.  Above ``_NETWORK_K`` each chunk's rows are
+sorted before the copy; at K up to it the full block's columns are sorted
+by one compare-exchange network, ``_merge_exchange(K)``, which skips the
+row sort's fixed cost per row.  The window scans write their minima into
+columns of the workspace, so the loop allocates nothing per block, and
+both buffers start on a cache line (``_aligned``).
 Acceptance convention (``_verdict``): two-sided checks pass within three
 standard errors; one-sided bounds get that slack on their own side.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, NamedTuple
 
@@ -32,13 +38,13 @@ from .errors import ParameterError
 from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
                             expected_participants)
 from .phy import PhyParams, latency_inverse, upload_latency
-from .spatial import (UNIFORM, DistributionSpec, _min_spacing, bottlenecks,
-                      draw_positions, pa_offsets, sorted_conv_offsets)
+from .spatial import (UNIFORM, DistributionSpec, _min_spacing, _reach,
+                      _scan_windows, _width, bottlenecks, draw_positions)
 
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
 # the SFL CCDF sorts its rows and scans its windows, one column per window
-# of its C-order rows, while verify_bounds scans the columns it copied the
-# block's sorted row chunks into, and while participation_sweep turns it
+# of its C-order rows, while verify_bounds sorts and scans the columns it
+# copied the block's row chunks into, and while participation_sweep turns it
 # into offsets or finishing times in place and counts them per deadline;
 # a run allocates its block buffers once, at min(_BLOCK_ROWS, trials) rows
 _BLOCK_ROWS = 4096
@@ -48,6 +54,16 @@ _BLOCK_ROWS = 4096
 # draws, in the largest chunks of rows that divide the block and fit in it.
 # _met_counts sorts a block's order statistics in chunks of as many columns
 _SCAN_COLS = 8
+# the largest K at which verify_bounds sorts a block by the compare-exchange
+# network on its columns rather than each row chunk by ndarray.sort.  A row
+# sort pays a fixed cost per row, most of its time at small K, while the
+# network's comparators grow as K log2(K)**2 / 4, three ufunc calls over a
+# column each.  A verify_bounds run at one K took, with the network, 0.54
+# of its time with row sorts at K = 3, 0.92 at K = 10 and 0.86 at K = 11,
+# but 1.07 at K = 12 and 1.3 at K = 16 (medians of 9 interleaved pairs).
+# On the aligned workspace it took 0.98 at K = 12 and 13, 1.0 at 14 and
+# 1.21 at 16: past 11 the network gains too little to tell
+_NETWORK_K = 11
 
 
 def _streams(seed: int, K: int):
@@ -72,6 +88,18 @@ def _blocks(spec: DistributionSpec, K: int, trials: int, seed: int,
         xs = out[:min(len(out), trials - r)]
         draw_positions(positions, spec, xs.shape, normals, out=xs)
         yield xs, compute
+
+
+def _aligned(size: int) -> np.ndarray:
+    """An uninitialised flat float buffer of ``size`` values whose first
+    value starts a 64-byte cache line.  numpy's buffers start wherever
+    malloc puts them, often 16, 32 or 48 bytes into a line, and a ufunc
+    writing columns that start mid-line splits its vector stores across
+    lines: at K = 40, verify_bounds took 10-25% more time with its scan
+    region misaligned than aligned."""
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size]
 
 
 def _trial_count(trials) -> int:
@@ -126,6 +154,40 @@ def _met_counts(grid: np.ndarray, finish: np.ndarray):
     return met.sum(axis=0), (2 * np.arange(w) + 1) @ met
 
 
+@functools.lru_cache(maxsize=None)
+def _merge_exchange(K: int) -> tuple:
+    """The comparators (i, j), i < j, of Batcher's merge-exchange network on
+    K keys (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M): applied in order, each
+    leaving the smaller of keys i and j at i, they sort any K keys."""
+    pairs = []
+    # t = ceil(log2 K): p, q run over the powers of two below 2**t
+    t = (K - 1).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(K - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
+
+
+def _sort_columns(xs: np.ndarray, tmp: np.ndarray):
+    """Sort the rows of ``xs``, an (n, K) float array with contiguous
+    columns, in place by ``_merge_exchange(K)`` over its columns; ``tmp`` is
+    a buffer of n floats.  Each comparator writes its two columns' minimum
+    and maximum, so a row free of NaN ends with the bits of its
+    ``np.sort``, but for the signs of equal zeros."""
+    cols = xs.T
+    for i, j in _merge_exchange(xs.shape[1]):
+        a, b = cols[i], cols[j]
+        np.minimum(a, b, out=tmp)
+        np.maximum(a, b, out=b)
+        a[...] = tmp
+
+
 class _Moment:
     """Streaming mean and standard error of a scalar statistic.
 
@@ -138,11 +200,12 @@ class _Moment:
         self.total = total
         self.total_sq = total_sq
 
-    def add(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+    def add(self, values: np.ndarray, buf: np.ndarray):
+        """Add a 1-D float array of values; their squares are written to
+        ``buf``, the caller's buffer of as many floats."""
         self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
+        self.total += float(np.add.reduce(values))
+        self.total_sq += float(np.add.reduce(np.square(values, out=buf)))
 
     @property
     def mean(self) -> float:
@@ -250,47 +313,72 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
     violations = 0
     # one column per order statistic: the windows, spacings and spans
     # below reduce across K with contiguous inner loops.  Each block is
-    # drawn in row chunks into the workspace, whose rows are sorted there
-    # and copied into the block's columns; no array is run-sized, and only
-    # the column block grows with K.  A chunk divides the block, so every
-    # block keeps its rows whatever K
-    cols = np.empty((min(_BLOCK_ROWS, trials), K), order="F")
-    space = np.empty(max(_BLOCK_ROWS * _SCAN_COLS, K))
-    c = next(d for d in range(min(_BLOCK_ROWS, len(space) // K), 0, -1)
+    # drawn in row chunks into the workspace and copied into the block's
+    # columns, each chunk's rows sorted before the copy, or, at K up to
+    # _NETWORK_K, the full block's columns sorted by one network; no array
+    # is run-sized, and only the column block grows with K.  A chunk
+    # divides the block, so every block keeps its rows whatever K
+    network = K <= _NETWORK_K
+    rows = min(_BLOCK_ROWS, trials)
+    cols = _aligned(rows * K).reshape((rows, K), order="F")
+    # the workspace: a scan region of _SCAN_COLS columns of a block (or
+    # one row of K), then one column each for PA at M=2, CONV and PA at
+    # the loop's M, and the squares, with a column of flags beside it, so
+    # the loop allocates nothing per block; every column of a full block
+    # starts a cache line
+    scan = max(_BLOCK_ROWS * _SCAN_COLS, K)
+    space = _aligned(scan + 4 * rows)
+    pa2_col, conv_col, pa_col, sq_col = space[scan:].reshape(4, rows)
+    flag_col = np.empty(rows, dtype=bool)
+    c = next(d for d in range(min(_BLOCK_ROWS, scan // K), 0, -1)
              if _BLOCK_ROWS % d == 0)
     done = 0
-    for rows, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
-                           seed, space[:c * K].reshape(c, K)):
+    for chunk, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
+                            seed, space[:c * K].reshape(c, K)):
         r = done % len(cols)
-        n = r + len(rows)
-        rows.sort(axis=1)
-        cols[r:n] = rows
-        done += len(rows)
+        n = r + len(chunk)
+        if not network:
+            chunk.sort(axis=1)
+        cols[r:n] = chunk
+        done += len(chunk)
         # scan once the block is full or the draws end
         if n < len(cols) and done < trials:
             continue
         xs = cols[:n]
-        # the workspace is dead until the next draw, so its first
-        # n * _SCAN_COLS values hold the scans' chunks of windows, and then
-        # the spacing's gaps and each span column
-        work = space[:n * _SCAN_COLS]
+        # the scan region is dead until the next draw, so its first
+        # n * _SCAN_COLS values hold the network's spare column, the scans'
+        # chunks of windows, and then the spacing's gaps and each span
+        # column.  The squares column is also the scans' scratch and takes
+        # the tail test's deviations
+        work, sq, flags = space[:n * _SCAN_COLS], sq_col[:n], flag_col[:n]
+        if network:
+            _sort_columns(xs, work[:n])
         # half the smallest gap of two neighbours, scanned once: PA at M=2,
         # and, before the M loop squares it, part of the minimum spacing
-        half2 = pa_offsets(xs, 2, work) if K >= 2 else None
+        half2 = None
+        if K >= 2:
+            half2 = _scan_windows(xs, 2, _width, work, pa2_col[:n], sq)
+            half2 /= 2.0
         gap = _min_spacing(xs, half2, D, work)
-        minspace.add(np.square(gap, out=gap))
+        minspace.add(np.square(gap, out=gap), sq)
         for M in conv_m:
-            y, half = (sorted_conv_offsets(xs, M, work),
-                       half2 if M == 2 else pa_offsets(xs, M, work))
-            violations += int(np.count_nonzero(half > y))
+            # spatial.sorted_conv_offsets and pa_offsets, into the columns
+            y = _scan_windows(xs, M, _reach, work, conv_col[:n], sq)
+            half = half2
+            if M != 2:
+                half = _scan_windows(xs, M, _width, work, pa_col[:n], sq)
+                half /= 2.0
+            violations += int(np.count_nonzero(np.greater(half, y, out=flags)))
+            dev = np.divide(y, D / 2.0, out=sq)
+            dev -= p_dag[M]
             tail_hits[M] += np.count_nonzero(
-                np.abs(y / (D / 2.0) - p_dag[M]) >= eps)
-            conv_m[M].add(np.square(y, out=y))
-            pa_m[M].add(np.square(half, out=half))
+                np.greater_equal(np.abs(dev, out=dev), eps, out=flags))
+            conv_m[M].add(np.square(y, out=y), sq)
+            pa_m[M].add(np.square(half, out=half), sq)
         for M in span_mean:
             span = np.subtract(xs[:, M - 1], xs[:, 0], out=work[:n])
             span /= D
-            span_mean[M].add(span)
+            span_mean[M].add(span, sq)
     verdicts = [BoundVerdict(
         name=f"K={K} ordering pa<=conv", analytic=0.0,
         empirical=float(violations), std_error=0.0,

@@ -129,9 +129,18 @@ def _window_min(sorted_xs: np.ndarray, M: int, cost, work=None) -> np.ndarray:
     if not 1 <= M <= K:
         raise ParameterError(f"window of M={M} sorted positions: need "
                              f"1 <= M <= K={K}")
-    windows = K - M + 1
     best = np.empty(sorted_xs.shape[:-1])
-    scratch = np.empty_like(best) if windows > 1 else None
+    scratch = np.empty_like(best) if M < K else None
+    return _scan_windows(sorted_xs, M, cost, work, best, scratch)
+
+
+def _scan_windows(sorted_xs, M, cost, work, best, scratch):
+    """``_window_min`` for 1 <= M <= K, written into ``best`` with the
+    running minimum of a second window's chunks in ``scratch``, both float
+    arrays of the batch shape that the caller owns, so nothing is
+    allocated; ``scratch`` may be None if there is one window.  Returns
+    ``best``."""
+    windows = sorted_xs.shape[-1] - M + 1
     if work is None:
         cost(sorted_xs[..., 0], sorted_xs[..., M - 1], best)
         for i in range(1, windows):

@@ -415,7 +415,65 @@ class TestTrialCounts:
             assert repr(run()) == repr(run_int())
 
 
+def _network_inputs(kind, n, K, rng):
+    """(n, K) rows of one kind: random, heavily tied, sorted or reversed."""
+    xs = rng.uniform(-5.0, 5.0, (n, K))
+    if kind == "ties":
+        return np.floor(xs)
+    if kind == "sorted":
+        return np.sort(xs, axis=1)
+    if kind == "reversed":
+        return np.sort(xs, axis=1)[:, ::-1]
+    return xs
+
+
+@pytest.mark.parametrize("size", [1, 7, 100, 4096 * 12])
+def test_aligned_buffer_starts_a_cache_line(size):
+    buf = montecarlo._aligned(size)
+    assert buf.dtype == float and buf.shape == (size,)
+    assert buf.ctypes.data % 64 == 0 and buf.flags.c_contiguous
+
+
+class TestMergeExchange:
+    @pytest.mark.parametrize("kind", ["random", "ties", "sorted", "reversed"])
+    @pytest.mark.parametrize("K", range(1, montecarlo._NETWORK_K + 3))
+    def test_sorts_columns_as_np_sort(self, K, kind):
+        xs = _network_inputs(kind, 300, K, np.random.default_rng(K))
+        cols = np.asfortranarray(xs)
+        montecarlo._sort_columns(cols, np.empty(len(cols)))
+        assert np.array_equal(cols.view(np.int64),
+                              np.sort(xs, axis=1).view(np.int64))
+
+    @pytest.mark.parametrize("K", range(1, montecarlo._NETWORK_K + 3))
+    def test_sorts_every_zero_one_row(self, K):
+        # a comparator network that sorts every 0-1 input sorts every input
+        # (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z)
+        bits = (np.arange(2**K)[:, None] >> np.arange(K)) & 1
+        cols = np.asfortranarray(bits, dtype=float)
+        montecarlo._sort_columns(cols, np.empty(len(cols)))
+        assert np.array_equal(cols, np.sort(bits, axis=1))
+
+    @pytest.mark.parametrize("K,count", [(1, 0), (2, 1), (3, 3), (4, 5),
+                                         (8, 19), (16, 63)])
+    def test_comparator_counts(self, K, count):
+        # Batcher's merge exchange: 19 comparators on 8 keys, 63 on 16
+        pairs = montecarlo._merge_exchange(K)
+        assert len(pairs) == count
+        assert all(0 <= i < j < K for i, j in pairs)
+
+
 class TestVerifyBounds:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 10, 11])
+    def test_network_verdicts_are_the_row_sorts(self, monkeypatch, K):
+        # 1600 trials: six full blocks of 256 rows and a partial one, each
+        # sorted by the network at the first run and by rows at the second
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
+        args = ([K], [1, 2, 5, 7], 10.0, 1600, 8)
+        monkeypatch.setattr(montecarlo, "_NETWORK_K", K)
+        network = montecarlo.verify_bounds(*args)
+        monkeypatch.setattr(montecarlo, "_NETWORK_K", 0)
+        assert repr(network) == repr(montecarlo.verify_bounds(*args))
+
     def test_small_grid_all_pass(self):
         verdicts = montecarlo.verify_bounds([10, 20], [2, 5], 10.0,
                                             trials=40_000, seed=2)
@@ -545,6 +603,13 @@ class TestVerifyBounds:
                 == repr(_fresh_draw_reference(*args, eps=0.1)))
 
 
+class _Moment(montecarlo._Moment):
+    """``montecarlo._Moment``, squaring into a fresh buffer."""
+
+    def add(self, values):
+        super().add(values, np.empty(values.shape))
+
+
 def _spacings(xs, D):
     """The K+1 spacings of sorted rows of positions on [-D/2, D/2], edge
     gaps included, as the gaps of [-D/2, *x, D/2] over D: a (n, K+1)
@@ -561,9 +626,9 @@ def _fresh_draw_reference(K_grid, M_grid, D, trials, seed, eps):
     verdicts = []
     for K in K_grid:
         Ms = [M for M in M_grid if M <= K]
-        conv, pa, tail, span = ({M: montecarlo._Moment() for M in Ms}
+        conv, pa, tail, span = ({M: _Moment() for M in Ms}
                                 for _ in range(4))
-        minspace = montecarlo._Moment()
+        minspace = _Moment()
         violations = 0
         whole = np.sort(_whole_draw(_uniform(D), K, trials, seed)[0], axis=1)
         for rows in _row_blocks(trials):
@@ -623,9 +688,9 @@ def _row_major_reference(K_grid, M_grid, D, trials, seed, eps):
     ref = {}
     for K in K_grid:
         Ms = [M for M in M_grid if M <= K]
-        conv, pa, tail, span = ({M: montecarlo._Moment() for M in Ms}
+        conv, pa, tail, span = ({M: _Moment() for M in Ms}
                                 for _ in range(4))
-        minspace = montecarlo._Moment()
+        minspace = _Moment()
         violations = 0
         whole = np.sort(_whole_draw(_uniform(D), K, trials, seed)[0], axis=1)
         for rows in _row_blocks(trials):
@@ -780,8 +845,8 @@ class TestParticipationSweep:
         ]))
         rows = montecarlo.participation_sweep(K, grid, model, spec, PHY,
                                               trials, seed)
-        conv = [montecarlo._Moment() for _ in grid]
-        pa = [montecarlo._Moment() for _ in grid]
+        conv = [_Moment() for _ in grid]
+        pa = [_Moment() for _ in grid]
         xs, compute = _whole_draw(spec, K, trials, seed)
         tau_conv = upload_latency(PHY.c, xs, 0.0, PHY.S, PHY.d)
         if model.fc_kind == DETERMINISTIC:

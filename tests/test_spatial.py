@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
-                             DistributionSpec, _min_spacing, bottlenecks,
+                             DistributionSpec, _min_spacing, _reach,
+                             _scan_windows, _width, bottlenecks,
                              draw_positions, pa_offsets, sample_positions,
                              schedule_round, sorted_conv_offsets)
 
@@ -364,6 +365,22 @@ class TestBatchedBottlenecks:
         for kernel in (lambda: pa_offsets(xs, M, work),
                        lambda: sorted_conv_offsets(xs, M, work)):
             assert columns <= _peak_columns(kernel, 512) < columns + 0.5
+
+    @pytest.mark.parametrize("K, M", [(1, 1), (5, 5), (5, 2), (40, 7)])
+    def test_scan_into_caller_columns_allocates_nothing(self, K, M):
+        # the kernels' bits, in the caller's result and scratch columns;
+        # numpy's reductions keep a few hundred bytes of iterator state
+        n = 4096
+        xs = np.asfortranarray(np.sort(
+            np.random.default_rng(0).uniform(-5, 5, (n, K)), axis=1))
+        work, best, scratch = np.empty(n * 8), np.empty(n), np.empty(n)
+        for cost, kernel, scale in ((_reach, sorted_conv_offsets, 1.0),
+                                    (_width, pa_offsets, 0.5)):
+            got = _scan_windows(xs, M, cost, work, best, scratch)
+            assert got is best
+            assert (got * scale).tobytes() == kernel(xs, M, work).tobytes()
+            assert _peak_columns(lambda: _scan_windows(
+                xs, M, cost, work, best, scratch), n) < 0.1
 
     @pytest.mark.parametrize("K", [1, 2, 40])
     def test_spacing_allocates_nothing(self, K):
