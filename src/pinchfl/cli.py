@@ -3,7 +3,9 @@ subcommand, and writes CSV series plus a self-describing JSON summary.
 
 Exit codes: 0 success, 1 usage error, 2 config validation error, 3 runtime
 error (e.g. an infeasible link or out-of-regime request). Only a run that
-exits 0 writes artifacts.
+exits 0 writes artifacts.  A run whose stdout is closed before the summary
+is printed (``pinchfl verify | head -3``) still exits 0, with no traceback:
+its artifacts are written, and ``<command>.json`` holds the same metrics.
 """
 
 from __future__ import annotations
@@ -254,8 +256,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # runtime failures map to a distinct exit code
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps({"command": command, "metrics": metrics},
-                     indent=2, sort_keys=True))
+    try:
+        print(json.dumps({"command": command, "metrics": metrics},
+                         indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader has gone; what is left in the buffer goes to devnull,
+        # so that flushing stdout at exit raises no second BrokenPipeError
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -17,9 +17,14 @@ floats as chunks of rows that divide the block, and copies each chunk into
 its rows of the column block.  Above ``_NETWORK_K`` each chunk's rows are
 sorted before the copy; at K up to it the full block's columns are sorted
 by one compare-exchange network, ``_merge_exchange(K)``, which skips the
-row sort's fixed cost per row.  The window scans write their minima into
-columns of the workspace, so the loop allocates nothing per block, and
-both buffers start on a cache line (``_aligned``).
+row sort's fixed cost per row.  PA's window scans write their minima into
+columns of the workspace, one per M, so the loop allocates nothing per
+block, and both buffers start on a cache line (``_aligned``).  CONV comes
+last, as it overwrites the sorted block with |x|: a sorted row's |x| falls,
+then rises, and stays bitonic padded with +inf, so half-cleaners keep its
+smallest values and one bitonic merge sorts them (``_smallest_abs``,
+Batcher 1968), and column M-1 is the M-th offset at every M.  It is +0.0
+where a window scan could give -0.0, a sign that no verdict reads.
 Acceptance convention (``_verdict``): two-sided checks pass within three
 standard errors; one-sided bounds get that slack on their own side.
 """
@@ -38,8 +43,9 @@ from .errors import ParameterError
 from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
                             expected_participants)
 from .phy import PhyParams, latency_inverse, upload_latency
-from .spatial import (UNIFORM, DistributionSpec, _min_spacing, _reach,
-                      _scan_windows, _width, bottlenecks, draw_positions)
+from .spatial import (UNIFORM, DistributionSpec, _min_spacing,
+                      _scan_windows, _smallest_abs, _width, bottlenecks,
+                      draw_positions)
 
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
 # the SFL CCDF sorts its rows and scans its windows, one column per window
@@ -311,63 +317,74 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
     p_dag = {M: analytics.order_stat_moments(K, M)[0] for M in M_grid}
     minspace = _Moment()
     violations = 0
-    # one column per order statistic: the windows, spacings and spans
-    # below reduce across K with contiguous inner loops.  Each block is
-    # drawn in row chunks into the workspace and copied into the block's
-    # columns, each chunk's rows sorted before the copy, or, at K up to
-    # _NETWORK_K, the full block's columns sorted by one network; no array
-    # is run-sized, and only the column block grows with K.  A chunk
-    # divides the block, so every block keeps its rows whatever K
+    # one column per order statistic: the windows, spacings, spans and
+    # the selection below reduce across K with contiguous inner loops.
+    # Each block is drawn in row chunks into the workspace and copied into
+    # the block's columns, each chunk's rows sorted before the copy, or, at
+    # K up to _NETWORK_K, the full block's columns sorted by one network;
+    # no array is run-sized, only the column block grows with K, and the
+    # workspace by a column per M.  A chunk divides the block, so every
+    # block keeps its rows whatever K
     network = K <= _NETWORK_K
     rows = min(_BLOCK_ROWS, trials)
-    cols = _aligned(rows * K).reshape((rows, K), order="F")
+    store = _aligned(rows * K)
     # the workspace: a scan region of _SCAN_COLS columns of a block (or
-    # one row of K), then one column each for PA at M=2, CONV and PA at
-    # the loop's M, and the squares, with a column of flags beside it, so
+    # one row of K), then one column of PA's half spans per M, M = 2 also
+    # off the grid, and the squares, with a column of flags beside it, so
     # the loop allocates nothing per block; every column of a full block
-    # starts a cache line
+    # starts a cache line.  CONV takes no column: its offsets are columns
+    # of the block once _smallest_abs has overwritten it
     scan = max(_BLOCK_ROWS * _SCAN_COLS, K)
-    space = _aligned(scan + 4 * rows)
-    pa2_col, conv_col, pa_col, sq_col = space[scan:].reshape(4, rows)
+    halves = dict.fromkeys([2, *M_grid])
+    space = _aligned(scan + (len(halves) + 1) * rows)
+    *half_cols, sq_col = space[scan:].reshape(-1, rows)
     flag_col = np.empty(rows, dtype=bool)
     c = next(d for d in range(min(_BLOCK_ROWS, scan // K), 0, -1)
              if _BLOCK_ROWS % d == 0)
     done = 0
     for chunk, _ in _blocks(DistributionSpec(kind=UNIFORM, D=D), K, trials,
                             seed, space[:c * K].reshape(c, K)):
-        r = done % len(cols)
+        r = done % rows
+        if r == 0:
+            # a short last block is Fortran-contiguous too: numpy's in-place
+            # ufuncs copy a strided one
+            xs = store[:min(rows, trials - done) * K].reshape((-1, K),
+                                                              order="F")
         n = r + len(chunk)
         if not network:
             chunk.sort(axis=1)
-        cols[r:n] = chunk
+        xs[r:n] = chunk
         done += len(chunk)
-        # scan once the block is full or the draws end
-        if n < len(cols) and done < trials:
+        # scan once the block, of the rows left if fewer, is full
+        if n < len(xs):
             continue
-        xs = cols[:n]
         # the scan region is dead until the next draw, so its first
         # n * _SCAN_COLS values hold the network's spare column, the scans'
-        # chunks of windows, and then the spacing's gaps and each span
-        # column.  The squares column is also the scans' scratch and takes
-        # the tail test's deviations
+        # chunks of windows, then the spacing's gaps, each span column and
+        # the selection's slabs.  The squares column is also the scans'
+        # scratch and takes the tail test's deviations
         work, sq, flags = space[:n * _SCAN_COLS], sq_col[:n], flag_col[:n]
         if network:
             _sort_columns(xs, work[:n])
-        # half the smallest gap of two neighbours, scanned once: PA at M=2,
+        # PA's half spans (pa_offsets) at each M, into their columns.  Half
+        # the smallest gap of two neighbours, scanned once, is PA at M=2
         # and, before the M loop squares it, part of the minimum spacing
-        half2 = None
-        if K >= 2:
-            half2 = _scan_windows(xs, 2, _width, work, pa2_col[:n], sq)
-            half2 /= 2.0
-        gap = _min_spacing(xs, half2, D, work)
+        for M, col in zip(halves, half_cols):
+            if M <= K:
+                halves[M] = _scan_windows(xs, M, _width, work, col[:n], sq)
+                halves[M] /= 2.0
+        gap = _min_spacing(xs, halves[2], D, work)
         minspace.add(np.square(gap, out=gap), sq)
+        for M in span_mean:
+            span = np.subtract(xs[:, M - 1], xs[:, 0], out=work[:n])
+            span /= D
+            span_mean[M].add(span, sq)
+        # CONV last, as it overwrites the sorted block: the M-th smallest
+        # |x| of each row is column M-1, squared in place
+        if conv_m:
+            _smallest_abs(xs, max(conv_m), work)
         for M in conv_m:
-            # spatial.sorted_conv_offsets and pa_offsets, into the columns
-            y = _scan_windows(xs, M, _reach, work, conv_col[:n], sq)
-            half = half2
-            if M != 2:
-                half = _scan_windows(xs, M, _width, work, pa_col[:n], sq)
-                half /= 2.0
+            y, half = xs[:, M - 1], halves[M]
             violations += int(np.count_nonzero(np.greater(half, y, out=flags)))
             dev = np.divide(y, D / 2.0, out=sq)
             dev -= p_dag[M]
@@ -375,10 +392,6 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
                 np.greater_equal(np.abs(dev, out=dev), eps, out=flags))
             conv_m[M].add(np.square(y, out=y), sq)
             pa_m[M].add(np.square(half, out=half), sq)
-        for M in span_mean:
-            span = np.subtract(xs[:, M - 1], xs[:, 0], out=work[:n])
-            span /= D
-            span_mean[M].add(span, sq)
     verdicts = [BoundVerdict(
         name=f"K={K} ordering pa<=conv", analytic=0.0,
         empirical=float(violations), std_error=0.0,

@@ -165,6 +165,55 @@ def _scan_windows(sorted_xs, M, cost, work, best, scratch):
     return best
 
 
+def _smallest_abs(sorted_xs, s, work):
+    """Overwrite each sorted row of ``sorted_xs``, a Fortran-contiguous
+    (n, K) float array, with its |x|, and leave the s smallest of them,
+    1 <= s <= K, ascending in its first s columns: column M-1 is every
+    row's ``sorted_conv_offsets`` at M, but for the sign of a zero.
+    ``work`` is a flat float buffer of at least one column of the batch.
+    Nothing is allocated; on a strided batch numpy's in-place ufuncs would
+    copy it.
+
+    A sorted row's |x| falls, then rises, so it is bitonic, and it stays so
+    padded with +inf to a power of two.  A half-cleaner, the minimum of
+    the two halves of a bitonic row, is a bitonic half that holds the
+    row's smallest values; halving down to the least power of two s2 >= s
+    leaves the s2 smallest, and one bitonic merge sorts them (Batcher 1968,
+    "Sorting networks and their applications").  Each step is a ufunc over
+    contiguous slabs of columns, the pads a virtual +inf, and minima and
+    maxima of the same values are exact, so no value's bits change.
+    """
+    n, L = sorted_xs.shape
+    if work.dtype != float or work.ndim != 1 or work.size < max(n, 1):
+        raise ParameterError("work must be a flat float buffer of at least "
+                             "one column of the batch")
+    cols = sorted_xs.T
+    np.abs(sorted_xs, out=sorted_xs)
+    s2 = 1 << (s - 1).bit_length()
+    while L > s2:
+        # half the padded length: columns P..L-1 fold onto 0..L-P-1
+        P = 1 << (L - 1).bit_length() - 1
+        np.minimum(cols[:L - P], cols[P:L], out=cols[:L - P])
+        L = P
+    # the merge's compare-exchanges of columns i and i+d, i & d == 0, in
+    # contiguous slabs of at most ``step`` columns; a pair whose upper
+    # column is a pad is in order
+    step = work.size // max(n, 1)
+    d = s2 >> 1
+    while d:
+        for b in range(0, L - d, 2 * d):
+            stop = min(b + d, L - d)
+            for i in range(b, stop, step):
+                j = min(i + step, stop)
+                lo, hi = cols[i:j], cols[i + d:j + d]
+                tmp = work[:lo.size].reshape(lo.shape)
+                np.minimum(lo, hi, out=tmp)
+                np.maximum(lo, hi, out=hi)
+                lo[...] = tmp
+        d >>= 1
+    return sorted_xs
+
+
 def _reach(first, last, out):
     # the larger |x| of a sorted window's ends, as first <= last
     np.negative(first, out=out)

@@ -570,14 +570,33 @@ class TestCommandTable:
         assert payload["metrics"] == metrics
 
 
-def _python(code):
-    """Run ``code`` in a fresh interpreter that imports this pinchfl."""
+def _env():
+    """The environment of a fresh interpreter that imports this pinchfl."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pinchfl.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this pinchfl."""
+    return subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [["highsnr"], ["verify", "--trials", "1000"]])
+def test_closed_stdout_exits_0_without_traceback(tmp_path, argv):
+    # the reader of stdout leaves before the summary is printed, as under
+    # ``pinchfl highsnr | head -1``: the artifacts hold the metrics
+    proc = subprocess.Popen([sys.executable, "-m", "pinchfl", *argv,
+                             "--out", str(tmp_path)], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (0, b"")
+    payload = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert payload["metrics"]
 
 
 class TestRuntimeWithoutScipy:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinchfl import analytics, montecarlo, participation
+from pinchfl import analytics, montecarlo, participation, spatial
 from pinchfl.config import RunConfig
 from pinchfl.errors import InfeasibleLinkError, ParameterError
 from pinchfl.participation import (DETERMINISTIC, SHIFTED_EXPONENTIAL,
@@ -463,16 +463,35 @@ class TestMergeExchange:
 
 
 class TestVerifyBounds:
-    @pytest.mark.parametrize("K", [1, 2, 3, 4, 10, 11])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 7, 10, 11])
     def test_network_verdicts_are_the_row_sorts(self, monkeypatch, K):
         # 1600 trials: six full blocks of 256 rows and a partial one, each
-        # sorted by the network at the first run and by rows at the second
+        # sorted by the network at the first run and by rows at the second.
+        # Several M at once, max(M) > K/2 among them, take CONV's offsets
+        # from one selection: they are the sorted |x| of fresh draws
         monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
-        args = ([K], [1, 2, 5, 7], 10.0, 1600, 8)
-        monkeypatch.setattr(montecarlo, "_NETWORK_K", K)
-        network = montecarlo.verify_bounds(*args)
-        monkeypatch.setattr(montecarlo, "_NETWORK_K", 0)
-        assert repr(network) == repr(montecarlo.verify_bounds(*args))
+        for M_grid in ([1, 2, 5, 7], sorted({2, K})):
+            args = ([K], M_grid, 10.0, 1600, 8)
+            monkeypatch.setattr(montecarlo, "_NETWORK_K", K)
+            network = repr(montecarlo.verify_bounds(*args))
+            monkeypatch.setattr(montecarlo, "_NETWORK_K", 0)
+            assert network == repr(montecarlo.verify_bounds(*args))
+            assert network == repr(_fresh_draw_reference(*args, eps=0.1))
+
+    def test_only_pa_windows_are_scanned(self, monkeypatch):
+        # CONV's offsets are columns of the block's selected |x|, so the
+        # only windows verify_bounds scans are PA's spans
+        costs = []
+        scan = spatial._scan_windows
+
+        def spy(sorted_xs, M, cost, *args):
+            costs.append(cost)
+            return scan(sorted_xs, M, cost, *args)
+
+        for module in (spatial, montecarlo):
+            monkeypatch.setattr(module, "_scan_windows", spy)
+        montecarlo.verify_bounds([1, 3, 10, 40], [1, 2, 5, 7], 10.0, 600, 8)
+        assert costs and set(costs) == {spatial._width}
 
     def test_small_grid_all_pass(self):
         verdicts = montecarlo.verify_bounds([10, 20], [2, 5], 10.0,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
                              DistributionSpec, _min_spacing, _reach,
-                             _scan_windows, _width, bottlenecks,
+                             _scan_windows, _smallest_abs, _width, bottlenecks,
                              draw_positions, pa_offsets, sample_positions,
                              schedule_round, sorted_conv_offsets)
 
@@ -450,9 +450,63 @@ class TestBatchedBottlenecks:
         xs = np.sort(np.random.default_rng(0).random((4, 5)), axis=1)
         for work in (np.empty(3), np.empty((4, 2)), np.empty(8, np.float32)):
             for kernel in (lambda: pa_offsets(xs, 2, work),
-                           lambda: sorted_conv_offsets(xs, 2, work)):
+                           lambda: sorted_conv_offsets(xs, 2, work),
+                           lambda: _smallest_abs(xs.copy(order="F"), 2, work)):
                 with pytest.raises(ParameterError):
                     kernel()
+
+
+def _abs_rows(K, rng):
+    """29 sorted rows of K positions: continuous draws, then a coarse grid
+    of ties and exact zeros, a third of which are -0.0, then rows all of one
+    value."""
+    rows = np.empty((29, K))
+    rows[:10] = rng.uniform(-5.0, 5.0, (10, K))
+    grid = np.floor(rng.uniform(-3.0, 3.0, (14, K))) / 2.0
+    grid[(grid == 0.0) & (rng.random((14, K)) < 1 / 3)] = -0.0
+    rows[10:24] = grid
+    rows[24:] = np.array([0.0, -0.0, 1.5, -1.5, 2.0])[:, None]
+    rows.sort(axis=1)
+    return rows
+
+
+class TestSmallestAbs:
+    @pytest.mark.parametrize("K", [*range(1, 71), 200, 1000])
+    def test_heads_are_the_sorted_abs(self, K):
+        # every s, a power of two or not, s = K included: the s2 - K pads
+        # of s2 > K, and every count of half-cleaners and merge stages.
+        # Slabs of at most 13 columns split the merge's stages unevenly,
+        # and the first 29 rows of a 32-row buffer are a strided batch,
+        # which numpy copies but the selection still sorts.
+        # At K = 1000 the s of one power-of-two class repeat each other's
+        # ufunc calls, about 3000 each above 512, so only the first 70 s,
+        # those within 2 of a power of two and the last 3 are taken
+        rows = _abs_rows(K, np.random.default_rng(K))
+        want = (np.sort(np.abs(rows), axis=1) + 0.0).view(np.int64)
+        cols = np.empty((32, K), order="F")
+        work = np.empty(29 * 13)
+        heads = set(range(1, min(K, 70) + 1)) | {K - 2, K - 1, K}
+        heads |= {p + e for p in (128, 256, 512) for e in range(-2, 3)}
+        for s in sorted(heads & set(range(1, K + 1))):
+            xs = cols[:29]
+            xs[...] = rows
+            assert _smallest_abs(xs, s, work) is xs
+            assert np.array_equal((xs[:, :s] + 0.0).view(np.int64),
+                                  want[:, :s]), s
+
+    @pytest.mark.parametrize("K, s", [(3, 2), (7, 7), (40, 7), (200, 7)])
+    def test_allocates_nothing(self, K, s):
+        # on a Fortran-contiguous block; numpy's in-place ufuncs would copy
+        # a strided one
+        n = 4096
+        rows = np.sort(np.random.default_rng(0).uniform(-5, 5, (n, K)), axis=1)
+        xs, work = np.empty((n, K), order="F"), np.empty(n * 8)
+
+        def select():
+            xs[...] = rows
+            _smallest_abs(xs, s, work)
+
+        assert _peak_columns(select, n) < 0.1
 
 
 def _spacing(sorted_xs, D):
