@@ -496,10 +496,10 @@ def run_sfl(problem: SyntheticProblem, xs: np.ndarray, phy: PhyParams,
         raise ParameterError(f"rounds={rounds!r}: need an integer >= 1")
     sched, z = schedule_round(xs, M, arch)
     scheduled = tuple(int(i) for i in sched)
-    # a CCDF trial's bottleneck on this row, windows scanned in one chunk;
-    # + 0.0 turns a CONV -0.0 into 0.0
-    bottleneck = float(bottlenecks(np.sort(xs)[None], M, arch,
-                                   np.empty(xs.size))[0]) + 0.0
+    # a CCDF trial's bottleneck on this row, the cost of the scheduled
+    # window's two ends; + 0.0 turns a -0.0 into 0.0
+    bottleneck = float(bottlenecks(np.sort(xs[sched])[None, [0, -1]], 2,
+                                   arch)[0]) + 0.0
     round_time = float(upload_latency(phy.c_round(M), bottleneck, 0.0, phy.S,
                                       phy.d))
 

@@ -20,11 +20,14 @@ by one compare-exchange network, ``_merge_exchange(K)``, which skips the
 row sort's fixed cost per row.  PA's window scans write their minima into
 columns of the workspace, one per M, so the loop allocates nothing per
 block, and both buffers start on a cache line (``_aligned``).  CONV comes
-last, as it overwrites the sorted block with |x|: a sorted row's |x| falls,
-then rises, and stays bitonic padded with +inf, so half-cleaners keep its
-smallest values and one bitonic merge sorts them (``_smallest_abs``,
-Batcher 1968), and column M-1 is the M-th offset at every M.  It is +0.0
-where a window scan could give -0.0, a sign that no verdict reads.
+last.  Up to s2, the least power of two >= the largest M <= K/2, its
+offsets come from one selection that overwrites the sorted block with |x|:
+a sorted row's |x| falls, then rises, and stays bitonic padded with +inf,
+so half-cleaners keep its smallest values and one bitonic merge sorts them
+(``_smallest_abs``, Batcher 1968), and column M-1 is the M-th offset.  A
+larger M, where the selection would near a full sort, first scans its
+K - M + 1 <= M windows (``_reach``) while the block is still sorted.  A
+scan may give -0.0 where the selection gives +0.0, a sign no verdict reads.
 Acceptance convention (``_verdict``): two-sided checks pass within three
 standard errors; one-sided bounds get that slack on their own side.
 """
@@ -43,9 +46,9 @@ from .errors import ParameterError
 from .participation import (DETERMINISTIC, DeadlineModel, check_deadline,
                             expected_participants)
 from .phy import PhyParams, latency_inverse, upload_latency
-from .spatial import (UNIFORM, DistributionSpec, _min_spacing,
-                      _scan_windows, _smallest_abs, _width, bottlenecks,
-                      draw_positions)
+from .spatial import (UNIFORM, DistributionSpec, _compare_exchange,
+                      _min_spacing, _reach, _scan_windows, _smallest_abs,
+                      _width, bottlenecks, draw_positions)
 
 # rows per block: a block of (_BLOCK_ROWS, K) positions stays in cache while
 # the SFL CCDF sorts its rows and scans its windows, one column per window
@@ -183,15 +186,12 @@ def _merge_exchange(K: int) -> tuple:
 def _sort_columns(xs: np.ndarray, tmp: np.ndarray):
     """Sort the rows of ``xs``, an (n, K) float array with contiguous
     columns, in place by ``_merge_exchange(K)`` over its columns; ``tmp`` is
-    a buffer of n floats.  Each comparator writes its two columns' minimum
-    and maximum, so a row free of NaN ends with the bits of its
+    a buffer of n floats.  Each comparator is a ``_compare_exchange`` of
+    its two columns, so a row free of NaN ends with the bits of its
     ``np.sort``, but for the signs of equal zeros."""
     cols = xs.T
     for i, j in _merge_exchange(xs.shape[1]):
-        a, b = cols[i], cols[j]
-        np.minimum(a, b, out=tmp)
-        np.maximum(a, b, out=b)
-        a[...] = tmp
+        _compare_exchange(cols[i], cols[j], tmp)
 
 
 class _Moment:
@@ -326,6 +326,11 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
     # workspace by a column per M.  A chunk divides the block, so every
     # block keeps its rows whatever K
     network = K <= _NETWORK_K
+    # CONV's selection sorts up to s2, the least power of two >= the
+    # largest M <= K/2, and s is the largest M it serves
+    half_k = [M for M in M_grid if 2 * M <= K]
+    s2 = 1 << (max(half_k, default=1) - 1).bit_length()
+    s = max([M for M in M_grid if M <= s2], default=0)
     rows = min(_BLOCK_ROWS, trials)
     store = _aligned(rows * K)
     # the workspace: a scan region of _SCAN_COLS columns of a block (or
@@ -333,7 +338,8 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
     # off the grid, and the squares, with a column of flags beside it, so
     # the loop allocates nothing per block; every column of a full block
     # starts a cache line.  CONV takes no column: its offsets are columns
-    # of the block once _smallest_abs has overwritten it
+    # of the block once _smallest_abs has overwritten it, or, above s2,
+    # the scan region's first column
     scan = max(_BLOCK_ROWS * _SCAN_COLS, K)
     halves = dict.fromkeys([2, *M_grid])
     space = _aligned(scan + (len(halves) + 1) * rows)
@@ -359,10 +365,11 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
         if n < len(xs):
             continue
         # the scan region is dead until the next draw, so its first
-        # n * _SCAN_COLS values hold the network's spare column, the scans'
-        # chunks of windows, then the spacing's gaps, each span column and
-        # the selection's slabs.  The squares column is also the scans'
-        # scratch and takes the tail test's deviations
+        # n * _SCAN_COLS values hold the network's spare column, PA's
+        # chunks of windows, then the spacing's gaps, each span column,
+        # CONV's offsets and chunks and the selection's slabs.  The squares
+        # column is also the scans' scratch and takes the tail test's
+        # deviations
         work, sq, flags = space[:n * _SCAN_COLS], sq_col[:n], flag_col[:n]
         if network:
             _sort_columns(xs, work[:n])
@@ -379,12 +386,16 @@ def _verify_one_k(K: int, M_grid, D: float, trials: int, seed: int,
             span = np.subtract(xs[:, M - 1], xs[:, 0], out=work[:n])
             span /= D
             span_mean[M].add(span, sq)
-        # CONV last, as it overwrites the sorted block: the M-th smallest
-        # |x| of each row is column M-1, squared in place
-        if conv_m:
-            _smallest_abs(xs, max(conv_m), work)
-        for M in conv_m:
-            y, half = xs[:, M - 1], halves[M]
+        # CONV last.  An M above s2 scans its K - M + 1 <= M windows while
+        # the block is still sorted, into the scan region's first column;
+        # then the selection overwrites the block with |x|, and the M-th
+        # smallest is column M-1.  Each offset is squared in place
+        for M in sorted(conv_m, reverse=True):
+            if M == s:
+                _smallest_abs(xs, s, work)
+            y = (xs[:, M - 1] if M <= s2 else
+                 _scan_windows(xs, M, _reach, work[n:], work[:n], sq))
+            half = halves[M]
             violations += int(np.count_nonzero(np.greater(half, y, out=flags)))
             dev = np.divide(y, D / 2.0, out=sq)
             dev -= p_dag[M]

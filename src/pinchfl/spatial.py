@@ -108,50 +108,49 @@ def sample_positions(spec: DistributionSpec, K: int, seed: int) -> np.ndarray:
     return draw_positions(np.random.default_rng(seed), spec, K)
 
 
-def _window_min(sorted_xs: np.ndarray, M: int, cost, work=None) -> np.ndarray:
+def _window_min(sorted_xs: np.ndarray, M: int, cost) -> np.ndarray:
     """Smallest ``cost(first, last, out)`` over the M-windows of consecutive
-    sorted positions (last axis), as a running minimum over the window start.
+    sorted positions (last axis), as a running minimum over the window
+    start, one window at a time.
 
     ``cost`` writes the value of every row's window into ``out`` from the
-    window's first and last position, for one window or for a chunk of
-    consecutive ones.  Without ``work`` the scan takes one window at a time;
-    given ``work``, a flat float buffer of at least one column of the batch,
-    it takes as many windows at a time as ``work`` holds columns, into a
-    Fortran-order view of ``work``, and folds each chunk's minimum into the
-    result.  Only two arrays of the batch shape are allocated, the second
-    only when there is a second window; on a Fortran-ordered batch each
-    window reads two contiguous columns.  Minima of the same values are
-    exact, so the result does not depend on the layout, bit for bit, nor on
-    the chunk width, but for the sign of a zero cost.  M outside [1, K]
-    raises ParameterError.
+    window's first and last position.  Only two arrays of the batch shape
+    are allocated, the second only when there is a second window; on a
+    Fortran-ordered batch each window reads two contiguous columns.  Minima
+    of the same values are exact, so the result does not depend on the
+    layout, bit for bit.  M outside [1, K] raises ParameterError.
     """
-    K = sorted_xs.shape[-1]
-    if not 1 <= M <= K:
-        raise ParameterError(f"window of M={M} sorted positions: need "
-                             f"1 <= M <= K={K}")
+    K, M = check_order(sorted_xs.shape[-1], M)
     best = np.empty(sorted_xs.shape[:-1])
+    cost(sorted_xs[..., 0], sorted_xs[..., M - 1], best)
     scratch = np.empty_like(best) if M < K else None
-    return _scan_windows(sorted_xs, M, cost, work, best, scratch)
+    for i in range(1, K - M + 1):
+        cost(sorted_xs[..., i], sorted_xs[..., i + M - 1], scratch)
+        np.minimum(best, scratch, out=best)
+    return best
 
 
-def _scan_windows(sorted_xs, M, cost, work, best, scratch):
-    """``_window_min`` for 1 <= M <= K, written into ``best`` with the
-    running minimum of a second window's chunks in ``scratch``, both float
-    arrays of the batch shape that the caller owns, so nothing is
-    allocated; ``scratch`` may be None if there is one window.  Returns
-    ``best``."""
-    windows = sorted_xs.shape[-1] - M + 1
-    if work is None:
-        cost(sorted_xs[..., 0], sorted_xs[..., M - 1], best)
-        for i in range(1, windows):
-            cost(sorted_xs[..., i], sorted_xs[..., i + M - 1], scratch)
-            np.minimum(best, scratch, out=best)
-        return best
-    n = best.size
+def _columns(work, n):
+    """How many columns of n floats ``work`` holds, a flat float buffer of
+    at least one; else ParameterError."""
     if work.dtype != float or work.ndim != 1 or work.size < max(n, 1):
         raise ParameterError("work must be a flat float buffer of at least "
                              "one column of the batch")
-    width = min(windows, work.size // max(n, 1))
+    return work.size // max(n, 1)
+
+
+def _scan_windows(sorted_xs, M, cost, work, best, scratch):
+    """``_window_min`` for 1 <= M <= K in chunks of windows, as many as
+    ``work``, a flat float buffer, holds columns of the batch: each chunk's
+    costs go into a Fortran-order view of ``work``, and its minimum folds
+    into ``best``, with the running minimum of a second chunk in
+    ``scratch``, both float arrays of the batch shape that the caller owns,
+    so nothing is allocated; ``scratch`` may be None if there is one chunk.
+    The result does not depend on the chunk width, but for the sign of a
+    zero cost.  Returns ``best``."""
+    n = best.size
+    windows = sorted_xs.shape[-1] - M + 1
+    width = min(windows, _columns(work, n))
     for i in range(0, windows, width):
         c = min(width, windows - i)
         chunk = work[:n * c].reshape(best.shape + (c,), order="F")
@@ -163,6 +162,14 @@ def _scan_windows(sorted_xs, M, cost, work, best, scratch):
             np.minimum.reduce(chunk, axis=-1, out=scratch)
             np.minimum(best, scratch, out=best)
     return best
+
+
+def _compare_exchange(lo, hi, tmp):
+    """Leave the elementwise minimum of ``lo`` and ``hi`` in ``lo`` and
+    their maximum in ``hi``, by way of ``tmp``, a buffer of their shape."""
+    np.minimum(lo, hi, out=tmp)
+    np.maximum(lo, hi, out=hi)
+    lo[...] = tmp
 
 
 def _smallest_abs(sorted_xs, s, work):
@@ -181,12 +188,14 @@ def _smallest_abs(sorted_xs, s, work):
     leaves the s2 smallest, and one bitonic merge sorts them (Batcher 1968,
     "Sorting networks and their applications").  Each step is a ufunc over
     contiguous slabs of columns, the pads a virtual +inf, and minima and
-    maxima of the same values are exact, so no value's bits change.
+    maxima of the same values are exact, so no value's bits change.  The
+    merge costs about s2 log2(s2) / 2 column compare-exchanges, so near
+    s = K it is a full sort, where the K - s + 1 windows of
+    ``_scan_windows`` cost less: ``verify_bounds`` selects only up to the
+    least power of two >= its largest M <= K/2, and scans a larger M.
     """
     n, L = sorted_xs.shape
-    if work.dtype != float or work.ndim != 1 or work.size < max(n, 1):
-        raise ParameterError("work must be a flat float buffer of at least "
-                             "one column of the batch")
+    step = _columns(work, n)
     cols = sorted_xs.T
     np.abs(sorted_xs, out=sorted_xs)
     s2 = 1 << (s - 1).bit_length()
@@ -198,18 +207,14 @@ def _smallest_abs(sorted_xs, s, work):
     # the merge's compare-exchanges of columns i and i+d, i & d == 0, in
     # contiguous slabs of at most ``step`` columns; a pair whose upper
     # column is a pad is in order
-    step = work.size // max(n, 1)
     d = s2 >> 1
     while d:
         for b in range(0, L - d, 2 * d):
             stop = min(b + d, L - d)
             for i in range(b, stop, step):
                 j = min(i + step, stop)
-                lo, hi = cols[i:j], cols[i + d:j + d]
-                tmp = work[:lo.size].reshape(lo.shape)
-                np.minimum(lo, hi, out=tmp)
-                np.maximum(lo, hi, out=hi)
-                lo[...] = tmp
+                _compare_exchange(cols[i:j], cols[i + d:j + d],
+                                  work[:(j - i) * n].reshape(j - i, n))
         d >>= 1
     return sorted_xs
 
@@ -245,39 +250,37 @@ def _min_spacing(sorted_xs, half2, D, work):
     return gap
 
 
-def sorted_conv_offsets(sorted_xs: np.ndarray, M: int,
-                        work=None) -> np.ndarray:
+def sorted_conv_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
     """M-th smallest absolute offset of each sorted row (last axis).
 
     The M users nearest the origin are consecutive in a sorted row, so the
     offset is the smallest ``max(-x[i], x[i+M-1])`` over the M-windows.  It
     equals the M-th entry of the sorted ``|x|`` of the row, except that a
-    zero may come out as -0.0.  ``work``: see ``_window_min``.
+    zero may come out as -0.0.
     """
-    return _window_min(sorted_xs, M, _reach, work)
+    return _window_min(sorted_xs, M, _reach)
 
 
-def pa_offsets(sorted_xs: np.ndarray, M: int, work=None) -> np.ndarray:
+def pa_offsets(sorted_xs: np.ndarray, M: int) -> np.ndarray:
     """Half the span of the tightest M-window of each sorted row (last axis).
 
-    A running minimum over the window start, in chunks of windows if given
-    a flat float buffer ``work`` (see ``_window_min``): no (n, K)
-    temporary, and the result does not depend on the layout, bit for bit,
-    nor on the chunk width, unless a position is -0.0.
+    A running minimum over the window start (see ``_window_min``): no
+    (n, K) temporary, and the result does not depend on the layout, bit for
+    bit.
     """
-    half = _window_min(sorted_xs, M, _width, work)
+    half = _window_min(sorted_xs, M, _width)
     half /= 2.0
     return half
 
 
-def bottlenecks(sorted_xs: np.ndarray, M: int, arch: str, work=None):
+def bottlenecks(sorted_xs: np.ndarray, M: int, arch: str):
     """Bottleneck offset of each sorted row under ``arch``, by its kernel.
     An AFL upload is the round of one user: on an (n, 1) batch at M = 1 the
     fixed antenna's offset is |x| and the pinched one's 0."""
     if arch not in (CONV, PA):
         raise ParameterError(f"unknown architecture {arch!r}")
     kernel = sorted_conv_offsets if arch == CONV else pa_offsets
-    return kernel(sorted_xs, M, work)
+    return kernel(sorted_xs, M)
 
 
 def schedule_round(xs: np.ndarray, M: int, arch: str):

@@ -478,20 +478,49 @@ class TestVerifyBounds:
             assert network == repr(montecarlo.verify_bounds(*args))
             assert network == repr(_fresh_draw_reference(*args, eps=0.1))
 
-    def test_only_pa_windows_are_scanned(self, monkeypatch):
-        # CONV's offsets are columns of the block's selected |x|, so the
-        # only windows verify_bounds scans are PA's spans
-        costs = []
-        scan = spatial._scan_windows
+    @pytest.mark.parametrize("K_grid, M_grid, scanned, selecting", [
+        ([1, 3, 10, 40], [1, 2, 5, 7], {(3, 2)}, [1, 3, 10, 40]),
+        ([40], [2, 40], {(40, 40)}, [40]),
+        ([40], [21], {(40, 21)}, []),
+    ], ids=["small-m", "2-and-k", "half-k-plus-1"])
+    def test_conv_windows_scanned_only_past_the_selection(
+            self, monkeypatch, K_grid, M_grid, scanned, selecting):
+        # the selection sorts up to s2, the least power of two >= the
+        # largest M <= K/2, or 1 if there is none; every larger M scans its
+        # CONV windows with _reach, and a K selects once per block, only if
+        # an M of its grid is at most s2.  600 trials are two blocks of
+        # 256 rows and a partial one
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
+        conv, selections = set(), []
+        scan, select = montecarlo._scan_windows, montecarlo._smallest_abs
 
-        def spy(sorted_xs, M, cost, *args):
-            costs.append(cost)
+        def scan_spy(sorted_xs, M, cost, *args):
+            if cost is not spatial._width:
+                conv.add((sorted_xs.shape[1], M, cost))
             return scan(sorted_xs, M, cost, *args)
 
-        for module in (spatial, montecarlo):
-            monkeypatch.setattr(module, "_scan_windows", spy)
-        montecarlo.verify_bounds([1, 3, 10, 40], [1, 2, 5, 7], 10.0, 600, 8)
-        assert costs and set(costs) == {spatial._width}
+        def select_spy(sorted_xs, s, work):
+            selections.append(sorted_xs.shape[1])
+            return select(sorted_xs, s, work)
+
+        monkeypatch.setattr(montecarlo, "_scan_windows", scan_spy)
+        monkeypatch.setattr(montecarlo, "_smallest_abs", select_spy)
+        montecarlo.verify_bounds(K_grid, M_grid, 10.0, 600, 8)
+        assert conv == {(K, M, spatial._reach) for K, M in scanned}
+        assert selections == [K for K in selecting for _ in range(3)]
+
+    @pytest.mark.parametrize("K", [3, 40, 200])
+    def test_scanned_and_selected_conv_match_fresh_draws(self, monkeypatch,
+                                                         K):
+        # M = K scans one window, K//2 + 1 the most windows of an M past
+        # K/2, and at {2, K}, for K = 40 and 200, one block is both scanned,
+        # at K, and selected, for 2, so the scan must read it before the
+        # selection overwrites it
+        monkeypatch.setattr(montecarlo, "_BLOCK_ROWS", 256)
+        for M_grid in ([K], [K // 2 + 1], [2, K]):
+            args = ([K], M_grid, 10.0, 600, 9)
+            assert (repr(montecarlo.verify_bounds(*args))
+                    == repr(_fresh_draw_reference(*args, eps=0.1))), M_grid
 
     def test_small_grid_all_pass(self):
         verdicts = montecarlo.verify_bounds([10, 20], [2, 5], 10.0,

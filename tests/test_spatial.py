@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from pinchfl.errors import ParameterError
 from pinchfl.spatial import (CONV, GAUSSIAN_MIXTURE, PA, UNIFORM,
                              DistributionSpec, _min_spacing, _reach,
-                             _scan_windows, _smallest_abs, _width, bottlenecks,
-                             draw_positions, pa_offsets, sample_positions,
-                             schedule_round, sorted_conv_offsets)
+                             _scan_windows, _smallest_abs, _width, _window_min,
+                             bottlenecks, draw_positions, pa_offsets,
+                             sample_positions, schedule_round,
+                             sorted_conv_offsets)
 
 UNI = DistributionSpec(kind=UNIFORM, D=10.0)
 GM = DistributionSpec(kind=GAUSSIAN_MIXTURE, D=10.0, mu=3.0, sigma=0.5)
@@ -194,15 +195,18 @@ class TestPaBottleneck:
     def test_ordering_pa_le_conv(self, row):
         # rounding is monotone and b - a <= 2 max(-a, b), so the rounded half
         # span of a window never exceeds its larger end offset: PA <= CONV
-        # holds bit for bit, in one window at a time and in chunks of them
+        # holds bit for bit, in one window at a time (the kernels) and in
+        # chunks of them (verify's ``_scan_windows``)
         srt = np.sort(np.array(row))[None]
         K = len(row)
         for M in range(1, K + 1):
             conv = float(sorted_conv_offsets(srt, M)[0])
             assert conv == np.sort(np.abs(row))[M - 1]
-            for work in (None, np.empty(K - M + 1), np.empty(1)):
-                assert sorted_conv_offsets(srt, M, work)[0] == conv
-                half = float(pa_offsets(srt, M, work)[0])
+            half = float(pa_offsets(srt, M)[0])
+            assert half <= conv, f"M={M}: PA {half!r} > CONV {conv!r}"
+            for work in (np.empty(K - M + 1), np.empty(1)):
+                assert _chunked(srt, M, _reach, work)[0] == conv
+                half = float(_chunked(srt, M, _width, work)[0] / 2.0)
                 assert half <= conv, f"M={M}: PA {half!r} > CONV {conv!r}"
 
     @settings(max_examples=100, deadline=None)
@@ -254,13 +258,16 @@ class TestScheduleRound:
 
 class TestBottlenecks:
     def test_one_kernel_per_architecture(self):
+        # and verify's chunked scan of the kernel's window cost agrees
         srt = np.sort(np.random.default_rng(3).uniform(-5, 5, (50, 9)), axis=1)
         for M in (1, 4, 9):
-            for arch, kernel in ((CONV, sorted_conv_offsets), (PA, pa_offsets)):
+            for arch, kernel, cost, scale in (
+                    (CONV, sorted_conv_offsets, _reach, 1.0),
+                    (PA, pa_offsets, _width, 0.5)):
                 want = kernel(srt, M)
                 assert np.array_equal(bottlenecks(srt, M, arch), want)
-                assert np.array_equal(bottlenecks(srt, M, arch,
-                                                  np.empty(50 * 3)), want)
+                assert np.array_equal(
+                    _chunked(srt, M, cost, np.empty(50 * 3)) * scale, want)
 
     def test_an_upload_is_the_round_of_one_user(self):
         # CONV serves a lone user at |x|, PA pins the radiator over it
@@ -273,6 +280,14 @@ class TestBottlenecks:
         for arch in ("BEAM", "conv", None):
             with pytest.raises(ParameterError, match="unknown architecture"):
                 bottlenecks(np.zeros((2, 3)), 2, arch)
+
+
+def _chunked(sorted_xs, M, cost, work):
+    """``_scan_windows`` of ``cost`` in chunks of as many windows as the
+    flat buffer ``work`` holds columns, into new result and scratch
+    columns."""
+    best = np.empty(sorted_xs.shape[:-1])
+    return _scan_windows(sorted_xs, M, cost, work, best, np.empty_like(best))
 
 
 def _peak_columns(run, n):
@@ -346,7 +361,8 @@ class TestBatchedBottlenecks:
         pytest.param(1, 1, 1, None, id="1-1-1"),
         pytest.param(5, 5, 1, None, id="5-5-1"),
         pytest.param(5, 2, 2, None, id="5-2-2"),
-        # given ``work``, the chunks of windows go there, however wide
+        # verify's chunked scan puts the chunks of windows in ``work``,
+        # however wide, and allocates nothing beyond its caller's columns
         pytest.param(1, 1, 1, 8, id="work-1-1-1"),
         pytest.param(5, 5, 1, 8, id="work-5-5-1"),
         pytest.param(40, 7, 2, 1, id="work-40-7-2-chunk1"),
@@ -357,13 +373,19 @@ class TestBatchedBottlenecks:
         # the result and, only when there is a second window, one scratch
         # column of the batch shape
         xs = np.sort(np.random.default_rng(0).random((512, K)), axis=1)
-        work = None
-        if chunk is not None:
+        if chunk is None:
+            kernels = [lambda: pa_offsets(xs, M),
+                       lambda: sorted_conv_offsets(xs, M)]
+        else:
             # the layout the chunks are for: on C-order rows numpy buffers
-            # a chunk's strided reads
+            # a chunk's strided reads.  The scan allocates nothing, so its
+            # caller's columns are allocated here, the scratch only if a
+            # second window needs it
             xs, work = np.asfortranarray(xs), np.empty(512 * chunk)
-        for kernel in (lambda: pa_offsets(xs, M, work),
-                       lambda: sorted_conv_offsets(xs, M, work)):
+            kernels = [lambda cost=cost: _scan_windows(
+                xs, M, cost, work, np.empty(512),
+                np.empty(512) if M < K else None) for cost in (_width, _reach)]
+        for kernel in kernels:
             assert columns <= _peak_columns(kernel, 512) < columns + 0.5
 
     @pytest.mark.parametrize("K, M", [(1, 1), (5, 5), (5, 2), (40, 7)])
@@ -378,7 +400,7 @@ class TestBatchedBottlenecks:
                                     (_width, pa_offsets, 0.5)):
             got = _scan_windows(xs, M, cost, work, best, scratch)
             assert got is best
-            assert (got * scale).tobytes() == kernel(xs, M, work).tobytes()
+            assert (got * scale).tobytes() == kernel(xs, M).tobytes()
             assert _peak_columns(lambda: _scan_windows(
                 xs, M, cost, work, best, scratch), n) < 0.1
 
@@ -417,10 +439,10 @@ class TestBatchedBottlenecks:
         xs = np.sort(np.round(rng.uniform(-5, 5, (n, K)), 1) + 0.0, axis=1)
         xs = np.asarray(xs, order=order)
         windows = K - M + 1
-        half = pa_offsets(xs, M, work(windows))
-        conv = sorted_conv_offsets(xs, M, work(windows))
+        half = _chunked(xs, M, _width, work(windows)) / 2.0
+        conv = _chunked(xs, M, _reach, work(windows))
         # the spacing of the half gaps of a chunked scan
-        half2 = pa_offsets(xs, 2, work(K - 1)) if K >= 2 else None
+        half2 = _chunked(xs, 2, _width, work(K - 1)) / 2.0 if K >= 2 else None
         gap = _min_spacing(xs, half2, 10.0, np.empty(2 * n))
         assert half.tobytes() == pa_offsets(xs, M).tobytes()
         # ``==``: a window may give -0.0 where another chunking gives 0.0
@@ -432,25 +454,27 @@ class TestBatchedBottlenecks:
             assert gap[i] == np.diff(xs[i], prepend=-5.0,
                                      append=5.0).min() / 10.0
 
-    @pytest.mark.parametrize("with_work", [False, True],
+    @pytest.mark.parametrize("core", [False, True],
                              ids=["one-window", "work"])
     @pytest.mark.parametrize("kernel", [pa_offsets, sorted_conv_offsets],
                              ids=["pa", "conv"])
     @pytest.mark.parametrize("K, M", [(3, -1), (3, 0), (3, 4), (0, 1)],
                              ids=["M-1", "M0", "M=K+1", "K0"])
-    def test_window_size_outside_one_to_k_rejected(self, K, M, kernel,
-                                                   with_work):
-        # M = -1 used to index the row from its end and return a value
+    def test_window_size_outside_one_to_k_rejected(self, K, M, kernel, core):
+        # M = -1 used to index the row from its end and return a value.
+        # The check is the window minimum's, the core of both kernels; the
+        # chunked scan, which only verify_bounds calls on its own M grid,
+        # checks no M
         xs = np.sort(np.random.default_rng(0).random((2, K)), axis=1)
-        work = np.empty(2 * 8) if with_work else None
+        cost = _width if kernel is pa_offsets else _reach
         with pytest.raises(ParameterError, match="M="):
-            kernel(xs, M, work)
+            _window_min(xs, M, cost) if core else kernel(xs, M)
 
     def test_work_must_hold_a_column_of_floats(self):
         xs = np.sort(np.random.default_rng(0).random((4, 5)), axis=1)
         for work in (np.empty(3), np.empty((4, 2)), np.empty(8, np.float32)):
-            for kernel in (lambda: pa_offsets(xs, 2, work),
-                           lambda: sorted_conv_offsets(xs, 2, work),
+            for kernel in (lambda: _chunked(xs, 2, _width, work),
+                           lambda: _chunked(xs, 2, _reach, work),
                            lambda: _smallest_abs(xs.copy(order="F"), 2, work)):
                 with pytest.raises(ParameterError):
                     kernel()
